@@ -1,0 +1,141 @@
+"""Byte-identity of the three user-facing outputs.
+
+The report text, the sweep CSV and the SVG figure are pinned for the
+reference scenario and for a handful of sampled ones, so a refactor that
+changes any computed digit, or the order in which checks run and name
+their failures, shows up here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ews32 import (
+    build_share_table,
+    format_csv,
+    format_report,
+    parse_grid,
+    render_figure,
+    run_report,
+    sample_valid_aes,
+    scenario_from_mapping,
+    sweep,
+)
+
+from conftest import REFERENCE_SECTOR, REFERENCE_THETA, random_ranked_table
+from test_scenario import REFERENCE_DOC
+
+GRID = "land_capital_1=-2:2:9,capital_labor_2=-2:2:7"
+
+REFERENCE_REPORT = """\
+scenario: reference
+ranking checks: intensity pass, middle factor pass
+allen tensor valid: yes
+economy-wide substitution (rows/cols land, capital, labor):
+  -0.563158  +0.223684  +0.339474
+  +0.293103  -0.608621  +0.315517
+  +0.390909  +0.277273  -0.668182
+ratio vector: s'=0.709302 u'=0.749800 denominator sign + (quadrant 1)
+subregion: P2
+strong output response: yes
+output-response signs (sectors x factors):
+  + - +
+  - + +
+real-reward signs (deflators x factors):
+  + - -
+  + - +
+output elasticities:
+  +1.129814  -0.584784  +0.454969
+  -0.744722  +1.602175  +0.142546
+real-reward elasticities:
+  +0.783918  -2.209897  -0.172784
+  +1.783918  -1.209897  +0.827216
+system determinant: -0.160039597
+numeric and tabled signs agree: yes
+worst solve residual: 4.324e-16
+shock price=+1.0000 endowments=(+0.0000, +0.0000, +0.0000)
+  rewards (+0.783918, -2.209897, -0.172784)  outputs (+2.099381, -3.149072)
+shock price=+0.0000 endowments=(+1.0000, +0.0000, +0.0000)
+  rewards (-0.264825, -0.162969, +0.448165)  outputs (+1.129814, -0.744722)
+"""
+
+# sha256 of (report, sweep CSV, SVG) per scenario; the reference report
+# is pinned in full above.
+GOLDEN = {
+    "reference": (
+        None,
+        "fb3433d4bfc346a488335694589f75b06f3bd65fa9dbd5f1bf25d6a604e557df",
+        "3d761dd602de3e2ea6e59c7c3b6aeef348eb8f7c22e50888f04d44ba96d612e7",
+    ),
+    "sampled-0": (
+        "330400e8ed45b7df21b0a8b2715e6756f35d795da5c45a946d94680ef40fdc2a",
+        "90563d1837dd1b516ac7530c206fc541352733731875b9576833cf1980de9e9f",
+        "ea99a532e2be461c21ccbd5f53b5194d49e4daeca1f9677b6ce1585736a3c26c",
+    ),
+    "sampled-1": (
+        "b001f5f4d2c0f17f93918b1a14f4bea07dd433cd747565214d2a9fc30687d65c",
+        "302af8c7a0a6b6145526131087edca6392fc5890608f65591847194530642e5c",
+        "6e0cd5d93d0187ae34df98e01029300bce912a42e9aa4b04bd370d700cbf983d",
+    ),
+    "sampled-2": (
+        "78db5b8de3ce2a74231a5c4fbeebed5b97e36bce3d5d715e77ee27e1d90c22e9",
+        "dfe45fc5b4cd25c6be9350c02bc748aa1b74bfaebeceb62d95d300ea411b68a2",
+        "3bdf0e69464853f1eb6ea72e92c8059f322674673e4bf862cb814028b3236749",
+    ),
+    "sampled-3": (
+        "74ae81cd4a16f86ad051607da0f4266d39910e35b06f0a50a080970f16f8a3fb",
+        "42c3098060c2c48a8eb6d5b71d5ced8cbf115065073c210f8bf0200d9dddf151",
+        "a04a05893028cdd6502a85ab349c2be2a3cd8daa4af584dc0bbcb87238844c24",
+    ),
+    "sampled-4": (
+        "f3d3f67dac44d568d87056f36dbd7c0b1bc81ac039e4cf4d3bac67e4ac26e0b4",
+        "6b490da8c9b0630e110b49cc4374d617a415e05c2f3c7d78116e342a8ac19468",
+        "e697d57351c22fc9796ad26ace7616d4f316766aa2e582d0223c0a5fafb7cd1c",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sampled_doc(index: int) -> dict:
+    """A sampled Allen tensor on the reference table (index 0) or on a
+    seeded random ranked table, with one price and one endowment shock."""
+    if index == 0:
+        table = build_share_table(REFERENCE_THETA, REFERENCE_SECTOR)
+    else:
+        table = random_ranked_table(np.random.default_rng(900 + index))
+    return {
+        "name": f"sampled-{index}",
+        "theta": table.theta.tolist(),
+        "theta_sector": table.theta_sector.tolist(),
+        "sigma": sample_valid_aes(table, seed=100 + index).sigma.tolist(),
+        "shocks": [
+            {"price": 0.5 - 0.25 * index},
+            {"endowments": [0.1 * index, -0.2, 0.3]},
+        ],
+    }
+
+
+def outputs(doc: dict) -> tuple[str, str, str]:
+    scenario = scenario_from_mapping(doc)
+    report = format_report(run_report(scenario))
+    csv = format_csv(sweep(scenario, parse_grid(GRID)))
+    return report, csv, render_figure(scenario)
+
+
+def test_reference_report_text():
+    assert outputs(dict(REFERENCE_DOC))[0] == REFERENCE_REPORT
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_byte_identical(name):
+    doc = dict(REFERENCE_DOC) if name == "reference" else sampled_doc(int(name.split("-")[1]))
+    report, csv, svg = outputs(doc)
+    want_report, want_csv, want_svg = GOLDEN[name]
+    if want_report is not None:
+        assert _sha(report) == want_report
+    assert _sha(csv) == want_csv
+    assert _sha(svg) == want_svg
