@@ -28,7 +28,12 @@ class RankingViolation(ValidationError):
 
 class InvalidAes(ValidationError):
     """An Allen-elasticity tensor violates symmetry, own-negativity,
-    homogeneity, or strict quasi-concavity."""
+    homogeneity, or strict quasi-concavity; `report` is the failing
+    ValidityReport, or None for a tensor of the wrong shape."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class DegenerateT(ValidationError):

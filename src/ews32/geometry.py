@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptotePole, Infeasible, OnLine, UnmatchedSignature
-from .shares import CAPITAL, LABOR, LAND, ShareTable, require_ranking
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly, require_ranking
 from .substitution import EwsRatioVector
 
 # A vector this close to a line (or the boundary asymptote) has no
@@ -77,9 +77,7 @@ class LineCoeffs:
     abe: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.abe, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "abe", arr)
+        object.__setattr__(self, "abe", _readonly(self.abe))
 
     def value(self, factor: int, sector: int, s_prime: float) -> float:
         """Height of line (factor, sector) at s_prime."""
@@ -105,9 +103,7 @@ class AnchorSet:
     r: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.r, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "r", arr)
+        object.__setattr__(self, "r", _readonly(self.r))
 
 
 @dataclass(frozen=True)

@@ -9,26 +9,24 @@ sign patterns, numeric elasticities, and the oracle cross-checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 from .geometry import Subregion, classify_subregion, line_coefficients
-from .shares import RankingReport, ShareTable, build_share_table, check_intensity_ranking, require_ranking
+from .shares import RankingReport, ShareTable, build_share_table, require_ranking
 from .statics import (
     DeltaReport,
     ResponseVector,
     ShockVector,
     SignPattern,
-    assemble_system,
-    determinant_delta,
-    rybczynski_matrix,
+    comparative_statics,
     sign_pattern_from_values,
     sign_pattern_lookup,
     solve_responses,
-    stolper_samuelson_matrix,
     strong_rybczynski,
 )
 from .substitution import (
@@ -41,7 +39,6 @@ from .substitution import (
     ews_from_epsilon,
     ews_ratio_vector,
     require_valid_aes,
-    validate_aes,
 )
 
 COBB_DOUGLAS_TAG = "cobb-douglas"
@@ -49,12 +46,19 @@ COBB_DOUGLAS_TAG = "cobb-douglas"
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, fully validated model instance."""
+    """A named model instance, validated when built: construction raises
+    RankingViolation or InvalidAes, and keeps both check reports."""
 
     name: str
     table: ShareTable
     aes: AesTensor
     shocks: tuple[ShockVector, ...] = ()
+    ranking: RankingReport = field(init=False)
+    aes_validity: ValidityReport = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranking", require_ranking(self.table))
+        object.__setattr__(self, "aes_validity", require_valid_aes(self.aes, self.table))
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,26 @@ class Report:
     responses: tuple[tuple[ShockVector, ResponseVector], ...]
 
 
+def _finite_numbers(value) -> bool:
+    # Leaf by leaf, because numpy reads true as 1.0 and "1.5" as 1.5.
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(map(_finite_numbers, value))
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _as_float_grid(value, shape, what: str) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be numeric: {exc}") from exc
     if arr.shape != shape:
         raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not _finite_numbers(value):
+        raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
     return arr
 
 
@@ -107,7 +124,6 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
     theta = _as_float_grid(doc["theta"], (3, 2), "theta")
     theta_sector = _as_float_grid(doc["theta_sector"], (2,), "theta_sector")
     table = build_share_table(theta, theta_sector)
-    require_ranking(table)
 
     sigma = doc["sigma"]
     if isinstance(sigma, str):
@@ -118,7 +134,6 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
         aes = cobb_douglas_aes(table)
     else:
         aes = AesTensor(sigma=_as_float_grid(sigma, (2, 3, 3), "sigma"))
-    require_valid_aes(aes, table)
 
     shocks = []
     raw_shocks = doc.get("shocks", [])
@@ -127,7 +142,7 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
     for k, raw in enumerate(raw_shocks):
         if not isinstance(raw, dict) or set(raw) - {"price", "endowments"}:
             raise ParseError(f"shock {k} must be an object with keys price/endowments")
-        price = float(raw.get("price", 0.0))
+        price = float(_as_float_grid(raw.get("price", 0.0), (), "price"))
         endow = _as_float_grid(raw.get("endowments", (0.0, 0.0, 0.0)), (3,), "endowments")
         shocks.append(
             ShockVector(price_shock=price, endowment_shocks=tuple(float(v) for v in endow))
@@ -149,23 +164,15 @@ def load_scenario(path) -> Scenario:
 def run_report(scenario: Scenario) -> Report:
     """Run the full pipeline and cross-check the two sign routes."""
     table = scenario.table
-    ranking = check_intensity_ranking(table)
-    validity = validate_aes(scenario.aes, table)
-    eps = epsilon_from_aes(scenario.aes, table)
-    ews = ews_from_epsilon(eps, table)
+    ews = ews_from_epsilon(epsilon_from_aes(scenario.aes, table), table)
     vector = ews_ratio_vector(ews)
-    lines = line_coefficients(table)
-    region = classify_subregion(vector, lines, table)
-
-    sys = assemble_system(table, ews)
-    delta = determinant_delta(sys, table, ews)
-    ryb = rybczynski_matrix(table, ews)
-    ss = stolper_samuelson_matrix(table, ews, ryb)
+    region = classify_subregion(vector, line_coefficients(table), table)
+    statics = comparative_statics(table, ews)
 
     output_signs = sign_pattern_lookup(region, "rybczynski")
     reward_signs = sign_pattern_lookup(region, "stolper_samuelson")
-    ryb_signs = sign_pattern_from_values(ryb, "rybczynski")
-    ss_signs = sign_pattern_from_values(ss, "stolper_samuelson")
+    ryb_signs = sign_pattern_from_values(statics.rybczynski, "rybczynski")
+    ss_signs = sign_pattern_from_values(statics.stolper_samuelson, "stolper_samuelson")
     signs_agree = (
         not ryb_signs.zero_flagged
         and not ss_signs.zero_flagged
@@ -173,29 +180,28 @@ def run_report(scenario: Scenario) -> Report:
         and ss_signs.entries == reward_signs.entries
     )
 
-    responses = []
-    max_residual = 0.0
-    for shock in scenario.shocks:
-        response = solve_responses(sys, shock)
-        max_residual = max(max_residual, response.residual)
-        responses.append((shock, response))
+    responses = tuple(
+        (shock, solve_responses(statics.system, shock)) for shock in scenario.shocks
+    )
+    # np.max propagates a NaN residual; the builtin max can drop it.
+    max_residual = float(np.max([r.residual for _, r in responses], initial=0.0))
 
     return Report(
         scenario_name=scenario.name,
-        ranking=ranking,
-        aes_validity=validity,
+        ranking=scenario.ranking,
+        aes_validity=scenario.aes_validity,
         ews=ews,
         vector=vector,
         subregion=region,
         strong_result=strong_rybczynski(region),
         output_signs=output_signs,
         reward_signs=reward_signs,
-        rybczynski=ryb,
-        stolper_samuelson=ss,
-        delta=delta,
+        rybczynski=statics.rybczynski,
+        stolper_samuelson=statics.stolper_samuelson,
+        delta=statics.delta,
         signs_agree=signs_agree,
         max_residual=max_residual,
-        responses=tuple(responses),
+        responses=responses,
     )
 
 

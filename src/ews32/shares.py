@@ -21,8 +21,9 @@ FACTOR_NAMES = ("land", "capital", "labor")
 STOCHASTIC_TOL = 1e-12
 
 
-def _readonly(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
+def _readonly(values) -> np.ndarray:
+    """Read-only float copy, as every frozen result type stores arrays."""
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -88,10 +89,10 @@ def build_share_table(theta, theta_sector) -> ShareTable:
     lam = (ts[np.newaxis, :] / tf[:, np.newaxis]) * th
     diff = tuple(float(d) for d in th[:, 0] - th[:, 1])
     return ShareTable(
-        theta=_readonly(th, (3, 2)),
-        theta_sector=_readonly(ts, (2,)),
-        theta_factor=_readonly(tf, (3,)),
-        lam=_readonly(lam, (3, 2)),
+        theta=_readonly(th),
+        theta_sector=_readonly(ts),
+        theta_factor=_readonly(tf),
+        lam=_readonly(lam),
         diff=diff,
     )
 
@@ -109,8 +110,8 @@ def check_intensity_ranking(table: ShareTable) -> RankingReport:
     return RankingReport(intensity_ok=intensity_ok, middle_ok=middle_ok, diff_signs=signs)
 
 
-def require_ranking(table: ShareTable) -> None:
-    """Raise unless both maintained rankings hold."""
+def require_ranking(table: ShareTable) -> RankingReport:
+    """Raise unless both maintained rankings hold; return the report."""
     report = check_intensity_ranking(table)
     if not report.intensity_ok:
         raise RankingViolation(
@@ -122,3 +123,4 @@ def require_ranking(table: ShareTable) -> None:
             "middle-factor ranking violated: need labor's distributive share "
             "strictly larger in the land-intensive sector"
         )
+    return report

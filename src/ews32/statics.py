@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem
 from .geometry import Subregion, line_coefficients
-from .shares import CAPITAL, LABOR, LAND, ShareTable
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 from .substitution import EwsMatrix, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
@@ -38,9 +38,7 @@ class SystemMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.a, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
+        object.__setattr__(self, "a", _readonly(self.a))
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,24 @@ class CofactorReport:
 
     def __post_init__(self):
         for name in ("direct", "expanded", "factored"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def values(self) -> np.ndarray:
         return self.direct
+
+
+@dataclass(frozen=True)
+class ComparativeStatics:
+    """One economy's system, determinant, output elasticities to
+    endowments [sector, factor], and real factor-price elasticities to the
+    relative goods price [deflator, factor]; deflator row 0 is the first
+    good's price, row 1 the second's."""
+
+    system: SystemMatrix
+    delta: DeltaReport
+    rybczynski: np.ndarray
+    stolper_samuelson: np.ndarray
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -155,12 +164,10 @@ def determinant_delta(sys: SystemMatrix, table: ShareTable, g: EwsMatrix) -> Del
         + g.g[LABOR, CAPITAL] * tf[LABOR] * a * a
         + g.g[LABOR, LAND] * tf[LABOR] * b * b
     )
-    worst = max(
-        _relative_gap(dense, own),
-        _relative_gap(dense, cross),
-        _relative_gap(own, cross),
+    worst = np.max(
+        [_relative_gap(dense, own), _relative_gap(dense, cross), _relative_gap(own, cross)]
     )
-    if worst > CROSS_CHECK_TOL:
+    if not worst <= CROSS_CHECK_TOL:
         raise ClosedFormMismatch(
             f"determinant routes disagree: dense {dense!r}, own-terms {own!r}, "
             f"cross-terms {cross!r}"
@@ -228,11 +235,10 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
             offset = v.u_prime - lines.value(factor, sector, v.s_prime)
             factored[sector, factor] = e * v.t * offset
 
-    worst = max(
-        float(np.max(np.abs(direct - expanded))),
-        float(np.max(np.abs(direct - factored))),
-    ) / max(float(np.max(np.abs(direct))), 1e-300)
-    if worst > CROSS_CHECK_TOL:
+    worst = float(np.max(np.abs([direct - expanded, direct - factored]))) / max(
+        float(np.max(np.abs(direct))), 1e-300
+    )
+    if not worst <= CROSS_CHECK_TOL:
         raise ClosedFormMismatch(
             f"cofactor routes disagree beyond tolerance (relative gap {worst:e})"
         )
@@ -247,7 +253,7 @@ def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"comparative-statics system is singular: {exc}") from exc
     residual = float(np.max(np.abs(sys.a @ x - rhs)))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
     return ResponseVector(
         w_hat=tuple(float(v) for v in x[:3]),
@@ -256,62 +262,51 @@ def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     )
 
 
-def rybczynski_matrix(table: ShareTable, g: EwsMatrix) -> np.ndarray:
-    """Output elasticities to endowments, [sector, factor].
+def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
+    """Assemble the system once and derive both elasticity matrices.
 
-    Computed from the cofactor closed forms and verified entry by entry
-    against unit-endowment dense solves.
+    The output elasticities come from the cofactor closed forms over the
+    determinant and are verified entry by entry against unit-endowment
+    dense solves; the real-reward elasticities follow from them by
+    reciprocity and are verified against a dense pure-price-shock solve.
     """
-    report = cofactors(table, g)
     sys = assemble_system(table, g)
-    delta = determinant_delta(sys, table, g).value
-    closed = np.empty((2, 3))
+    delta = determinant_delta(sys, table, g)
+    cof = cofactors(table, g).values
+    ryb = np.empty((2, 3))
     for sector in range(2):
         for factor in _FACTOR_ROWS:
             parity = 1.0 if (factor + sector) % 2 == 0 else -1.0
-            closed[sector, factor] = parity * report.values[sector, factor] / delta
+            ryb[sector, factor] = parity * cof[sector, factor] / delta.value
     for factor in _FACTOR_ROWS:
         shocks = [0.0, 0.0, 0.0]
         shocks[factor] = 1.0
         response = solve_responses(sys, ShockVector(endowment_shocks=tuple(shocks)))
         for sector in range(2):
-            gap = _relative_gap(closed[sector, factor], response.x_hat[sector])
-            if gap > CROSS_CHECK_TOL:
+            gap = _relative_gap(ryb[sector, factor], response.x_hat[sector])
+            if not gap <= CROSS_CHECK_TOL:
                 raise ClosedFormMismatch(
                     "output-response closed form disagrees with the dense solve "
                     f"at sector {sector + 1}, factor {factor}: "
-                    f"{closed[sector, factor]!r} vs {response.x_hat[sector]!r}"
+                    f"{ryb[sector, factor]!r} vs {response.x_hat[sector]!r}"
                 )
-    return closed
 
-
-def stolper_samuelson_matrix(
-    table: ShareTable, g: EwsMatrix, ryb: np.ndarray
-) -> np.ndarray:
-    """Real factor-price elasticities to the relative goods price,
-    [deflator, factor]; row 0 deflates by the first good's price, row 1
-    by the second's.
-
-    Built from the output-response matrix by reciprocity and verified
-    against a dense pure-price-shock solve.
-    """
     tf = table.theta_factor
     ts = table.theta_sector
     ss = np.empty((2, 3))
     for factor in _FACTOR_ROWS:
         ss[0, factor] = -(ts[1] / tf[factor]) * ryb[1, factor]
         ss[1, factor] = (ts[0] / tf[factor]) * ryb[0, factor]
-    sys = assemble_system(table, g)
     response = solve_responses(sys, ShockVector(price_shock=1.0))
     for factor in _FACTOR_ROWS:
         gap0 = _relative_gap(ss[0, factor], response.w_hat[factor])
         gap1 = _relative_gap(ss[1, factor], response.w_hat[factor] + 1.0)
-        if max(gap0, gap1) > CROSS_CHECK_TOL:
+        if not (gap0 <= CROSS_CHECK_TOL and gap1 <= CROSS_CHECK_TOL):
             raise ClosedFormMismatch(
                 "reciprocity form disagrees with the dense price-shock solve "
                 f"at factor {factor}"
             )
-    return ss
+    return ComparativeStatics(system=sys, delta=delta, rybczynski=ryb, stolper_samuelson=ss)
 
 
 # Sign tables, one column per subregion. Rows are sectors for the output

@@ -23,18 +23,21 @@ from .errors import (
     InvalidAes,
     NonPositiveLevels,
 )
-from .shares import CAPITAL, LABOR, LAND, ShareTable
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 
 # Identity checks compare quantities of order one, absolute tolerance.
 IDENTITY_TOL = 1e-10
 # Below this the ratio vector is numerically meaningless.
 DEGENERATE_T_TOL = 1e-12
 
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+# Each Allen-tensor check: its ValidityReport field and the name that
+# error messages and sweep statuses give a failure, in reporting order.
+_AES_CHECKS = (
+    ("own_negativity_ok", "own-negativity"),
+    ("quasi_concavity_ok", "quasi-concavity"),
+    ("symmetry_ok", "symmetry"),
+    ("homogeneity_ok", "homogeneity"),
+)
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,30 @@ class ValidityReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            all(flags)
-            for flags in (
-                self.symmetry_ok,
-                self.own_negativity_ok,
-                self.homogeneity_ok,
-                self.quasi_concavity_ok,
-            )
-        )
+        return not self.failed_checks
+
+    @property
+    def failed_checks(self) -> tuple[str, ...]:
+        """Names of the checks that fail in either sector."""
+        return tuple(name for field, name in _AES_CHECKS if not all(getattr(self, field)))
+
+
+def _complete_diagonal(s: np.ndarray, th: np.ndarray) -> None:
+    """Set each own elasticity of one sector, in place, so that its
+    share-weighted row sums to zero (homogeneity)."""
+    for i in range(3):
+        s[i, i] = 0.0
+        s[i, i] = -(s[i] @ th) / th[i]
+
+
+def _own_and_curvature(s: np.ndarray, th: np.ndarray) -> tuple[bool, bool]:
+    """Negative own elasticities, and strict quasi-concavity (scaled 2x2
+    minor positive), for one sector."""
+    e = th[:, np.newaxis] * th[np.newaxis, :] * s
+    return (
+        bool(np.all(np.diag(s) < 0.0)),
+        bool(e[LAND, LAND] * e[CAPITAL, CAPITAL] - e[LAND, CAPITAL] ** 2 > 0.0),
+    )
 
 
 def validate_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
@@ -127,10 +145,10 @@ def validate_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
         s = aes.sigma[j]
         th = table.theta[:, j]
         sym.append(bool(np.max(np.abs(s - s.T)) <= IDENTITY_TOL))
-        own.append(bool(np.all(np.diag(s) < 0.0)))
         hom.append(bool(np.max(np.abs(s @ th)) <= IDENTITY_TOL))
-        e = th[:, np.newaxis] * th[np.newaxis, :] * s
-        qc.append(bool(e[LAND, LAND] * e[CAPITAL, CAPITAL] - e[LAND, CAPITAL] ** 2 > 0.0))
+        own_ok, qc_ok = _own_and_curvature(s, th)
+        own.append(own_ok)
+        qc.append(qc_ok)
     return ValidityReport(
         symmetry_ok=tuple(sym),
         own_negativity_ok=tuple(own),
@@ -139,22 +157,19 @@ def validate_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
     )
 
 
-def require_valid_aes(aes: AesTensor, table: ShareTable) -> None:
-    """Raise unless every Allen-tensor invariant holds."""
+def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
+    """Raise InvalidAes, carrying the report, unless every Allen-tensor
+    invariant holds; return the report."""
     report = validate_aes(aes, table)
     if report.ok:
-        return
-    failures = []
-    for name, flags in (
-        ("symmetry", report.symmetry_ok),
-        ("negative own elasticities", report.own_negativity_ok),
-        ("share-weighted homogeneity", report.homogeneity_ok),
-        ("strict quasi-concavity", report.quasi_concavity_ok),
-    ):
-        for j, flag in enumerate(flags):
-            if not flag:
-                failures.append(f"{name} (sector {j + 1})")
-    raise InvalidAes("Allen tensor invalid: " + "; ".join(failures))
+        return report
+    failures = [
+        f"{name} (sector {j + 1})"
+        for field, name in _AES_CHECKS
+        for j, flag in enumerate(getattr(report, field))
+        if not flag
+    ]
+    raise InvalidAes("Allen tensor invalid: " + "; ".join(failures), report)
 
 
 def cobb_douglas_aes(table: ShareTable) -> AesTensor:
@@ -162,9 +177,7 @@ def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     homogeneity as -(1 - theta_ij)/theta_ij."""
     sigma = np.ones((2, 3, 3))
     for j in range(2):
-        for i in range(3):
-            th = table.theta[i, j]
-            sigma[j, i, i] = -(1.0 - th) / th
+        _complete_diagonal(sigma[j], table.theta[:, j])
     return AesTensor(sigma=sigma)
 
 
@@ -260,12 +273,8 @@ def sample_valid_aes(
         for _ in range(max_attempts):
             tk, tl, kl = rng.uniform(-spread, spread, size=3)
             s = np.array([[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]])
-            for i in range(3):
-                s[i, i] = -(s[i] @ th) / th[i]
-            if not np.all(np.diag(s) < 0.0):
-                continue
-            e = th[:, np.newaxis] * th[np.newaxis, :] * s
-            if e[LAND, LAND] * e[CAPITAL, CAPITAL] - e[LAND, CAPITAL] ** 2 > 0.0:
+            _complete_diagonal(s, th)
+            if all(_own_and_curvature(s, th)):
                 sigma[j] = s
                 break
         else:

@@ -13,16 +13,16 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateT, OnLine, ParseError
+from .errors import DegenerateT, InvalidAes, OnLine, ParseError
 from .geometry import classify_subregion, line_coefficients
 from .scenario import Scenario
 from .statics import strong_rybczynski
 from .substitution import (
     AesTensor,
+    _complete_diagonal,
     epsilon_from_aes,
     ews_from_epsilon,
     ews_ratio_vector,
-    validate_aes,
 )
 
 # Canonical grid keys and the (sector, row, column) they set. Symmetric
@@ -91,12 +91,8 @@ def _tensor_at(scenario: Scenario, overrides: dict[str, float]) -> AesTensor:
         sigma[sector, col, row] = value
     # Diagonals follow from the off-diagonals; stale template values
     # would silently break homogeneity.
-    theta = scenario.table.theta
     for sector in range(2):
-        th = theta[:, sector]
-        for i in range(3):
-            sigma[sector, i, i] = 0.0
-            sigma[sector, i, i] = -(sigma[sector, i] @ th) / th[i]
+        _complete_diagonal(sigma[sector], scenario.table.theta[:, sector])
     return AesTensor(sigma=sigma)
 
 
@@ -123,40 +119,25 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
         row.update(
             s_prime=None, u_prime=None, sign_t=None, subregion=None, strong_result=None
         )
-        validity = validate_aes(aes, table)
-        if not validity.ok:
-            failed = []
-            if not all(validity.own_negativity_ok):
-                failed.append("own-negativity")
-            if not all(validity.quasi_concavity_ok):
-                failed.append("quasi-concavity")
-            if not all(validity.symmetry_ok):
-                failed.append("symmetry")
-            if not all(validity.homogeneity_ok):
-                failed.append("homogeneity")
-            row["status"] = f"rejected ({'/'.join(failed)})"
-            rows.append(row)
-            continue
-        ews = ews_from_epsilon(epsilon_from_aes(aes, table), table)
         try:
+            ews = ews_from_epsilon(epsilon_from_aes(aes, table), table)
             vector = ews_ratio_vector(ews)
             region = classify_subregion(vector, lines, table)
+        except InvalidAes as exc:
+            row["status"] = f"rejected ({'/'.join(exc.report.failed_checks)})"
         except DegenerateT:
             row["status"] = "rejected (degenerate ratio)"
-            rows.append(row)
-            continue
         except OnLine:
             row["status"] = "rejected (on a border line)"
-            rows.append(row)
-            continue
-        row.update(
-            s_prime=vector.s_prime,
-            u_prime=vector.u_prime,
-            sign_t=vector.sign_t,
-            subregion=region.value,
-            strong_result=strong_rybczynski(region),
-            status="ok",
-        )
+        else:
+            row.update(
+                s_prime=vector.s_prime,
+                u_prime=vector.u_prime,
+                sign_t=vector.sign_t,
+                subregion=region.value,
+                strong_result=strong_rybczynski(region),
+                status="ok",
+            )
         rows.append(row)
     return rows
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ews32 import (
+    AesTensor,
     InvalidAes,
     ParseError,
     RankingViolation,
+    Scenario,
     Subregion,
     cobb_douglas_aes,
     format_report,
@@ -97,6 +99,25 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         scenario_from_mapping(bad_shock)
 
+    # Shock values must be finite JSON numbers, not strings or booleans.
+    for shock in (
+        {"price": "abc"},
+        {"price": "1.0"},
+        {"price": True},
+        {"price": float("nan")},
+        {"endowments": [float("inf"), 0, 0]},
+        {"endowments": [False, 0, 0]},
+    ):
+        bad_value = dict(REFERENCE_DOC)
+        bad_value["shocks"] = [shock]
+        with pytest.raises(ParseError):
+            scenario_from_mapping(bad_value)
+
+    nan_json = tmp_path / "nan.json"
+    nan_json.write_text(json.dumps(dict(REFERENCE_DOC, shocks=[{"price": float("nan")}])))
+    with pytest.raises(ParseError):
+        load_scenario(nan_json)
+
 
 def test_unranked_scenario_rejected():
     doc = dict(REFERENCE_DOC)
@@ -112,6 +133,9 @@ def test_invalid_sigma_rejected(reference_table):
     doc["sigma"] = sigma.tolist()
     with pytest.raises(InvalidAes):
         scenario_from_mapping(doc)
+    # A Scenario is valid by type, however it is built.
+    with pytest.raises(InvalidAes):
+        Scenario(name="direct", table=reference_table, aes=AesTensor(sigma=sigma))
 
 
 def test_run_report_reference():

@@ -13,13 +13,12 @@ from ews32 import (
     SystemMatrix,
     assemble_system,
     cofactors,
+    comparative_statics,
     determinant_delta,
     line_coefficients,
-    rybczynski_matrix,
     sign_pattern_from_values,
     sign_pattern_lookup,
     solve_responses,
-    stolper_samuelson_matrix,
     strong_rybczynski,
 )
 from ews32.geometry import SIGNATURES
@@ -166,13 +165,17 @@ def test_solve_residual_and_linearity():
         assert scaled.as_array() == pytest.approx(alpha * one.as_array(), rel=1e-9)
 
 
-def test_solve_singular_system():
+def test_solve_singular_system(reference_table):
     with pytest.raises(SingularSystem):
         solve_responses(SystemMatrix(a=np.zeros((5, 5))), ShockVector(price_shock=1.0))
+    # A NaN shock solves to NaN; its residual must fail the check.
+    sys = assemble_system(reference_table, reference_g())
+    with pytest.raises(SingularSystem):
+        solve_responses(sys, ShockVector(price_shock=float("nan")))
 
 
 def test_rybczynski_reference(reference_table):
-    ryb = rybczynski_matrix(reference_table, reference_g())
+    ryb = comparative_statics(reference_table, reference_g()).rybczynski
     assert np.allclose(ryb, REFERENCE_RYBCZYNSKI, atol=1e-12)
 
 
@@ -181,7 +184,7 @@ def test_rybczynski_matches_dense_oracle():
     for trial in range(150):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 6000 + trial)
-        ryb = rybczynski_matrix(table, g)
+        ryb = comparative_statics(table, g).rybczynski
         dense = dense_output_elasticities(table, g)
         scale = np.abs(dense).max()
         assert np.abs(ryb - dense).max() <= 1e-9 * max(scale, 1.0)
@@ -189,9 +192,7 @@ def test_rybczynski_matches_dense_oracle():
 
 
 def test_stolper_samuelson_reference(reference_table):
-    g = reference_g()
-    ryb = rybczynski_matrix(reference_table, g)
-    ss = stolper_samuelson_matrix(reference_table, g, ryb)
+    ss = comparative_statics(reference_table, reference_g()).stolper_samuelson
     assert np.allclose(ss[0], REFERENCE_PRICE_REWARDS, atol=1e-12)
     assert np.allclose(ss[1], np.asarray(REFERENCE_PRICE_REWARDS) + 1.0, atol=1e-12)
 
@@ -203,8 +204,7 @@ def test_stolper_samuelson_reciprocity_random():
     for trial in range(60):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 7000 + trial)
-        ryb = rybczynski_matrix(table, g)
-        ss = stolper_samuelson_matrix(table, g, ryb)
+        ss = comparative_statics(table, g).stolper_samuelson
         rewards = dense_price_rewards(table, g)
         assert np.allclose(ss[0], rewards, atol=1e-9)
         assert np.allclose(ss[1], rewards + 1.0, atol=1e-9)
@@ -249,22 +249,27 @@ def test_reward_signs_follow_output_signs():
 def test_output_signs_follow_signatures():
     # Each output sign factors into the offset-grid sign, the cofactor
     # parity, the vertical line-coefficient sign, the denominator sign,
-    # and the (negative) determinant sign.
-    vertical_signs = (1, -1, -1)  # land, capital, labor lines
-    for region in Subregion:
-        sig = SIGNATURES[region]
-        want = RYBCZYNSKI_SIGNS[region]
+    # and the (negative) determinant sign. The vertical signs are read
+    # off the closed-form lines of random ranked economies, so the table
+    # is checked against the factored cofactor e * t * offset.
+    rng = np.random.default_rng(46)
+    for _ in range(50):
+        abe = line_coefficients(random_ranked_table(rng)).abe
         for sector in range(2):
-            for factor in range(3):
-                parity = 1 if (factor + sector) % 2 == 0 else -1
-                derived = (
-                    -1
-                    * parity
-                    * vertical_signs[factor]
-                    * region.sign_t
-                    * sig[sector][factor]
-                )
-                assert derived == want[sector][factor], (region, sector, factor)
+            vertical_signs = tuple(int(v) for v in np.sign(abe[:, sector, 2]))
+            assert vertical_signs == (1, -1, -1)  # land, capital, labor lines
+            for region in Subregion:
+                for factor in range(3):
+                    parity = 1 if (factor + sector) % 2 == 0 else -1
+                    derived = (
+                        -1
+                        * parity
+                        * vertical_signs[factor]
+                        * region.sign_t
+                        * SIGNATURES[region][sector][factor]
+                    )
+                    want = RYBCZYNSKI_SIGNS[region][sector][factor]
+                    assert derived == want, (region, sector, factor)
 
 
 def test_strong_result_set():

@@ -134,8 +134,10 @@ def test_validate_rejects_positive_own(reference_table):
     sigma[0, LAND, LAND] = 0.5
     report = validate_aes(AesTensor(sigma=sigma), reference_table)
     assert not report.own_negativity_ok[0]
-    with pytest.raises(InvalidAes):
+    with pytest.raises(InvalidAes) as info:
         require_valid_aes(AesTensor(sigma=sigma), reference_table)
+    assert info.value.report == report
+    assert report.failed_checks == ("own-negativity", "quasi-concavity", "homogeneity")
 
 
 def test_validate_rejects_broken_homogeneity(reference_table):
