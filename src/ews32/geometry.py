@@ -64,9 +64,27 @@ SIGNATURES: dict[Subregion, tuple[tuple[int, ...], tuple[int, ...]]] = {
     Subregion.M7: ((-1, -1, -1), (-1, -1, -1)),
 }
 
-_BY_SIGNATURE = {
-    (signature, region.sign_t): region for region, signature in SIGNATURES.items()
-}
+REGIONS = tuple(Subregion)
+_ALL = slice(None)
+
+# A 7-bit signature code: bit 3 * sector + factor set for a positive
+# offset to line (factor, sector), bit 6 for a positive denominator.
+_OFFSET_BITS = 1 << np.arange(6).reshape(2, 3)
+_POSITIVE_T_BIT = 1 << 6
+
+
+def _signature_code(offsets: np.ndarray, sign_t) -> np.ndarray:
+    """Signature codes of offsets[..., sector, factor] and denominator
+    signs over the same leading axes."""
+    positive = np.greater(sign_t, 0)
+    return ((offsets > 0.0) * _OFFSET_BITS).sum(axis=(-2, -1)) + _POSITIVE_T_BIT * positive
+
+
+# Index into REGIONS of each signature code; -1 where no subregion has it.
+_REGION_BY_CODE = np.full(2 * _POSITIVE_T_BIT, -1)
+_REGION_BY_CODE[
+    [int(_signature_code(np.array(SIGNATURES[r]), r.sign_t)) for r in REGIONS]
+] = np.arange(len(REGIONS))
 
 
 @dataclass(frozen=True)
@@ -79,19 +97,18 @@ class LineCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "abe", _readonly(self.abe))
 
-    def value(self, factor: int, sector: int, s_prime: float) -> float:
-        """Height of line (factor, sector) at s_prime."""
-        a, b, e = self.abe[factor, sector]
+    def value(self, factor, sector, s_prime):
+        """Height of line (factor, sector) at s_prime; with slices for
+        both factor and sector, heights shaped [..., sector, factor]."""
+        a, b, e = self.abe[factor, sector].T
         return (a * s_prime + b) / e
 
-    def offsets(self, s_prime: float, u_prime: float) -> np.ndarray:
-        """Vertical offsets of the point to all six lines, shaped
-        (sector, factor)."""
-        out = np.empty((2, 3))
-        for sector in range(2):
-            for factor in range(3):
-                out[sector, factor] = u_prime - self.value(factor, sector, s_prime)
-        return out
+    def offsets(self, s_prime, u_prime) -> np.ndarray:
+        """Vertical offsets of points over leading axes to all six lines,
+        shaped (..., sector, factor)."""
+        s = np.asarray(s_prime, dtype=float)[..., np.newaxis, np.newaxis]
+        u = np.asarray(u_prime, dtype=float)[..., np.newaxis, np.newaxis]
+        return u - self.value(_ALL, _ALL, s)
 
 
 @dataclass(frozen=True)
@@ -210,25 +227,75 @@ def verify_anchor_ordering(anchors: AnchorSet, table: ShareTable) -> OrderingRep
     return OrderingReport(capital_chain=capital_chain, land_labor_chain=land_labor_chain)
 
 
+# Ways a ratio vector can fail to classify, in checking order.
+_CLASSIFY_FAULTS = (
+    (Infeasible, "ratio vector sits on the boundary asymptote"),
+    (
+        Infeasible,
+        "positive-denominator vectors must lie strictly above the boundary "
+        "right of its pole",
+    ),
+    (
+        Infeasible,
+        "negative-denominator vectors must lie strictly below the boundary "
+        "left of its pole",
+    ),
+    (OnLine, "ratio vector sits on a border line; no sign pattern is defined there"),
+    (UnmatchedSignature, "offset signature {} with denominator sign {:+d} matches no subregion"),
+)
+_ON_LINE_FAULT = 1 + [cls for cls, _ in _CLASSIFY_FAULTS].index(OnLine)
+
+
+def _infeasible(s_prime, u_prime, sign_t, table: ShareTable) -> list:
+    """Failure flags of the feasibility checks, in _CLASSIFY_FAULTS
+    order, for ratio vectors over leading axes: a vector must lie
+    strictly inside its side of the boundary."""
+    positive = np.greater(sign_t, 0)
+    # boundary_value's height, over leading axes. The pole test comes
+    # first, so the division by zero there is moot.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        height = -table.labor_to_capital * s_prime / (s_prime + 1.0)
+    above = np.greater(s_prime, -1.0) & (u_prime > height + ON_LINE_TOL)
+    below = np.less(s_prime, -1.0) & (u_prime < height - ON_LINE_TOL)
+    return [np.abs(s_prime + 1.0) <= ON_LINE_TOL, positive & ~above, ~positive & ~below]
+
+
+def _classify(s_prime, u_prime, sign_t, lines: LineCoeffs, table: ShareTable):
+    """Classify ratio vectors (s', u', sign of t) over leading axes.
+
+    Returns the index into REGIONS of each vector's subregion (-1 where
+    none matches), the failure flags of the classification checks in
+    _CLASSIFY_FAULTS order (feasibility, then border lines, then the
+    signature lookup), and the line offsets [..., sector, factor].
+    """
+    offsets = lines.offsets(s_prime, u_prime)
+    region = _REGION_BY_CODE[_signature_code(offsets, sign_t)]
+    failed = _infeasible(s_prime, u_prime, sign_t, table) + [
+        np.abs(offsets).min(axis=(-2, -1)) <= ON_LINE_TOL,
+        region < 0,
+    ]
+    return region, failed, offsets
+
+
+def _classify_error(fault: int, offsets: np.ndarray, sign_t: int) -> Exception:
+    """The error for one vector whose first failed classification check
+    is _CLASSIFY_FAULTS[fault - 1]."""
+    cls, message = _CLASSIFY_FAULTS[fault - 1]
+    if cls is UnmatchedSignature:
+        signature = tuple(tuple(int(x) for x in np.sign(row)) for row in offsets)
+        message = message.format(signature, sign_t)
+    return cls(message)
+
+
 def check_feasible(v: EwsRatioVector, table: ShareTable) -> None:
     """Raise unless the vector lies strictly inside its side of the
     boundary: above it right of the pole for a positive denominator,
     below it left of the pole for a negative one."""
-    if abs(v.s_prime + 1.0) <= ON_LINE_TOL:
-        raise Infeasible("ratio vector sits on the boundary asymptote")
-    height = boundary_value(v.s_prime, table)
-    if v.sign_t > 0:
-        if not (v.s_prime > -1.0 and v.u_prime > height + ON_LINE_TOL):
-            raise Infeasible(
-                "positive-denominator vectors must lie strictly above the boundary "
-                "right of its pole"
-            )
-    else:
-        if not (v.s_prime < -1.0 and v.u_prime < height - ON_LINE_TOL):
-            raise Infeasible(
-                "negative-denominator vectors must lie strictly below the boundary "
-                "left of its pole"
-            )
+    for (cls, message), failed in zip(
+        _CLASSIFY_FAULTS, _infeasible(v.s_prime, v.u_prime, v.sign_t, table)
+    ):
+        if failed:
+            raise cls(message)
 
 
 def classify_subregion(
@@ -236,15 +303,8 @@ def classify_subregion(
 ) -> Subregion:
     """Map a feasible ratio vector to its subregion via the offset-sign
     signature of the six border lines."""
-    check_feasible(v, table)
-    offsets = lines.offsets(v.s_prime, v.u_prime)
-    if np.min(np.abs(offsets)) <= ON_LINE_TOL:
-        raise OnLine("ratio vector sits on a border line; no sign pattern is defined there")
-    signature = tuple(tuple(int(x) for x in np.sign(row)) for row in offsets)
-    region = _BY_SIGNATURE.get((signature, v.sign_t))
-    if region is None:
-        raise UnmatchedSignature(
-            f"offset signature {signature} with denominator sign {v.sign_t:+d} "
-            "matches no subregion"
-        )
-    return region
+    region, failed, offsets = _classify(v.s_prime, v.u_prime, v.sign_t, lines, table)
+    for fault, bad in enumerate(failed, 1):
+        if bad:
+            raise _classify_error(fault, offsets, v.sign_t)
+    return REGIONS[region]

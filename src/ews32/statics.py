@@ -137,13 +137,14 @@ def _relative_gap(x: float, y: float) -> float:
 
 
 def assemble_system(table: ShareTable, g: EwsMatrix) -> SystemMatrix:
-    """Stack zero-profit and full-employment rows."""
-    a = np.zeros((5, 5))
-    a[0, :3] = table.theta[:, 0]
-    a[1, :3] = table.theta[:, 1]
+    """Stack zero-profit and full-employment rows, for one matrix g or a
+    stack g[..., 3, 3]."""
+    a = np.zeros(g.g.shape[:-2] + (5, 5))
+    a[..., 0, :3] = table.theta[:, 0]
+    a[..., 1, :3] = table.theta[:, 1]
     for row, factor in enumerate(_FACTOR_ROWS):
-        a[2 + row, :3] = g.g[factor]
-        a[2 + row, 3:] = table.lam[factor]
+        a[..., 2 + row, :3] = g.g[..., factor, :]
+        a[..., 2 + row, 3:] = table.lam[factor]
     return SystemMatrix(a=a)
 
 
@@ -262,6 +263,33 @@ def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     )
 
 
+# Right-hand sides of the dense sign check, one column each: the three
+# unit endowment shocks, then the unit relative-price shock.
+_CHECK_SHOCKS = np.column_stack(
+    [ShockVector(endowment_shocks=tuple(unit)).right_hand_side() for unit in np.eye(3)]
+    + [ShockVector(price_shock=1.0).right_hand_side()]
+)
+
+
+def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense sign grids of the output elasticities [..., sector, factor]
+    and real-reward elasticities [..., deflator, factor] of every system
+    over leading axes, from one pivoted solve with four right-hand sides
+    (the unit endowment shocks and the unit price shock), and each
+    system's worst residual; a singular system gets a NaN residual."""
+    a = sys.a
+    try:
+        x = np.linalg.solve(a, _CHECK_SHOCKS)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(a) == 0.0
+        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), _CHECK_SHOCKS)
+        x[singular] = np.nan
+    residual = np.max(np.abs(a @ x - _CHECK_SHOCKS), axis=(-2, -1))
+    w_hat = x[..., :3, 3]
+    rewards = np.stack([w_hat, w_hat + 1.0], axis=-2)
+    return _signs(x[..., 3:, :3]), _signs(rewards), residual
+
+
 def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
     """Assemble the system once and derive both elasticity matrices.
 
@@ -370,13 +398,16 @@ def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
 def sign_pattern_from_values(values: np.ndarray, orientation: str) -> SignPattern:
     """Extract the sign grid of a numeric 2x3 matrix, flagging entries
     too close to zero to call."""
-    arr = np.asarray(values, dtype=float)
-    flagged = bool(np.min(np.abs(arr)) <= SIGN_ZERO_TOL)
-    entries = tuple(
-        tuple(0 if abs(v) <= SIGN_ZERO_TOL else (1 if v > 0 else -1) for v in row)
-        for row in arr
-    )
+    entries = tuple(map(tuple, _signs(values).tolist()))
+    flagged = any(0 in row for row in entries)
     return SignPattern(entries=entries, orientation=orientation, zero_flagged=flagged)
+
+
+def _signs(values) -> np.ndarray:
+    """Signs of values over leading axes: 0 where too close to zero to
+    call (NaN included), else +1 or -1."""
+    arr = np.asarray(values, dtype=float)
+    return (arr > SIGN_ZERO_TOL).astype(int) - (arr < -SIGN_ZERO_TOL)
 
 
 def strong_rybczynski(region: Subregion) -> bool:

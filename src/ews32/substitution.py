@@ -119,20 +119,31 @@ class ValidityReport:
 
 
 def _complete_diagonal(s: np.ndarray, th: np.ndarray) -> None:
-    """Set each own elasticity of one sector, in place, so that its
-    share-weighted row sums to zero (homogeneity)."""
-    for i in range(3):
-        s[i, i] = 0.0
-        s[i, i] = -(s[i] @ th) / th[i]
+    """Set the own elasticities of sector tensors s[..., 3, 3] with shares
+    th[..., 3], in place, so that each share-weighted row sums to zero
+    (homogeneity)."""
+    own = np.arange(3)
+    s[..., own, own] = 0.0
+    # vecdot reduces with the BLAS dot that `row @ th` uses, so a stack of
+    # tensors gets the same bits as each tensor on its own.
+    s[..., own, own] = -np.vecdot(s, th[..., np.newaxis, :]) / th
 
 
-def _own_and_curvature(s: np.ndarray, th: np.ndarray) -> tuple[bool, bool]:
-    """Negative own elasticities, and strict quasi-concavity (scaled 2x2
-    minor positive), for one sector."""
-    e = th[:, np.newaxis] * th[np.newaxis, :] * s
-    return (
-        bool(np.all(np.diag(s) < 0.0)),
-        bool(e[LAND, LAND] * e[CAPITAL, CAPITAL] - e[LAND, CAPITAL] ** 2 > 0.0),
+def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Pass flags of the Allen-tensor checks, in _AES_CHECKS order, for
+    sector tensors s[..., 3, 3] with shares th[..., 3]; shaped (4, ...).
+
+    Own-negativity, strict quasi-concavity (scaled land-capital minor
+    positive), symmetry, and share-weighted row sums of zero.
+    """
+    e = th[..., :, np.newaxis] * th[..., np.newaxis, :] * s
+    return np.array(
+        [
+            (s.diagonal(0, -2, -1) < 0.0).all(axis=-1),
+            e[..., LAND, LAND] * e[..., CAPITAL, CAPITAL] - e[..., LAND, CAPITAL] ** 2 > 0.0,
+            np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)) <= IDENTITY_TOL,
+            np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1) <= IDENTITY_TOL,
+        ]
     )
 
 
@@ -140,20 +151,9 @@ def validate_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
     """Check symmetry, negative own elasticities, share-weighted row sums
     of zero, and strict quasi-concavity (scaled 2x2 minor positive) for
     each sector."""
-    sym, own, hom, qc = [], [], [], []
-    for j in range(2):
-        s = aes.sigma[j]
-        th = table.theta[:, j]
-        sym.append(bool(np.max(np.abs(s - s.T)) <= IDENTITY_TOL))
-        hom.append(bool(np.max(np.abs(s @ th)) <= IDENTITY_TOL))
-        own_ok, qc_ok = _own_and_curvature(s, th)
-        own.append(own_ok)
-        qc.append(qc_ok)
+    flags = _aes_flags(aes.sigma, table.theta.T)
     return ValidityReport(
-        symmetry_ok=tuple(sym),
-        own_negativity_ok=tuple(own),
-        homogeneity_ok=tuple(hom),
-        quasi_concavity_ok=tuple(qc),
+        **{field: tuple(bool(f) for f in flag) for (field, _), flag in zip(_AES_CHECKS, flags)}
     )
 
 
@@ -176,43 +176,94 @@ def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     """Unit elasticities between distinct factors; diagonals follow from
     homogeneity as -(1 - theta_ij)/theta_ij."""
     sigma = np.ones((2, 3, 3))
-    for j in range(2):
-        _complete_diagonal(sigma[j], table.theta[:, j])
+    _complete_diagonal(sigma, table.theta.T)
     return AesTensor(sigma=sigma)
+
+
+def _epsilon(sigma: np.ndarray, table: ShareTable) -> np.ndarray:
+    """Price elasticities of Allen tensors sigma[..., 2, 3, 3]."""
+    return table.theta.T[:, np.newaxis, :] * sigma
+
+
+def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
+    """Worst absolute row sum of each epsilon tensor over leading axes;
+    zero up to roundoff by linear homogeneity."""
+    return np.abs(eps.sum(axis=-1)).max(axis=(-2, -1))
+
+
+def _rowsum_error(gap: float) -> ConsistencyError:
+    """The error for an epsilon tensor whose worst row sum is gap."""
+    return ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
     """Scale each Allen elasticity by the price-owner's distributive share."""
     require_valid_aes(aes, table)
-    eps = table.theta.T[:, np.newaxis, :] * aes.sigma
-    rowsums = np.max(np.abs(eps.sum(axis=2)))
-    if rowsums > IDENTITY_TOL:
-        raise ConsistencyError(f"epsilon rows must sum to zero, worst residual {rowsums:e}")
+    eps = _epsilon(aes.sigma, table)
+    gap = float(_rowsum_gap(eps))
+    if gap > IDENTITY_TOL:
+        raise _rowsum_error(gap)
     return EpsilonTensor(eps=eps)
+
+
+def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
+    """Economy-wide substitution of epsilon tensors eps[..., 2, 3, 3]."""
+    return np.einsum("ij,...jih->...ih", table.lam, eps)
 
 
 def ews_from_epsilon(eps: EpsilonTensor, table: ShareTable) -> EwsMatrix:
     """Aggregate sector price elasticities with allocation shares."""
-    g = np.einsum("ij,jih->ih", table.lam, eps.eps)
+    g = _aggregate(eps.eps, table)
     _require_ews_invariants(g, table)
     return EwsMatrix(g=g)
 
 
-def _require_ews_invariants(g: np.ndarray, table: ShareTable) -> None:
-    # Guaranteed for valid inputs, so a failure here means an upstream bug.
+# Invariants of economy-wide substitution, in checking order. They hold
+# for every valid input, so a failure means an upstream bug.
+_EWS_INVARIANTS = (
+    "economy-wide substitution rows must sum to zero",
+    "share-weighted symmetry of economy-wide substitution failed",
+    "economy-wide own substitution must be negative",
+    "land/capital substitution minor must be positive",
+    "at most one economy-wide complement pair is possible",
+)
+
+
+def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
+    """Failure flags of the invariants, in _EWS_INVARIANTS order, for each
+    matrix over leading axes of g."""
     tf = table.theta_factor
-    if np.max(np.abs(g.sum(axis=1))) > IDENTITY_TOL:
-        raise ConsistencyError("economy-wide substitution rows must sum to zero")
-    if np.max(np.abs(g * tf[:, np.newaxis] - g.T * tf[np.newaxis, :])) > IDENTITY_TOL:
-        raise ConsistencyError("share-weighted symmetry of economy-wide substitution failed")
-    if not np.all(np.diag(g) < 0.0):
-        raise ConsistencyError("economy-wide own substitution must be negative")
-    minor = g[CAPITAL, CAPITAL] * g[LAND, LAND] - g[LAND, CAPITAL] * g[CAPITAL, LAND]
-    if not minor > 0.0:
-        raise ConsistencyError("land/capital substitution minor must be positive")
-    off = (g[LABOR, CAPITAL], g[LABOR, LAND], g[CAPITAL, LAND])
-    if sum(1 for v in off if v < 0.0) > 1:
-        raise ConsistencyError("at most one economy-wide complement pair is possible")
+    minor = (
+        g[..., CAPITAL, CAPITAL] * g[..., LAND, LAND]
+        - g[..., LAND, CAPITAL] * g[..., CAPITAL, LAND]
+    )
+    complements = (
+        (g[..., LABOR, CAPITAL] < 0.0).astype(int)
+        + (g[..., LABOR, LAND] < 0.0)
+        + (g[..., CAPITAL, LAND] < 0.0)
+    )
+    return [
+        np.abs(g.sum(axis=-1)).max(axis=-1) > IDENTITY_TOL,
+        np.abs(g * tf[:, np.newaxis] - g.swapaxes(-1, -2) * tf).max(axis=(-2, -1))
+        > IDENTITY_TOL,
+        ~(g.diagonal(0, -2, -1) < 0.0).all(axis=-1),
+        ~(minor > 0.0),
+        complements > 1,
+    ]
+
+
+def _require_ews_invariants(g: np.ndarray, table: ShareTable) -> None:
+    """Raise ConsistencyError for the first invariant that the matrix g
+    breaks."""
+    for message, failed in zip(_EWS_INVARIANTS, _ews_failures(g, table)):
+        if failed:
+            raise ConsistencyError(message)
+
+
+def _degenerate(t):
+    """Whether labor-land substitution t (over leading axes) is too close
+    to zero for the ratio vector to be defined."""
+    return np.abs(t) <= DEGENERATE_T_TOL
 
 
 def ews_ratio_vector(g: EwsMatrix) -> EwsRatioVector:
@@ -220,7 +271,7 @@ def ews_ratio_vector(g: EwsMatrix) -> EwsRatioVector:
     s = float(g.g[LABOR, CAPITAL])
     t = float(g.g[LABOR, LAND])
     u = float(g.g[CAPITAL, LAND])
-    if abs(t) <= DEGENERATE_T_TOL:
+    if _degenerate(t):
         raise DegenerateT(
             "labor-land substitution is numerically zero; the ratio vector is undefined"
         )
@@ -274,7 +325,7 @@ def sample_valid_aes(
             tk, tl, kl = rng.uniform(-spread, spread, size=3)
             s = np.array([[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]])
             _complete_diagonal(s, th)
-            if all(_own_and_curvature(s, th)):
+            if _aes_flags(s, th).all():
                 sigma[j] = s
                 break
         else:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ews32 import (
     LABOR,
@@ -26,6 +27,13 @@ from ews32 import (
     line_coefficients,
     sample_valid_aes,
 )
+
+# Property tests draw the same examples on every run and stay within the
+# suite's time budget; no example database is written.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("deterministic")
 
 REFERENCE_THETA = [[0.50, 0.20], [0.15, 0.50], [0.35, 0.30]]
 REFERENCE_SECTOR = [0.6, 0.4]

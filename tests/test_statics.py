@@ -22,7 +22,7 @@ from ews32 import (
     strong_rybczynski,
 )
 from ews32.geometry import SIGNATURES
-from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
+from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
 
 from conftest import (
     dense_output_elasticities,
@@ -66,6 +66,13 @@ def test_system_layout(reference_table):
     for row in range(3):
         assert np.array_equal(sys.a[2 + row, :3], g.g[row])
         assert np.array_equal(sys.a[2 + row, 3:], np.asarray(reference_table.lam)[row])
+    # A stack of matrices assembles each one as on its own.
+    stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, 2.0 * g.g])))
+    assert stacked.a.shape == (2, 5, 5)
+    assert np.array_equal(stacked.a[0], sys.a)
+    assert np.array_equal(
+        stacked.a[1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g)).a
+    )
 
 
 def test_shock_right_hand_side():
@@ -172,6 +179,18 @@ def test_solve_singular_system(reference_table):
     sys = assemble_system(reference_table, reference_g())
     with pytest.raises(SingularSystem):
         solve_responses(sys, ShockVector(price_shock=float("nan")))
+
+
+def test_dense_signs_on_a_stack(reference_table):
+    # The reference system beside a singular one: the first gets the P2
+    # sign grids, the second a NaN residual rather than an exception.
+    good = assemble_system(reference_table, reference_g()).a
+    ryb, ss, residual = dense_signs(SystemMatrix(a=np.stack([good, np.zeros((5, 5))])))
+    assert ryb.shape == ss.shape == (2, 2, 3)
+    assert tuple(map(tuple, ryb[0].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
+    assert tuple(map(tuple, ss[0].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
+    assert residual[0] <= 1e-10
+    assert np.isnan(residual[1])
 
 
 def test_rybczynski_reference(reference_table):
@@ -291,3 +310,9 @@ def test_sign_pattern_from_values_flags_zeros():
     shaky = sign_pattern_from_values(np.array([[1.0, -2.0, 1e-14], [-1.0, 2.0, -3.0]]), "rybczynski")
     assert shaky.zero_flagged
     assert shaky.entries[0][2] == 0
+    # A NaN has no sign to call either.
+    blank = sign_pattern_from_values(
+        np.array([[1.0, -2.0, np.nan], [-1.0, 2.0, -3.0]]), "rybczynski"
+    )
+    assert blank.zero_flagged
+    assert blank.entries[0][2] == 0

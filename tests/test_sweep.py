@@ -1,9 +1,104 @@
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ews32 import ParseError, parse_grid, scenario_from_mapping, sweep, format_csv
-from ews32.sweep import CSV_COLUMNS, GRID_KEYS
+from ews32 import (
+    LABOR,
+    LAND,
+    AesTensor,
+    ClosedFormMismatch,
+    DegenerateT,
+    Ews32Error,
+    InvalidAes,
+    OnLine,
+    ParseError,
+    Scenario,
+    Subregion,
+    classify_subregion,
+    epsilon_from_aes,
+    ews_from_epsilon,
+    ews_ratio_vector,
+    format_csv,
+    line_coefficients,
+    parse_grid,
+    sample_valid_aes,
+    scenario_from_mapping,
+    strong_rybczynski,
+    sweep,
+)
+from ews32.statics import RYBCZYNSKI_SIGNS
+from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
+from conftest import random_ranked_table
 from test_scenario import REFERENCE_DOC
+
+# (sector, row, column) of each grid key, written out independently of
+# the sweep module.
+SLOTS = dict(zip(GRID_KEYS, [(0, 0, 1), (0, 0, 2), (0, 1, 2), (1, 0, 1), (1, 0, 2), (1, 1, 2)]))
+
+
+def reference_rows(scenario, grid):
+    """The sweep point by point through the scalar pipeline: rebuild each
+    tensor, complete its diagonals row by row, run epsilon_from_aes ->
+    ews_from_epsilon -> ews_ratio_vector -> classify_subregion, and map
+    the rejections the sweep reports to their statuses."""
+    table = scenario.table
+    lines = line_coefficients(table)
+    active = [key for key in GRID_KEYS if key in grid]
+    rows = []
+    for combo in itertools.product(*(grid[key] for key in active)):
+        sigma = np.array(scenario.aes.sigma)
+        for key, value in zip(active, combo):
+            sector, row, col = SLOTS[key]
+            sigma[sector, row, col] = sigma[sector, col, row] = value
+        for sector in range(2):
+            th = table.theta[:, sector]
+            for i in range(3):
+                sigma[sector, i, i] = 0.0
+                sigma[sector, i, i] = -(sigma[sector, i] @ th) / th[i]
+        row = {key: float(sigma[slot]) for key, slot in SLOTS.items()}
+        row.update(s_prime=None, u_prime=None, sign_t=None, subregion=None, strong_result=None)
+        try:
+            aes = AesTensor(sigma=sigma)
+            vector = ews_ratio_vector(ews_from_epsilon(epsilon_from_aes(aes, table), table))
+            region = classify_subregion(vector, lines, table)
+        except InvalidAes as exc:
+            row["status"] = f"rejected ({'/'.join(exc.report.failed_checks)})"
+        except DegenerateT:
+            row["status"] = "rejected (degenerate ratio)"
+        except OnLine:
+            row["status"] = "rejected (on a border line)"
+        else:
+            row.update(
+                s_prime=vector.s_prime,
+                u_prime=vector.u_prime,
+                sign_t=vector.sign_t,
+                subregion=region.value,
+                strong_result=strong_rybczynski(region),
+                status="ok",
+            )
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random ranked table, a sampled valid template on it, and a grid
+    of up to three keys with up to five points each."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    spread = draw(st.floats(0.5, 4.0))
+    scenario = Scenario(name="drawn", table=table, aes=sample_valid_aes(table, draw(seeds), spread))
+    keys = draw(st.lists(st.sampled_from(GRID_KEYS), min_size=1, max_size=3, unique=True))
+    bounds = st.floats(-5.0, 5.0)
+    grid = {
+        key: [float(v) for v in np.linspace(draw(bounds), draw(bounds), draw(st.integers(1, 5)))]
+        for key in keys
+    }
+    return scenario, grid
 
 
 @pytest.fixture
@@ -32,6 +127,11 @@ def test_parse_grid_errors():
         "land_capital_1=-1:1",
         "land_capital_1=a:1:3",
         "land_capital_1=-1:1:0",
+        "land_capital_1=nan:inf:3",
+        "land_capital_1=-inf:1:3",
+        "land_capital_1=0:nan:1",
+        "land_capital_1=-1e308:1e308:3",
+        f"land_capital_1=-1:1:{MAX_GRID_POINTS + 1}",
     ):
         with pytest.raises(ParseError):
             parse_grid(bad)
@@ -94,3 +194,55 @@ def test_csv_deterministic(reference_scenario):
     assert format_csv(sweep(reference_scenario, grid)) == format_csv(
         sweep(reference_scenario, grid)
     )
+
+
+def test_sweep_rejects_grid_over_the_cap(reference_scenario):
+    grid = parse_grid("land_capital_1=-2:2:101,land_labor_1=-2:2:101,capital_labor_2=-2:2:101")
+    assert 101**3 > MAX_GRID_POINTS
+    with pytest.raises(ParseError, match="more than"):
+        sweep(reference_scenario, grid)
+
+
+@given(sweep_cases())
+def test_sweep_matches_per_point_reference(case):
+    scenario, grid = case
+    try:
+        want = reference_rows(scenario, grid)
+    except Ews32Error as exc:
+        with pytest.raises(type(exc)):
+            sweep(scenario, grid)
+        return
+    got = sweep(scenario, grid)
+    assert got == want
+    assert [[type(v) for v in row.values()] for row in got] == [
+        [type(v) for v in row.values()] for row in want
+    ]
+
+
+def test_sweep_dense_check_catches_a_wrong_table(reference_scenario, monkeypatch):
+    grid = parse_grid("land_capital_1=-3:3:7")
+    rows = sweep(reference_scenario, grid)
+    first = next(k for k, row in enumerate(rows) if row["subregion"] == "P2")
+    (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P2]
+    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, ((-top[0],) + top[1:], bottom))
+    value = rows[first]["land_capital_1"]
+    named = rf"grid point {first} \(land_capital_1={value!r},"
+    with pytest.raises(ClosedFormMismatch, match=named):
+        sweep(reference_scenario, grid)
+
+
+def test_sweep_reports_degenerate_ratio(reference_scenario):
+    # t = g[labor, land] sums lam[labor, j] * theta[land, j] * sigma[j, labor, land]
+    # over sectors j; choose sector 1's land-labor elasticity to zero it.
+    table = reference_scenario.table
+    lam, theta = table.lam, table.theta
+    statuses = []
+    for seed in range(10):
+        aes = sample_valid_aes(table, seed)
+        x = -lam[LABOR, 1] * theta[LAND, 1] * aes.sigma[1, LAND, LABOR] / (
+            lam[LABOR, 0] * theta[LAND, 0]
+        )
+        (row,) = sweep(Scenario("t-zero", table, aes), {"land_labor_1": [x]})
+        assert row["status"].startswith("rejected (")
+        statuses.append(row["status"])
+    assert "rejected (degenerate ratio)" in statuses
