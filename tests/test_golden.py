@@ -96,6 +96,42 @@ GOLDEN = {
 }
 
 
+# sha256 of the SVG under windows other than the default, with the
+# number of boundary polylines each draws. The hyperbola is monotone on
+# each branch, so the cases are clipping at either end of a branch, a
+# branch with no sample in the window, and a branch the window skips.
+WINDOWS = {
+    # Both branches clipped at the top and the bottom of the window.
+    "wide": (((-8.0, 8.0), (-12.0, 6.0)), 2),
+    # Both branches clipped near the pole, where the curve is steepest.
+    "near-pole": (((-1.5, -0.5), (-50.0, 50.0)), 2),
+    # The left branch lies below -labor_to_capital < 0: no polyline.
+    "upper-band": (((-3.0, 3.0), (1.0, 3.0)), 1),
+    # The window starts right of the pole, so the left branch is skipped.
+    "right-of-pole": (((-0.5, 6.0), (-3.0, 2.0)), 1),
+}
+GOLDEN_WINDOWS = {
+    "reference": {
+        "wide": "9337b8f97ba9d78f9d18cdd6e5da11b128cd28addf7bc2cf0c1b913fa3493440",
+        "near-pole": "10e907b83ff2acd7d382d1336a47914e726d8050d68155cd32a03a8b26d41efe",
+        "upper-band": "f3adf4bc1077cd568ee5733491b6b9fe8aa773adda86e3c3742f5e743986e4d6",
+        "right-of-pole": "1c287da286c77ab9e1fc23f2b7a9e0eaecf326f9b26162a33bd9468cf9a69eb3",
+    },
+    "sampled-1": {
+        "wide": "314c95e8a645696049b9745dedf02c0ea13c31226c0fe80b2a4a26257c8a6db0",
+        "near-pole": "146cb2ea8ee2abf995fcbf2c4496b1d459bf2232a22b9e3468f85981cc3b31f0",
+        "upper-band": "c668de07a1ddfb0e84e729355cac880a84fd1d90e664d78f43e39132b865fb56",
+        "right-of-pole": "31fa758daac01cb2c4bcbad45bb51add77293b755cbeaa560673407dbf5e55bc",
+    },
+    "sampled-2": {
+        "wide": "2ddd8e1c0dc576e4c7670d13875b80a7693e5709ac25fc4c13f14d6a57b29c9d",
+        "near-pole": "f7a7d90eb9d8f7f8dac1d4dff50ff945e6d52d983c4003494ec2582d97addf04",
+        "upper-band": "b32d3b785023bf15dadfb56c3832d7106f59743ad0c53a919629d2a929decc94",
+        "right-of-pole": "2a5a70c829524c44f60ea4e1f6c5649c481ba7832ede72eb907d82f468caa73d",
+    },
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -119,6 +155,10 @@ def sampled_doc(index: int) -> dict:
     }
 
 
+def scenario_doc(name: str) -> dict:
+    return dict(REFERENCE_DOC) if name == "reference" else sampled_doc(int(name.split("-")[1]))
+
+
 def outputs(doc: dict) -> tuple[str, str, str]:
     scenario = scenario_from_mapping(doc)
     report = format_report(run_report(scenario))
@@ -132,10 +172,18 @@ def test_reference_report_text():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_byte_identical(name):
-    doc = dict(REFERENCE_DOC) if name == "reference" else sampled_doc(int(name.split("-")[1]))
-    report, csv, svg = outputs(doc)
+    report, csv, svg = outputs(scenario_doc(name))
     want_report, want_csv, want_svg = GOLDEN[name]
     if want_report is not None:
         assert _sha(report) == want_report
     assert _sha(csv) == want_csv
     assert _sha(svg) == want_svg
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_WINDOWS))
+def test_figure_windows_byte_identical(name, window):
+    bounds, polylines = WINDOWS[window]
+    svg = render_figure(scenario_from_mapping(scenario_doc(name)), window=bounds)
+    assert svg.count("<polyline ") == polylines
+    assert _sha(svg) == GOLDEN_WINDOWS[name][window]
