@@ -9,6 +9,8 @@ randomness enter the document.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .geometry import anchor_points, boundary_value, line_coefficients
 from .scenario import Scenario
 from .shares import FACTOR_NAMES
@@ -32,7 +34,8 @@ def _transform(window, size):
     inner_w = width - 2.0 * MARGIN
     inner_h = height - 2.0 * MARGIN
 
-    def to_svg(x: float, y: float) -> tuple[float, float]:
+    def to_svg(x, y):
+        """Pixel coordinates of plane points (floats or arrays)."""
         px = MARGIN + (x - sx0) / (sx1 - sx0) * inner_w
         py = MARGIN + (uy1 - y) / (uy1 - uy0) * inner_h
         return px, py
@@ -40,8 +43,10 @@ def _transform(window, size):
     return to_svg
 
 
-def _polyline(points, attrs: str) -> str:
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
+def _polyline(xy: np.ndarray, attrs: str) -> str:
+    """A polyline through the pixel points xy[k] = (px, py)."""
+    # "%.3f" formats a float exactly as _fmt does.
+    coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
     return f'<polyline fill="none" {attrs} points="{coords}" />'
 
 
@@ -90,25 +95,21 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
             f'y2="{_fmt(p1[1])}" stroke="#888888" stroke-dasharray="4 4" />'
         )
 
-    # Boundary hyperbola, one polyline per branch, split where the curve
-    # leaves the (padded) window.
+    # Boundary hyperbola: one polyline per maximal run of two or more
+    # samples of a branch that stay inside the (padded) window.
     for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)):
         if hi <= lo:
             continue
-        run = []
         step = (hi - lo) / (BOUNDARY_SAMPLES - 1)
-        for k in range(BOUNDARY_SAMPLES):
-            s = lo + k * step
-            u = boundary_value(s, table)
-            if uy0 - pad <= u <= uy1 + pad:
-                run.append(to_svg(s, u))
-            elif len(run) > 1:
-                doc.append(_polyline(run, 'stroke="#000000" stroke-width="1.8"'))
-                run = []
-            else:
-                run = []
-        if len(run) > 1:
-            doc.append(_polyline(run, 'stroke="#000000" stroke-width="1.8"'))
+        s = lo + np.arange(BOUNDARY_SAMPLES) * step
+        u = boundary_value(s, table)
+        inside = (uy0 - pad <= u) & (u <= uy1 + pad)
+        xy = np.stack(to_svg(s, u), axis=-1)
+        # Alternating first and one-past-last indices of the runs.
+        edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+        for start, end in edges.reshape(-1, 2):
+            if end - start > 1:
+                doc.append(_polyline(xy[start:end], 'stroke="#000000" stroke-width="1.8"'))
 
     # The six border lines: color by factor, dash by sector.
     for factor in range(3):

@@ -144,11 +144,19 @@ class OrderingReport:
         return self.capital_ok and self.land_labor_ok
 
 
-def boundary_value(s_prime: float, table: ShareTable) -> float:
-    """Height of the boundary hyperbola at s_prime."""
-    if abs(s_prime + 1.0) <= ON_LINE_TOL:
-        raise AsymptotePole("boundary curve has a pole at s_prime = -1")
+def _boundary_height(s_prime, table: ShareTable):
+    """Height of the boundary hyperbola at s_prime over leading axes, with
+    no test for the pole at s_prime = -1."""
     return -table.labor_to_capital * s_prime / (s_prime + 1.0)
+
+
+def boundary_value(s_prime, table: ShareTable):
+    """Height of the boundary hyperbola at s_prime: a float for a float,
+    an array for an array of abscissas. Raises AsymptotePole if any
+    abscissa sits on the pole."""
+    if np.any(np.abs(s_prime + 1.0) <= ON_LINE_TOL):
+        raise AsymptotePole("boundary curve has a pole at s_prime = -1")
+    return _boundary_height(s_prime, table)
 
 
 def line_coefficients(table: ShareTable) -> LineCoeffs:
@@ -251,10 +259,9 @@ def _infeasible(s_prime, u_prime, sign_t, table: ShareTable) -> list:
     order, for ratio vectors over leading axes: a vector must lie
     strictly inside its side of the boundary."""
     positive = np.greater(sign_t, 0)
-    # boundary_value's height, over leading axes. The pole test comes
-    # first, so the division by zero there is moot.
+    # The pole test comes first, so the division by zero there is moot.
     with np.errstate(divide="ignore", invalid="ignore"):
-        height = -table.labor_to_capital * s_prime / (s_prime + 1.0)
+        height = _boundary_height(s_prime, table)
     above = np.greater(s_prime, -1.0) & (u_prime > height + ON_LINE_TOL)
     below = np.less(s_prime, -1.0) & (u_prime < height - ON_LINE_TOL)
     return [np.abs(s_prime + 1.0) <= ON_LINE_TOL, positive & ~above, ~positive & ~below]

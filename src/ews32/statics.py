@@ -22,7 +22,8 @@ from .substitution import EwsMatrix, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
 CROSS_CHECK_TOL = 1e-9
-# Solve residuals, absolute.
+# Solve residuals, relative to the size of the sums they come from and
+# absolute when that is below one.
 RESIDUAL_TOL = 1e-10
 # Entries at most this size get sign 0 and a flag; the sign tables
 # contain no zeros for interior vectors.
@@ -246,6 +247,13 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     return CofactorReport(direct=direct, expanded=expanded, factored=factored)
 
 
+def _residual_scale(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Largest entry of |a| @ |x|, at least one, per system over leading
+    axes with solutions x[..., 5, k]: the residual a @ x - rhs is
+    roundoff on sums of that size. NaN when x holds a NaN."""
+    return np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=(-2, -1)))
+
+
 def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     """Dense pivoted solve of the system for one shock."""
     rhs = shock.right_hand_side()
@@ -254,8 +262,11 @@ def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"comparative-statics system is singular: {exc}") from exc
     residual = float(np.max(np.abs(sys.a @ x - rhs)))
+    # The relative bound is never below RESIDUAL_TOL.
     if not residual <= RESIDUAL_TOL:
-        raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
+        bound = RESIDUAL_TOL * _residual_scale(sys.a, x[:, np.newaxis])
+        if not residual <= bound:
+            raise SingularSystem(f"solve residual {residual:e} exceeds {bound:e}")
     return ResponseVector(
         w_hat=tuple(float(v) for v in x[:3]),
         x_hat=(float(x[3]), float(x[4])),
@@ -276,7 +287,9 @@ def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and real-reward elasticities [..., deflator, factor] of every system
     over leading axes, from one pivoted solve with four right-hand sides
     (the unit endowment shocks and the unit price shock), and each
-    system's worst residual; a singular system gets a NaN residual."""
+    system's worst residual, divided by its _residual_scale where it
+    exceeds RESIDUAL_TOL, so that comparing it with RESIDUAL_TOL applies
+    the relative bound; a singular system gets a NaN residual."""
     a = sys.a
     try:
         x = np.linalg.solve(a, _CHECK_SHOCKS)
@@ -285,6 +298,10 @@ def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), _CHECK_SHOCKS)
         x[singular] = np.nan
     residual = np.max(np.abs(a @ x - _CHECK_SHOCKS), axis=(-2, -1))
+    # The scale is at least one, so it can decide only past RESIDUAL_TOL.
+    past = residual > RESIDUAL_TOL
+    if np.any(past):
+        residual = np.where(past, residual / _residual_scale(a, x), residual)
     w_hat = x[..., :3, 3]
     rewards = np.stack([w_hat, w_hat + 1.0], axis=-2)
     return _signs(x[..., 3:, :3]), _signs(rewards), residual

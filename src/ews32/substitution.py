@@ -25,7 +25,9 @@ from .errors import (
 )
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 
-# Identity checks compare quantities of order one, absolute tolerance.
+# Identity checks allow this gap relative to the largest magnitude among
+# the entries they compare, and absolutely when those are below one:
+# roundoff grows with the elasticities.
 IDENTITY_TOL = 1e-10
 # Below this the ratio vector is numerically meaningless.
 DEGENERATE_T_TOL = 1e-12
@@ -118,6 +120,18 @@ class ValidityReport:
         return tuple(name for field, name in _AES_CHECKS if not all(getattr(self, field)))
 
 
+def _identity_ok(gap, entries, axis):
+    """Whether each identity gap (over leading axes) is within
+    IDENTITY_TOL times the largest |entries| over axis, or times one if
+    that is smaller. A NaN gap fails."""
+    ok = gap <= IDENTITY_TOL
+    # The relative bound is never below IDENTITY_TOL, and a NaN entry
+    # makes its gap NaN, so the entries matter only past IDENTITY_TOL.
+    if not ok.all():
+        ok = gap <= IDENTITY_TOL * np.maximum(1.0, np.abs(entries).max(axis=axis))
+    return ok
+
+
 def _complete_diagonal(s: np.ndarray, th: np.ndarray) -> None:
     """Set the own elasticities of sector tensors s[..., 3, 3] with shares
     th[..., 3], in place, so that each share-weighted row sums to zero
@@ -137,12 +151,15 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     positive), symmetry, and share-weighted row sums of zero.
     """
     e = th[..., :, np.newaxis] * th[..., np.newaxis, :] * s
+    weighted = s * th[..., np.newaxis, :]
     return np.array(
         [
             (s.diagonal(0, -2, -1) < 0.0).all(axis=-1),
             e[..., LAND, LAND] * e[..., CAPITAL, CAPITAL] - e[..., LAND, CAPITAL] ** 2 > 0.0,
-            np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)) <= IDENTITY_TOL,
-            np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1) <= IDENTITY_TOL,
+            _identity_ok(np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)), s, (-2, -1)),
+            _identity_ok(
+                np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1), weighted, (-2, -1)
+            ),
         ]
     )
 
@@ -185,10 +202,12 @@ def _epsilon(sigma: np.ndarray, table: ShareTable) -> np.ndarray:
     return table.theta.T[:, np.newaxis, :] * sigma
 
 
-def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
-    """Worst absolute row sum of each epsilon tensor over leading axes;
-    zero up to roundoff by linear homogeneity."""
-    return np.abs(eps.sum(axis=-1)).max(axis=(-2, -1))
+def _rowsum_gap(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst absolute row sum of each epsilon tensor over leading axes,
+    zero up to roundoff by linear homogeneity, and whether it is within
+    the identity tolerance."""
+    gap = np.abs(eps.sum(axis=-1)).max(axis=(-2, -1))
+    return gap, _identity_ok(gap, eps, (-3, -2, -1))
 
 
 def _rowsum_error(gap: float) -> ConsistencyError:
@@ -200,9 +219,9 @@ def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
     """Scale each Allen elasticity by the price-owner's distributive share."""
     require_valid_aes(aes, table)
     eps = _epsilon(aes.sigma, table)
-    gap = float(_rowsum_gap(eps))
-    if gap > IDENTITY_TOL:
-        raise _rowsum_error(gap)
+    gap, ok = _rowsum_gap(eps)
+    if not ok:
+        raise _rowsum_error(float(gap))
     return EpsilonTensor(eps=eps)
 
 
@@ -242,10 +261,12 @@ def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
         + (g[..., LABOR, LAND] < 0.0)
         + (g[..., CAPITAL, LAND] < 0.0)
     )
+    weighted = g * tf[:, np.newaxis]
     return [
-        np.abs(g.sum(axis=-1)).max(axis=-1) > IDENTITY_TOL,
-        np.abs(g * tf[:, np.newaxis] - g.swapaxes(-1, -2) * tf).max(axis=(-2, -1))
-        > IDENTITY_TOL,
+        ~_identity_ok(np.abs(g.sum(axis=-1)).max(axis=-1), g, (-2, -1)),
+        ~_identity_ok(
+            np.abs(weighted - weighted.swapaxes(-1, -2)).max(axis=(-2, -1)), weighted, (-2, -1)
+        ),
         ~(g.diagonal(0, -2, -1) < 0.0).all(axis=-1),
         ~(minor > 0.0),
         complements > 1,
@@ -349,7 +370,7 @@ def aggregate_substitution(g: EwsMatrix, endowments, prices) -> np.ndarray:
     if np.any(v <= 0.0) or np.any(w <= 0.0):
         raise NonPositiveLevels("endowments and prices must be strictly positive")
     s = g.g * v[:, np.newaxis] / w[np.newaxis, :]
-    if np.max(np.abs(s - s.T)) > IDENTITY_TOL:
+    if not _identity_ok(np.max(np.abs(s - s.T)), s, None):
         raise InconsistentLevels(
             "factor incomes implied by the levels do not match the share table; "
             "aggregate substitution would lose symmetry"

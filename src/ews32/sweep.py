@@ -30,7 +30,6 @@ from .statics import (
 from .substitution import (
     _AES_CHECKS,
     _EWS_INVARIANTS,
-    IDENTITY_TOL,
     EwsMatrix,
     _aes_flags,
     _aggregate,
@@ -168,7 +167,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
         valid = np.flatnonzero(aes_code == 0)
 
         eps = _epsilon(sigma[valid], table)
-        gap = _rowsum_gap(eps)
+        gap, rowsum_ok = _rowsum_gap(eps)
         g = _aggregate(eps, table)
         invariant = _first_fault(_ews_failures(g, table))
         s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
@@ -178,7 +177,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
             s_prime, u_prime, sign_t, line_coefficients(table), table
         )
         fault = _first_fault(failed)
-    stage = _first_fault([gap > IDENTITY_TOL, invariant > 0, _degenerate(t), fault > 0])
+    stage = _first_fault([~rowsum_ok, invariant > 0, _degenerate(t), fault > 0])
 
     classified = np.flatnonzero(stage == _OK)
     ryb, ss, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
@@ -210,7 +209,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
                 f"dense solve contradicts the tabled signs of "
                 f"{REGIONS[region[k]].value}: output signs {ryb[c].tolist()} vs "
                 f"{tabled[0][c].tolist()}, real-reward signs {ss[c].tolist()} vs "
-                f"{tabled[1][c].tolist()}, residual {residual[c]:.3e}"
+                f"{tabled[1][c].tolist()}, scaled residual {residual[c]:.3e}"
             )
         raise type(exc)(f"{where}: {exc}")
 

@@ -1,10 +1,22 @@
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ews32 import boundary_value, render_figure, scenario_from_mapping
-from ews32.figure import DEFAULT_SIZE, DEFAULT_WINDOW, MARGIN
+from ews32 import (
+    AsymptotePole,
+    Scenario,
+    boundary_value,
+    render_figure,
+    sample_valid_aes,
+    scenario_from_mapping,
+)
+from ews32.figure import BOUNDARY_SAMPLES, DEFAULT_SIZE, DEFAULT_WINDOW, MARGIN, _transform
+from ews32.geometry import ON_LINE_TOL
 
+from conftest import random_ranked_table
 from test_scenario import REFERENCE_DOC
 
 
@@ -65,3 +77,91 @@ def test_window_override_changes_geometry(reference_scenario):
     wide = render_figure(reference_scenario, window=((-8.0, 8.0), (-12.0, 6.0)))
     assert wide != render_figure(reference_scenario)
     assert wide.count('class="anchor"') == 7
+
+
+def reference_boundary(table, window, size=DEFAULT_SIZE) -> list[str]:
+    """The boundary polylines of the figure, sample by sample with scalar
+    boundary_value calls: a run of in-window samples is cut where the
+    curve leaves the padded window and kept if it has two or more."""
+    (sx0, sx1), (uy0, uy1) = window
+    to_svg = _transform(window, size)
+    pad = 0.5 * (uy1 - uy0)
+    out = []
+
+    def emit(run):
+        coords = " ".join(f"{px:.3f},{py:.3f}" for px, py in run)
+        out.append(f'<polyline fill="none" stroke="#000000" stroke-width="1.8" points="{coords}" />')
+
+    for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)):
+        if hi <= lo:
+            continue
+        run = []
+        step = (hi - lo) / (BOUNDARY_SAMPLES - 1)
+        for k in range(BOUNDARY_SAMPLES):
+            s = lo + k * step
+            u = boundary_value(s, table)
+            if uy0 - pad <= u <= uy1 + pad:
+                run.append(to_svg(s, u))
+            else:
+                if len(run) > 1:
+                    emit(run)
+                run = []
+        if len(run) > 1:
+            emit(run)
+    return out
+
+
+# Document lines ahead of the boundary: svg, title, background, clip
+# path, frame, group, two axes and two asymptotes.
+_LINES_BEFORE_BOUNDARY = 10
+
+
+@st.composite
+def figure_cases(draw):
+    """A sampled valid scenario on a random ranked table, and a finite
+    window with distinct bounds on each axis, in either order."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    scenario = Scenario(name="drawn", table=table, aes=sample_valid_aes(table, draw(seeds)))
+    abscissa = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e3, 1e3))
+    ordinate = st.one_of(st.floats(-12.0, 12.0), st.floats(-1e3, 1e3))
+    window = tuple(
+        tuple(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+        for bound in (abscissa, ordinate)
+    )
+    return scenario, window
+
+
+@given(figure_cases())
+def test_render_matches_scalar_reference(case):
+    scenario, window = case
+    try:
+        boundary = reference_boundary(scenario.table, window)
+    except AsymptotePole:
+        with pytest.raises(AsymptotePole):
+            render_figure(scenario, window=window)
+        return
+    svg = render_figure(scenario, window=window)
+    rest = [line for line in svg.splitlines() if not line.startswith("<polyline ")]
+    want = rest[:_LINES_BEFORE_BOUNDARY] + boundary + rest[_LINES_BEFORE_BOUNDARY:]
+    assert svg == "\n".join(want) + "\n"
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+def test_boundary_value_on_an_array_matches_scalar_calls(seed, abscissas):
+    table = random_ranked_table(np.random.default_rng(seed))
+    s = np.array([x for x in abscissas if abs(x + 1.0) > ON_LINE_TOL])
+    got = boundary_value(s, table)
+    assert isinstance(got, np.ndarray) and got.shape == s.shape
+    want = np.array([boundary_value(float(x), table) for x in s])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_boundary_value_array_pole(reference_table):
+    assert isinstance(boundary_value(0.5, reference_table), float)
+    for near in (-1.0, -1.0 + 0.5 * ON_LINE_TOL, -1.0 - 0.5 * ON_LINE_TOL):
+        with pytest.raises(AsymptotePole):
+            boundary_value(np.array([0.5, near, 2.0]), reference_table)
+    with pytest.raises(AsymptotePole):
+        boundary_value(np.array([[3.0], [-1.0]]), reference_table)
+    boundary_value(np.array([0.5, -1.0 - 4 * ON_LINE_TOL]), reference_table)

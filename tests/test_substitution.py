@@ -6,7 +6,9 @@ from ews32 import (
     LABOR,
     LAND,
     AesTensor,
+    ConsistencyError,
     DegenerateT,
+    EpsilonTensor,
     EwsMatrix,
     GenerationExhausted,
     Infeasible,
@@ -250,3 +252,18 @@ def test_aggregate_substitution_rejects_bad_levels(reference_table):
     # factor shares, so the cross terms cannot be symmetric.
     with pytest.raises(InconsistentLevels):
         aggregate_substitution(g, np.ones(3), np.ones(3))
+
+
+def test_identity_checks_fail_on_nan(reference_table):
+    # A NaN gap compares false against any bound, so each identity check
+    # must be written to fail, not pass, on it.
+    g = REFERENCE_G.copy()
+    g[LAND, CAPITAL] = np.nan
+    with pytest.raises(InconsistentLevels):
+        aggregate_substitution(EwsMatrix(g=g), reference_table.theta_factor, np.ones(3))
+    # A NaN labor-capital term breaks only the identities among the
+    # economy-wide invariants.
+    eps = epsilon_from_aes(cobb_douglas_aes(reference_table), reference_table).eps.copy()
+    eps[:, LABOR, CAPITAL] = np.nan
+    with pytest.raises(ConsistencyError, match="rows must sum to zero"):
+        ews_from_epsilon(EpsilonTensor(eps=eps), reference_table)

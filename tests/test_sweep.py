@@ -24,6 +24,7 @@ from ews32 import (
     format_csv,
     line_coefficients,
     parse_grid,
+    run_report,
     sample_valid_aes,
     scenario_from_mapping,
     strong_rybczynski,
@@ -246,3 +247,20 @@ def test_sweep_reports_degenerate_ratio(reference_scenario):
         assert row["status"].startswith("rejected (")
         statuses.append(row["status"])
     assert "rejected (degenerate ratio)" in statuses
+
+
+def test_large_elasticity_passes_the_identity_checks(reference_scenario):
+    # capital_labor_2 = 5e6 scales g and the 5x5 system to about 1e6, so
+    # roundoff in their identities and solve residuals exceeds an
+    # absolute 1e-10; the bounds are relative to the compared entries.
+    (row,) = sweep(reference_scenario, parse_grid("capital_labor_2=5e6:5e6:1"))
+    assert row["status"] == "ok"
+    sigma = reference_scenario.aes.sigma.copy()
+    sigma[1, 1, 2] = sigma[1, 2, 1] = 5e6
+    th = reference_scenario.table.theta[:, 1]
+    for i in range(3):
+        sigma[1, i, i] = 0.0
+        sigma[1, i, i] = -(sigma[1, i] @ th) / th[i]
+    report = run_report(scenario_from_mapping(dict(REFERENCE_DOC, sigma=sigma.tolist())))
+    assert report.signs_agree
+    assert report.subregion.value == row["subregion"] == "P1"
