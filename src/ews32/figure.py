@@ -9,12 +9,15 @@ randomness enter the document.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import anchor_points, boundary_value, line_coefficients
 from .scenario import Scenario
 from .shares import FACTOR_NAMES
-from .substitution import epsilon_from_aes, ews_from_epsilon, ews_ratio_vector
+from .substitution import ews_ratio_vector
 
 DEFAULT_WINDOW = ((-4.0, 4.0), (-10.0, 4.0))
 DEFAULT_SIZE = (800, 600)
@@ -26,6 +29,18 @@ _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
+
+
+def _require_window(window) -> None:
+    """Raise ValidationError unless both ranges of the window have finite
+    bounds and a finite, nonzero span (in either order)."""
+    for lo, hi in window:
+        span = hi - lo
+        if not (math.isfinite(span) and span != 0.0):
+            raise ValidationError(
+                f"figure window {window!r} needs finite bounds and a nonzero, finite "
+                "span on each axis"
+            )
 
 
 def _transform(window, size):
@@ -53,10 +68,9 @@ def _polyline(xy: np.ndarray, attrs: str) -> str:
 def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFAULT_SIZE) -> str:
     """Render the scenario's plane to an SVG document; optionally write
     it to a file."""
+    _require_window(window)
     table = scenario.table
-    eps = epsilon_from_aes(scenario.aes, table)
-    ews = ews_from_epsilon(eps, table)
-    vector = ews_ratio_vector(ews)
+    vector = ews_ratio_vector(scenario.ews)
     lines = line_coefficients(table)
     anchors = anchor_points(table)
     ratio = table.labor_to_capital

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,8 @@ from .substitution import (
     EwsMatrix,
     EwsRatioVector,
     ValidityReport,
+    _checked_epsilon,
     cobb_douglas_aes,
-    epsilon_from_aes,
     ews_from_epsilon,
     ews_ratio_vector,
     require_valid_aes,
@@ -59,6 +60,12 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "ranking", require_ranking(self.table))
         object.__setattr__(self, "aes_validity", require_valid_aes(self.aes, self.table))
+
+    @cached_property
+    def ews(self) -> EwsMatrix:
+        """Economy-wide substitution, derived on first use from the tensor
+        that construction validated."""
+        return ews_from_epsilon(_checked_epsilon(self.aes, self.table), self.table)
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,11 @@ def load_scenario(path) -> Scenario:
 def run_report(scenario: Scenario) -> Report:
     """Run the full pipeline and cross-check the two sign routes."""
     table = scenario.table
-    ews = ews_from_epsilon(epsilon_from_aes(scenario.aes, table), table)
+    ews = scenario.ews
     vector = ews_ratio_vector(ews)
-    region = classify_subregion(vector, line_coefficients(table), table)
-    statics = comparative_statics(table, ews)
+    lines = line_coefficients(table)
+    region = classify_subregion(vector, lines, table)
+    statics = comparative_statics(table, ews, vector, lines)
 
     output_signs = sign_pattern_lookup(region, "rybczynski")
     reward_signs = sign_pattern_lookup(region, "stolper_samuelson")
@@ -210,7 +218,7 @@ def _sign_row(row) -> str:
 
 
 def _matrix_rows(arr: np.ndarray) -> list[str]:
-    return ["  ".join(f"{v:+.6f}" for v in row) for row in np.asarray(arr)]
+    return ["  ".join(f"{v:+.6f}" for v in row) for row in np.asarray(arr).tolist()]
 
 
 def format_report(report: Report) -> str:

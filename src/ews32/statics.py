@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem
-from .geometry import Subregion, line_coefficients
+from .geometry import LineCoeffs, Subregion, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
-from .substitution import EwsMatrix, ews_ratio_vector
+from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
 CROSS_CHECK_TOL = 1e-9
@@ -153,23 +153,22 @@ def determinant_delta(sys: SystemMatrix, table: ShareTable, g: EwsMatrix) -> Del
     """Determinant of the system through three agreeing routes."""
     dense = float(np.linalg.det(sys.a))
     a, b, _ = table.diff
-    tf = table.theta_factor
-    ts = table.theta_sector
+    tf = table.theta_factor.tolist()
+    ts = table.theta_sector.tolist()
+    gg = g.g.tolist()
     scale = ts[0] * ts[1] / (tf[LAND] * tf[CAPITAL] * tf[LABOR])
     own = scale * (
-        a * a * g.g[CAPITAL, CAPITAL] * tf[CAPITAL]
-        + b * b * g.g[LAND, LAND] * tf[LAND]
-        - 2.0 * a * b * g.g[CAPITAL, LAND] * tf[CAPITAL]
+        a * a * gg[CAPITAL][CAPITAL] * tf[CAPITAL]
+        + b * b * gg[LAND][LAND] * tf[LAND]
+        - 2.0 * a * b * gg[CAPITAL][LAND] * tf[CAPITAL]
     )
     cross = -scale * (
-        (a + b) ** 2 * g.g[CAPITAL, LAND] * tf[CAPITAL]
-        + g.g[LABOR, CAPITAL] * tf[LABOR] * a * a
-        + g.g[LABOR, LAND] * tf[LABOR] * b * b
+        (a + b) ** 2 * gg[CAPITAL][LAND] * tf[CAPITAL]
+        + gg[LABOR][CAPITAL] * tf[LABOR] * a * a
+        + gg[LABOR][LAND] * tf[LABOR] * b * b
     )
-    worst = np.max(
-        [_relative_gap(dense, own), _relative_gap(dense, cross), _relative_gap(own, cross)]
-    )
-    if not worst <= CROSS_CHECK_TOL:
+    gaps = (_relative_gap(dense, own), _relative_gap(dense, cross), _relative_gap(own, cross))
+    if not all(gap <= CROSS_CHECK_TOL for gap in gaps):
         raise ClosedFormMismatch(
             f"determinant routes disagree: dense {dense!r}, own-terms {own!r}, "
             f"cross-terms {cross!r}"
@@ -179,71 +178,109 @@ def determinant_delta(sys: SystemMatrix, table: ShareTable, g: EwsMatrix) -> Del
     return DeltaReport(dense=dense, via_own_terms=own, via_cross_terms=cross)
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+def _det3(m) -> float:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def _expanded_cofactors(a: float, b: float, gg, lc) -> list[float]:
+    """One sector's (land, capital, labor) cofactors by their expanded
+    four-term forms, from the substitution rows gg and the other sector's
+    allocation column lc."""
+    return [
+        a * gg[CAPITAL][CAPITAL] * lc[LABOR]
+        + b * lc[CAPITAL] * gg[LABOR][LAND]
+        - a * gg[LABOR][CAPITAL] * lc[CAPITAL]
+        - b * gg[CAPITAL][LAND] * lc[LABOR],
+        a * gg[LAND][CAPITAL] * lc[LABOR]
+        + b * lc[LAND] * gg[LABOR][LAND]
+        - a * gg[LABOR][CAPITAL] * lc[LAND]
+        - b * gg[LAND][LAND] * lc[LABOR],
+        a * gg[LAND][CAPITAL] * lc[CAPITAL]
+        + b * lc[LAND] * gg[CAPITAL][LAND]
+        - a * gg[CAPITAL][CAPITAL] * lc[LAND]
+        - b * gg[LAND][LAND] * lc[CAPITAL],
+    ]
+
+
+# The two factors other than each one, in row order.
+_OTHER_FACTORS = tuple(tuple(f for f in _FACTOR_ROWS if f != factor) for factor in _FACTOR_ROWS)
+
+
+def _magnitude(rows, floor: float) -> float:
+    """Largest |entry| of nested rows of floats, at least floor; NaN if
+    any entry is NaN, which the builtin max can drop."""
+    scale = floor
+    for row in rows:
+        for v in row:
+            if abs(v) > scale or v != v:
+                scale = abs(v)
+    return scale
+
+
+def _cofactor_routes(
+    table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs
+) -> tuple[list, list, list]:
+    """The six cofactors [sector][factor] as a literal 3x3 determinant, by
+    the expanded four-term form and through the border-line factorization
+    e * t * offset, on Python floats; raise unless the three agree."""
+    a, b, _ = table.diff
+    gg = g.g.tolist()
+    lam = table.lam.tolist()
+    abe = lines.abe.tolist()
+    t, s_prime, u_prime = vector.t, vector.s_prime, vector.u_prime
+    direct, expanded, factored = [], [], []
+    for sector in range(2):
+        # The cofactor for sector 0 carries the other sector's allocation
+        # column, and vice versa.
+        lc = [row[1 - sector] for row in lam]
+        direct.append(
+            [
+                _det3(
+                    [
+                        [a, b, 0.0],
+                        [gg[i][LAND], gg[i][CAPITAL], lc[i]],
+                        [gg[h][LAND], gg[h][CAPITAL], lc[h]],
+                    ]
+                )
+                for i, h in _OTHER_FACTORS
+            ]
+        )
+        expanded.append(_expanded_cofactors(a, b, gg, lc))
+        factored.append(
+            [
+                e * t * (u_prime - (la * s_prime + lb) / e)
+                for la, lb, e in (abe[factor][sector] for factor in _FACTOR_ROWS)
+            ]
+        )
+
+    scale = _magnitude(direct, 1e-300)
+    for route, values in (("expanded", expanded), ("factored", factored)):
+        for sector in range(2):
+            for factor in _FACTOR_ROWS:
+                want, got = direct[sector][factor], values[sector][factor]
+                gap = abs(want - got) / scale
+                if not gap <= CROSS_CHECK_TOL:
+                    raise ClosedFormMismatch(
+                        f"{route} cofactor route disagrees with the determinant at sector "
+                        f"{sector + 1}, factor {factor}: {want!r} vs {got!r} "
+                        f"(relative gap {gap:e})"
+                    )
+    return direct, expanded, factored
 
 
 def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     """The six cofactors driving output responses, each computed three
     ways: as a literal 3x3 determinant, by its expanded four-term form,
-    and through the border-line factorization."""
-    a, b, _ = table.diff
-    gg = g.g
-    direct = np.empty((2, 3))
-    expanded = np.empty((2, 3))
-    # The cofactor for sector 0 carries the other sector's allocation
-    # column, and vice versa.
-    for sector in range(2):
-        lc = table.lam[:, 1 - sector]
-        for col, factor in enumerate(_FACTOR_ROWS):
-            others = [f for f in _FACTOR_ROWS if f != factor]
-            m = np.array(
-                [
-                    [a, b, 0.0],
-                    [gg[others[0], LAND], gg[others[0], CAPITAL], lc[others[0]]],
-                    [gg[others[1], LAND], gg[others[1], CAPITAL], lc[others[1]]],
-                ]
-            )
-            direct[sector, col] = _det3(m)
-        expanded[sector, LAND] = (
-            a * gg[CAPITAL, CAPITAL] * lc[LABOR]
-            + b * lc[CAPITAL] * gg[LABOR, LAND]
-            - a * gg[LABOR, CAPITAL] * lc[CAPITAL]
-            - b * gg[CAPITAL, LAND] * lc[LABOR]
-        )
-        expanded[sector, CAPITAL] = (
-            a * gg[LAND, CAPITAL] * lc[LABOR]
-            + b * lc[LAND] * gg[LABOR, LAND]
-            - a * gg[LABOR, CAPITAL] * lc[LAND]
-            - b * gg[LAND, LAND] * lc[LABOR]
-        )
-        expanded[sector, LABOR] = (
-            a * gg[LAND, CAPITAL] * lc[CAPITAL]
-            + b * lc[LAND] * gg[CAPITAL, LAND]
-            - a * gg[CAPITAL, CAPITAL] * lc[LAND]
-            - b * gg[LAND, LAND] * lc[CAPITAL]
-        )
-
-    v = ews_ratio_vector(g)
-    lines = line_coefficients(table)
-    factored = np.empty((2, 3))
-    for sector in range(2):
-        for factor in _FACTOR_ROWS:
-            e = lines.abe[factor, sector, 2]
-            offset = v.u_prime - lines.value(factor, sector, v.s_prime)
-            factored[sector, factor] = e * v.t * offset
-
-    worst = float(np.max(np.abs([direct - expanded, direct - factored]))) / max(
-        float(np.max(np.abs(direct))), 1e-300
+    and through the border-line factorization. Derives the ratio vector
+    and the line coefficients that comparative_statics takes from its
+    caller."""
+    direct, expanded, factored = _cofactor_routes(
+        table, g, ews_ratio_vector(g), line_coefficients(table)
     )
-    if not worst <= CROSS_CHECK_TOL:
-        raise ClosedFormMismatch(
-            f"cofactor routes disagree beyond tolerance (relative gap {worst:e})"
-        )
     return CofactorReport(direct=direct, expanded=expanded, factored=factored)
 
 
@@ -254,32 +291,39 @@ def _residual_scale(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=(-2, -1)))
 
 
-def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
-    """Dense pivoted solve of the system for one shock."""
-    rhs = shock.right_hand_side()
+def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense pivoted solve of one system for one right-hand side rhs[5]
+    or for each column of rhs[5, k], and the worst residual of each
+    column. Raises SingularSystem for a singular system or for a column
+    whose residual exceeds its relative bound, or is NaN."""
     try:
-        x = np.linalg.solve(sys.a, rhs)
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"comparative-statics system is singular: {exc}") from exc
-    residual = float(np.max(np.abs(sys.a @ x - rhs)))
+    residual = np.abs(a @ x - rhs).max(axis=0)
     # The relative bound is never below RESIDUAL_TOL.
-    if not residual <= RESIDUAL_TOL:
-        bound = RESIDUAL_TOL * _residual_scale(sys.a, x[:, np.newaxis])
-        if not residual <= bound:
-            raise SingularSystem(f"solve residual {residual:e} exceeds {bound:e}")
-    return ResponseVector(
-        w_hat=tuple(float(v) for v in x[:3]),
-        x_hat=(float(x[3]), float(x[4])),
-        residual=residual,
-    )
+    if not np.all(residual <= RESIDUAL_TOL):
+        bound = RESIDUAL_TOL * _residual_scale(a, x.T[..., np.newaxis])
+        for r, limit in zip(np.ravel(residual).tolist(), np.ravel(bound).tolist()):
+            if not r <= limit:
+                raise SingularSystem(f"solve residual {r:e} exceeds {limit:e}")
+    return x, residual
 
 
-# Right-hand sides of the dense sign check, one column each: the three
-# unit endowment shocks, then the unit relative-price shock.
+def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
+    """Dense pivoted solve of the system for one shock."""
+    x, residual = _solve(sys.a, shock.right_hand_side())
+    x = x.tolist()
+    return ResponseVector(w_hat=tuple(x[:3]), x_hat=tuple(x[3:]), residual=float(residual))
+
+
+# Right-hand sides of the dense checks, one column each: the three unit
+# endowment shocks, then the unit relative-price shock.
 _CHECK_SHOCKS = np.column_stack(
     [ShockVector(endowment_shocks=tuple(unit)).right_hand_side() for unit in np.eye(3)]
     + [ShockVector(price_shock=1.0).right_hand_side()]
 )
+_PRICE_COLUMN = 3
 
 
 def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,56 +346,67 @@ def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     past = residual > RESIDUAL_TOL
     if np.any(past):
         residual = np.where(past, residual / _residual_scale(a, x), residual)
-    w_hat = x[..., :3, 3]
+    w_hat = x[..., :3, _PRICE_COLUMN]
     rewards = np.stack([w_hat, w_hat + 1.0], axis=-2)
     return _signs(x[..., 3:, :3]), _signs(rewards), residual
 
 
-def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
-    """Assemble the system once and derive both elasticity matrices.
+def comparative_statics(
+    table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs
+) -> ComparativeStatics:
+    """Assemble the system once and derive both elasticity matrices; the
+    caller passes the ratio vector of g and the border lines of table,
+    which the factored cofactors read.
 
     The output elasticities come from the cofactor closed forms over the
     determinant and are verified entry by entry against unit-endowment
     dense solves; the real-reward elasticities follow from them by
     reciprocity and are verified against a dense pure-price-shock solve.
+    One pivoted solve with the four right-hand sides serves both checks.
     """
     sys = assemble_system(table, g)
     delta = determinant_delta(sys, table, g)
-    cof = cofactors(table, g).values
-    ryb = np.empty((2, 3))
-    for sector in range(2):
-        for factor in _FACTOR_ROWS:
-            parity = 1.0 if (factor + sector) % 2 == 0 else -1.0
-            ryb[sector, factor] = parity * cof[sector, factor] / delta.value
+    cof, _, _ = _cofactor_routes(table, g, vector, lines)
+    ryb = [
+        [
+            (1.0 if (factor + sector) % 2 == 0 else -1.0) * cof[sector][factor] / delta.value
+            for factor in _FACTOR_ROWS
+        ]
+        for sector in range(2)
+    ]
+    x, _ = _solve(sys.a, _CHECK_SHOCKS)
+    dense = x.tolist()
     for factor in _FACTOR_ROWS:
-        shocks = [0.0, 0.0, 0.0]
-        shocks[factor] = 1.0
-        response = solve_responses(sys, ShockVector(endowment_shocks=tuple(shocks)))
         for sector in range(2):
-            gap = _relative_gap(ryb[sector, factor], response.x_hat[sector])
-            if not gap <= CROSS_CHECK_TOL:
+            closed, solved = ryb[sector][factor], dense[3 + sector][factor]
+            if not _relative_gap(closed, solved) <= CROSS_CHECK_TOL:
                 raise ClosedFormMismatch(
                     "output-response closed form disagrees with the dense solve "
-                    f"at sector {sector + 1}, factor {factor}: "
-                    f"{ryb[sector, factor]!r} vs {response.x_hat[sector]!r}"
+                    f"at sector {sector + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
 
-    tf = table.theta_factor
-    ts = table.theta_sector
-    ss = np.empty((2, 3))
+    tf = table.theta_factor.tolist()
+    ts = table.theta_sector.tolist()
+    ss = [
+        [-(ts[1] / tf[factor]) * ryb[1][factor] for factor in _FACTOR_ROWS],
+        [(ts[0] / tf[factor]) * ryb[0][factor] for factor in _FACTOR_ROWS],
+    ]
     for factor in _FACTOR_ROWS:
-        ss[0, factor] = -(ts[1] / tf[factor]) * ryb[1, factor]
-        ss[1, factor] = (ts[0] / tf[factor]) * ryb[0, factor]
-    response = solve_responses(sys, ShockVector(price_shock=1.0))
-    for factor in _FACTOR_ROWS:
-        gap0 = _relative_gap(ss[0, factor], response.w_hat[factor])
-        gap1 = _relative_gap(ss[1, factor], response.w_hat[factor] + 1.0)
-        if not (gap0 <= CROSS_CHECK_TOL and gap1 <= CROSS_CHECK_TOL):
-            raise ClosedFormMismatch(
-                "reciprocity form disagrees with the dense price-shock solve "
-                f"at factor {factor}"
-            )
-    return ComparativeStatics(system=sys, delta=delta, rybczynski=ryb, stolper_samuelson=ss)
+        w = dense[factor][_PRICE_COLUMN]
+        # Deflator 1 is the first good's price, deflator 2 the second's.
+        for deflator, solved in enumerate((w, w + 1.0)):
+            closed = ss[deflator][factor]
+            if not _relative_gap(closed, solved) <= CROSS_CHECK_TOL:
+                raise ClosedFormMismatch(
+                    "reciprocity form disagrees with the dense price-shock solve "
+                    f"at deflator {deflator + 1}, factor {factor}: {closed!r} vs {solved!r}"
+                )
+    return ComparativeStatics(
+        system=sys,
+        delta=delta,
+        rybczynski=np.array(ryb),
+        stolper_samuelson=np.array(ss),
+    )
 
 
 # Sign tables, one column per subregion. Rows are sectors for the output

@@ -215,14 +215,20 @@ def _rowsum_error(gap: float) -> ConsistencyError:
     return ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
 
 
-def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
-    """Scale each Allen elasticity by the price-owner's distributive share."""
-    require_valid_aes(aes, table)
+def _checked_epsilon(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
+    """Epsilon of a tensor that has passed validation, with its row-sum
+    check."""
     eps = _epsilon(aes.sigma, table)
     gap, ok = _rowsum_gap(eps)
     if not ok:
         raise _rowsum_error(float(gap))
     return EpsilonTensor(eps=eps)
+
+
+def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
+    """Scale each Allen elasticity by the price-owner's distributive share."""
+    require_valid_aes(aes, table)
+    return _checked_epsilon(aes, table)
 
 
 def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:

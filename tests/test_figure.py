@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ews32 import (
     AsymptotePole,
     Scenario,
+    ValidationError,
     boundary_value,
     render_figure,
     sample_valid_aes,
@@ -77,6 +78,29 @@ def test_window_override_changes_geometry(reference_scenario):
     wide = render_figure(reference_scenario, window=((-8.0, 8.0), (-12.0, 6.0)))
     assert wide != render_figure(reference_scenario)
     assert wide.count('class="anchor"') == 7
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ((1.0, 1.0), (-1.0, 1.0)),  # zero abscissa span
+        ((-4.0, 4.0), (2.5, 2.5)),  # zero ordinate span
+        ((float("nan"), 1.0), (-1.0, 1.0)),
+        ((-4.0, 4.0), (-10.0, float("nan"))),
+        ((-4.0, float("inf")), (-1.0, 1.0)),
+        ((-4.0, 4.0), (float("-inf"), 4.0)),
+        ((-1e308, 1e308), (-1.0, 1.0)),  # finite bounds, overflowing span
+    ],
+)
+def test_window_must_have_finite_nonzero_spans(reference_scenario, window):
+    with pytest.raises(ValidationError, match=re.escape(repr(window))):
+        render_figure(reference_scenario, window=window)
+
+
+def test_reversed_window_renders(reference_scenario):
+    svg = render_figure(reference_scenario, window=((4.0, -4.0), (4.0, -10.0)))
+    assert svg.count('class="anchor"') == 7
+    assert "nan" not in svg and "inf" not in svg
 
 
 def reference_boundary(table, window, size=DEFAULT_SIZE) -> list[str]:

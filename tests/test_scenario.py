@@ -11,11 +11,15 @@ from ews32 import (
     Scenario,
     Subregion,
     cobb_douglas_aes,
+    epsilon_from_aes,
     format_report,
     load_scenario,
+    render_figure,
     run_report,
     scenario_from_mapping,
 )
+from ews32 import scenario as scenario_module
+from ews32 import substitution
 
 from conftest import REFERENCE_SECTOR, REFERENCE_THETA
 
@@ -136,6 +140,31 @@ def test_invalid_sigma_rejected(reference_table):
     # A Scenario is valid by type, however it is built.
     with pytest.raises(InvalidAes):
         Scenario(name="direct", table=reference_table, aes=AesTensor(sigma=sigma))
+    # The library entry point validates on its own.
+    with pytest.raises(InvalidAes):
+        epsilon_from_aes(AesTensor(sigma=sigma), reference_table)
+
+
+def test_scenario_validates_and_derives_g_once(monkeypatch):
+    scenario = scenario_from_mapping(dict(REFERENCE_DOC))
+    calls = {"validate_aes": 0, "ews_from_epsilon": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(substitution, "validate_aes")
+    counted(scenario_module, "ews_from_epsilon")
+    first = run_report(scenario)
+    render_figure(scenario)
+    second = run_report(scenario)
+    assert calls == {"validate_aes": 0, "ews_from_epsilon": 1}
+    assert first.ews is second.ews is scenario.ews
 
 
 def test_run_report_reference():

@@ -1,12 +1,20 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from ews32 import (
     CAPITAL,
     LABOR,
     LAND,
     ClosedFormMismatch,
+    DegenerateT,
     EwsMatrix,
+    OnLine,
+    Scenario,
     ShockVector,
     SingularSystem,
     Subregion,
@@ -15,23 +23,33 @@ from ews32 import (
     cofactors,
     comparative_statics,
     determinant_delta,
+    epsilon_from_aes,
+    ews_from_epsilon,
+    ews_ratio_vector,
+    format_report,
     line_coefficients,
+    run_report,
+    sample_valid_aes,
+    scenario_from_mapping,
     sign_pattern_from_values,
     sign_pattern_lookup,
     solve_responses,
     strong_rybczynski,
 )
+from ews32 import statics
 from ews32.geometry import SIGNATURES
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
 
 from conftest import (
     dense_output_elasticities,
     dense_price_rewards,
+    dense_system,
     matrix_at,
     random_ranked_table,
     random_valid_ews,
     sign_grid,
 )
+from test_scenario import REFERENCE_DOC
 from test_substitution import REFERENCE_G
 
 # Frozen dense-oracle values for the Cobb-Douglas reference economy,
@@ -54,6 +72,10 @@ REFERENCE_PRICE_REWARDS = (0.7839175257731961, -2.209896907216495, -0.1727835051
 
 def reference_g():
     return EwsMatrix(g=REFERENCE_G.copy())
+
+
+def statics_of(table, g):
+    return comparative_statics(table, g, ews_ratio_vector(g), line_coefficients(table))
 
 
 def test_system_layout(reference_table):
@@ -194,7 +216,7 @@ def test_dense_signs_on_a_stack(reference_table):
 
 
 def test_rybczynski_reference(reference_table):
-    ryb = comparative_statics(reference_table, reference_g()).rybczynski
+    ryb = statics_of(reference_table, reference_g()).rybczynski
     assert np.allclose(ryb, REFERENCE_RYBCZYNSKI, atol=1e-12)
 
 
@@ -203,7 +225,7 @@ def test_rybczynski_matches_dense_oracle():
     for trial in range(150):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 6000 + trial)
-        ryb = comparative_statics(table, g).rybczynski
+        ryb = statics_of(table, g).rybczynski
         dense = dense_output_elasticities(table, g)
         scale = np.abs(dense).max()
         assert np.abs(ryb - dense).max() <= 1e-9 * max(scale, 1.0)
@@ -211,7 +233,7 @@ def test_rybczynski_matches_dense_oracle():
 
 
 def test_stolper_samuelson_reference(reference_table):
-    ss = comparative_statics(reference_table, reference_g()).stolper_samuelson
+    ss = statics_of(reference_table, reference_g()).stolper_samuelson
     assert np.allclose(ss[0], REFERENCE_PRICE_REWARDS, atol=1e-12)
     assert np.allclose(ss[1], np.asarray(REFERENCE_PRICE_REWARDS) + 1.0, atol=1e-12)
 
@@ -223,7 +245,7 @@ def test_stolper_samuelson_reciprocity_random():
     for trial in range(60):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 7000 + trial)
-        ss = comparative_statics(table, g).stolper_samuelson
+        ss = statics_of(table, g).stolper_samuelson
         rewards = dense_price_rewards(table, g)
         assert np.allclose(ss[0], rewards, atol=1e-9)
         assert np.allclose(ss[1], rewards + 1.0, atol=1e-9)
@@ -316,3 +338,237 @@ def test_sign_pattern_from_values_flags_zeros():
     )
     assert blank.zero_flagged
     assert blank.entries[0][2] == 0
+
+
+# Each cross-check, fed one corrupted route: a value off by half, or a
+# NaN, must end in a ConsistencyError.
+BAD_FACTORS = pytest.mark.parametrize("bad", [1.5, float("nan")], ids=["finite", "nan"])
+
+
+def reference_scenario():
+    """The reference scenario without its shocks."""
+    return scenario_from_mapping({**REFERENCE_DOC, "shocks": []})
+
+
+@BAD_FACTORS
+def test_cofactor_check_catches_a_wrong_expanded_route(monkeypatch, bad):
+    real = statics._expanded_cofactors
+
+    def corrupted(*args):
+        values = real(*args)
+        values[CAPITAL] *= bad
+        return values
+
+    monkeypatch.setattr(statics, "_expanded_cofactors", corrupted)
+    with pytest.raises(ClosedFormMismatch, match="expanded cofactor route disagrees"):
+        run_report(reference_scenario())
+
+
+@BAD_FACTORS
+def test_cofactor_check_catches_a_wrong_factored_route(monkeypatch, reference_table, bad):
+    # The factored route alone reads the ratio vector's denominator t.
+    real = statics.ews_ratio_vector
+
+    def corrupted(g):
+        vector = real(g)
+        return dataclasses.replace(vector, t=vector.t * bad)
+
+    monkeypatch.setattr(statics, "ews_ratio_vector", corrupted)
+    with pytest.raises(ClosedFormMismatch, match="cofactor route"):
+        cofactors(reference_table, reference_g())
+
+
+@BAD_FACTORS
+def test_output_check_catches_a_wrong_closed_form(monkeypatch, bad):
+    # The determinant's routes agree; the value the closed form divides
+    # by is then corrupted.
+    real = statics.determinant_delta
+
+    def corrupted(*args):
+        delta = real(*args)
+        return dataclasses.replace(delta, via_own_terms=delta.via_own_terms * bad)
+
+    monkeypatch.setattr(statics, "determinant_delta", corrupted)
+    with pytest.raises(ClosedFormMismatch, match="output-response closed form disagrees"):
+        run_report(reference_scenario())
+
+
+def corrupt_price_column(monkeypatch, bad):
+    """Scale the capital reward of the check solve's price-shock column by
+    bad, after the solve's own residual check."""
+    real = statics._solve
+
+    def corrupted(a, rhs):
+        x, residual = real(a, rhs)
+        if rhs.ndim == 2:
+            x[CAPITAL, -1] *= bad
+        return x, residual
+
+    monkeypatch.setattr(statics, "_solve", corrupted)
+
+
+@BAD_FACTORS
+def test_reciprocity_check_catches_a_wrong_price_response(monkeypatch, bad):
+    corrupt_price_column(monkeypatch, bad)
+    with pytest.raises(ClosedFormMismatch, match="reciprocity form disagrees"):
+        run_report(reference_scenario())
+
+
+@BAD_FACTORS
+def test_check_solve_residual_catches_a_wrong_solution(monkeypatch, bad):
+    real = np.linalg.solve
+
+    def corrupted(a, rhs):
+        x = real(a, rhs)
+        x[3] *= bad
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    with pytest.raises(SingularSystem, match="solve residual"):
+        run_report(reference_scenario())
+
+
+def test_mismatch_messages_name_both_values(monkeypatch, reference_table):
+    # Reciprocity: the deflator, the factor, and both values as floats.
+    corrupt_price_column(monkeypatch, 1.5)
+    with pytest.raises(ClosedFormMismatch) as caught:
+        run_report(reference_scenario())
+    message = str(caught.value)
+    found = re.search(r"at deflator 1, factor 1: (\S+) vs (\S+)$", message)
+    assert found is not None, message
+    closed, solved = (float(v) for v in found.groups())
+    assert closed == pytest.approx(REFERENCE_PRICE_REWARDS[CAPITAL], rel=1e-12)
+    assert solved == pytest.approx(1.5 * REFERENCE_PRICE_REWARDS[CAPITAL], rel=1e-9)
+    monkeypatch.undo()
+
+    # Determinant: plain float reprs, no numpy scalar reprs.
+    monkeypatch.setattr(np.linalg, "det", lambda a: -0.3)
+    g = reference_g()
+    with pytest.raises(ClosedFormMismatch) as caught:
+        determinant_delta(assemble_system(reference_table, g), reference_table, g)
+    message = str(caught.value)
+    assert "np.float64" not in message
+    assert re.fullmatch(
+        r"determinant routes disagree: dense -0\.3, own-terms -0\.1600395974\d*, "
+        r"cross-terms -0\.1600395974\d*",
+        message,
+    ), message
+
+
+# The closed forms as numpy float64 scalar arithmetic, one route and one
+# entry at a time, for the bit-identity property below.
+
+
+def reference_det3(m: np.ndarray):
+    return (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+def reference_statics(table, g):
+    """(dense determinant, own-terms determinant, cross-terms determinant,
+    output elasticities, real-reward elasticities)."""
+    gg = g.g
+    a, b, _ = table.diff
+    tf = table.theta_factor
+    ts = table.theta_sector
+    scale = ts[0] * ts[1] / (tf[LAND] * tf[CAPITAL] * tf[LABOR])
+    own = scale * (
+        a * a * gg[CAPITAL, CAPITAL] * tf[CAPITAL]
+        + b * b * gg[LAND, LAND] * tf[LAND]
+        - 2.0 * a * b * gg[CAPITAL, LAND] * tf[CAPITAL]
+    )
+    cross = -scale * (
+        (a + b) ** 2 * gg[CAPITAL, LAND] * tf[CAPITAL]
+        + gg[LABOR, CAPITAL] * tf[LABOR] * a * a
+        + gg[LABOR, LAND] * tf[LABOR] * b * b
+    )
+    ryb = np.empty((2, 3))
+    for sector in range(2):
+        lc = table.lam[:, 1 - sector]
+        for factor in range(3):
+            i, h = [f for f in range(3) if f != factor]
+            m = np.array(
+                [
+                    [a, b, 0.0],
+                    [gg[i, LAND], gg[i, CAPITAL], lc[i]],
+                    [gg[h, LAND], gg[h, CAPITAL], lc[h]],
+                ]
+            )
+            parity = 1.0 if (factor + sector) % 2 == 0 else -1.0
+            ryb[sector, factor] = parity * reference_det3(m) / own
+    ss = np.empty((2, 3))
+    for factor in range(3):
+        ss[0, factor] = -(ts[1] / tf[factor]) * ryb[1, factor]
+        ss[1, factor] = (ts[0] / tf[factor]) * ryb[0, factor]
+    dense = float(np.linalg.det(dense_system(table, g)))
+    return dense, own, cross, ryb, ss
+
+
+def reference_rows(arr) -> str:
+    """Report rows of a matrix formatted from numpy float64 scalars."""
+    return "".join("  " + "  ".join(f"{v:+.6f}" for v in row) + "\n" for row in np.asarray(arr))
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@st.composite
+def report_cases(draw):
+    """A sampled valid scenario on a random ranked table, with up to
+    three random shocks."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    aes = sample_valid_aes(table, draw(seeds))
+    size = st.floats(-5.0, 5.0)
+    shock = st.builds(
+        ShockVector, price_shock=size, endowment_shocks=st.tuples(size, size, size)
+    )
+    shocks = tuple(draw(st.lists(shock, max_size=3)))
+    return Scenario(name="drawn", table=table, aes=aes, shocks=shocks)
+
+
+@given(report_cases())
+def test_report_matches_numpy_scalar_reference(scenario):
+    table = scenario.table
+    try:
+        report = run_report(scenario)
+    except (OnLine, DegenerateT):
+        reject()
+    g = ews_from_epsilon(epsilon_from_aes(scenario.aes, table), table)
+    assert same_bits(report.ews.g, g.g)
+    dense, own, cross, ryb, ss = reference_statics(table, g)
+    assert same_bits(report.delta.dense, dense)
+    assert same_bits(report.delta.via_own_terms, own)
+    assert same_bits(report.delta.via_cross_terms, cross)
+    assert same_bits(report.rybczynski, ryb)
+    assert same_bits(report.stolper_samuelson, ss)
+
+    a = dense_system(table, g)
+    assert len(report.responses) == len(scenario.shocks)
+    residuals = []
+    for shock, (echo, response) in zip(scenario.shocks, report.responses):
+        rhs = shock.right_hand_side()
+        x = np.linalg.solve(a, rhs)
+        residuals.append(float(np.max(np.abs(a @ x - rhs))))
+        assert echo == shock
+        assert same_bits(response.as_array(), x)
+        assert same_bits(response.residual, residuals[-1])
+    assert same_bits(report.max_residual, np.max(residuals, initial=0.0))
+
+    text = format_report(report)
+    assert "economy-wide substitution (rows/cols land, capital, labor):\n" + reference_rows(
+        g.g
+    ) in text
+    assert (
+        "output elasticities:\n"
+        + reference_rows(ryb)
+        + "real-reward elasticities:\n"
+        + reference_rows(ss)
+        + f"system determinant: {own:.9g}\n"
+    ) in text
+    if residuals:
+        assert f"worst solve residual: {np.max(residuals):.3e}\n" in text
