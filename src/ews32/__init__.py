@@ -3,6 +3,8 @@ competitive economy: share validation, Allen-elasticity aggregation,
 subregion classification of the normalized substitution vector, and
 output/price sign patterns cross-checked against a dense solver."""
 
+import types
+
 from .errors import (
     AsymptotePole,
     ClosedFormMismatch,
@@ -92,81 +94,9 @@ from .sweep import format_csv, parse_grid, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AesTensor",
-    "AnchorSet",
-    "AsymptotePole",
-    "CAPITAL",
-    "ClosedFormMismatch",
-    "CofactorReport",
-    "ComparativeStatics",
-    "ConsistencyError",
-    "DegenerateT",
-    "DeltaReport",
-    "EpsilonTensor",
-    "Ews32Error",
-    "EwsMatrix",
-    "EwsRatioVector",
-    "FACTOR_NAMES",
-    "GenerationExhausted",
-    "InconsistentLevels",
-    "Infeasible",
-    "InvalidAes",
-    "LABOR",
-    "LAND",
-    "LineCoeffs",
-    "NonPositiveLevels",
-    "NonStochasticColumns",
-    "OnLine",
-    "OrderingReport",
-    "OutOfRangeShare",
-    "ParseError",
-    "RankingReport",
-    "RankingViolation",
-    "Report",
-    "ResponseVector",
-    "Scenario",
-    "ShareTable",
-    "ShockVector",
-    "SignPattern",
-    "SingularSystem",
-    "Subregion",
-    "SystemMatrix",
-    "UnmatchedSignature",
-    "ValidationError",
-    "ValidityReport",
-    "aggregate_substitution",
-    "anchor_points",
-    "assemble_system",
-    "boundary_value",
-    "build_share_table",
-    "check_feasible",
-    "check_intensity_ranking",
-    "classify_subregion",
-    "cobb_douglas_aes",
-    "cofactors",
-    "comparative_statics",
-    "determinant_delta",
-    "epsilon_from_aes",
-    "ews_from_epsilon",
-    "ews_from_stu",
-    "ews_ratio_vector",
-    "format_csv",
-    "format_report",
-    "line_coefficients",
-    "load_scenario",
-    "parse_grid",
-    "render_figure",
-    "require_ranking",
-    "require_valid_aes",
-    "run_report",
-    "sample_valid_aes",
-    "scenario_from_mapping",
-    "sign_pattern_from_values",
-    "sign_pattern_lookup",
-    "solve_responses",
-    "strong_rybczynski",
-    "sweep",
-    "validate_aes",
-    "verify_anchor_ordering",
-]
+# The public names are exactly those imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -31,15 +31,17 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _require_window(window) -> None:
+def _require_window(window, size) -> None:
     """Raise ValidationError unless both ranges of the window have finite
-    bounds and a finite, nonzero span (in either order)."""
-    for lo, hi in window:
+    bounds and a nonzero span (in either order) that gives a finite
+    pixel scale."""
+    for (lo, hi), pixels in zip(window, size):
         span = hi - lo
-        if not (math.isfinite(span) and span != 0.0):
+        spanned = math.isfinite(span) and span != 0.0
+        if not (spanned and math.isfinite((pixels - 2.0 * MARGIN) / span)):
             raise ValidationError(
-                f"figure window {window!r} needs finite bounds and a nonzero, finite "
-                "span on each axis"
+                f"figure window {window!r} needs finite bounds and, on each axis, a "
+                "finite nonzero span whose pixel scale is finite"
             )
 
 
@@ -68,7 +70,7 @@ def _polyline(xy: np.ndarray, attrs: str) -> str:
 def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFAULT_SIZE) -> str:
     """Render the scenario's plane to an SVG document; optionally write
     it to a file."""
-    _require_window(window)
+    _require_window(window, size)
     table = scenario.table
     vector = ews_ratio_vector(scenario.ews)
     lines = line_coefficients(table)

@@ -81,9 +81,10 @@ def build_share_table(theta, theta_sector) -> ShareTable:
         raise OutOfRangeShare(f"theta must be 3x2, got shape {th.shape}")
     if ts.shape != (2,):
         raise OutOfRangeShare(f"theta_sector must have 2 entries, got {ts.shape}")
-    if np.any(th <= 0.0) or np.any(th >= 1.0):
+    # Written so that NaN fails the range tests.
+    if not np.all((th > 0.0) & (th < 1.0)):
         raise OutOfRangeShare("every distributive share must lie strictly between 0 and 1")
-    if np.any(ts <= 0.0) or np.any(ts >= 1.0):
+    if not np.all((ts > 0.0) & (ts < 1.0)):
         raise OutOfRangeShare("every sector share must lie strictly between 0 and 1")
     colsums = th.sum(axis=0)
     if np.any(np.abs(colsums - 1.0) > STOCHASTIC_TOL):

@@ -11,11 +11,12 @@ through a dense pivoted solve. The two routes must agree or we raise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormMismatch, SingularSystem
+from .errors import ClosedFormMismatch, SingularSystem, ValidationError
 from .geometry import LineCoeffs, Subregion, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
@@ -48,6 +49,10 @@ class ShockVector:
 
     price_shock: float = 0.0
     endowment_shocks: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.price_shock, *self.endowment_shocks))):
+            raise ValidationError(f"shock entries must be finite, got {self!r}")
 
     def right_hand_side(self) -> np.ndarray:
         return np.array(
@@ -291,15 +296,18 @@ def _residual_scale(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=(-2, -1)))
 
 
-def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivoted_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Dense pivoted solve of one system for one right-hand side rhs[5]
-    or for each column of rhs[5, k], and the worst residual of each
-    column. Raises SingularSystem for a singular system or for a column
-    whose residual exceeds its relative bound, or is NaN."""
+    or for each column of rhs[5, k]; SingularSystem if it is singular."""
     try:
-        x = np.linalg.solve(a, rhs)
+        return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"comparative-statics system is singular: {exc}") from exc
+
+
+def _residual(a: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Worst residual of each column of the solution x of a @ x = rhs;
+    SingularSystem for one above its relative bound, or NaN."""
     residual = np.abs(a @ x - rhs).max(axis=0)
     # The relative bound is never below RESIDUAL_TOL.
     if not np.all(residual <= RESIDUAL_TOL):
@@ -307,12 +315,25 @@ def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for r, limit in zip(np.ravel(residual).tolist(), np.ravel(bound).tolist()):
             if not r <= limit:
                 raise SingularSystem(f"solve residual {r:e} exceeds {limit:e}")
-    return x, residual
+    return residual
+
+
+def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_pivoted_solve and the _residual of each column."""
+    x = _pivoted_solve(a, rhs)
+    return x, _residual(a, x, rhs)
 
 
 def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
-    """Dense pivoted solve of the system for one shock."""
-    x, residual = _solve(sys.a, shock.right_hand_side())
+    """Dense pivoted solve of the system for one shock. The response is
+    linear in the shock, so a finite shock whose response or residual
+    bound overflows is an input fault: ValidationError."""
+    rhs = shock.right_hand_side()
+    x = _pivoted_solve(sys.a, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(_residual_scale(sys.a, x[:, np.newaxis])):
+            raise ValidationError(f"the response to {shock!r} overflows floating point")
+    residual = _residual(sys.a, x, rhs)
     x = x.tolist()
     return ResponseVector(w_hat=tuple(x[:3]), x_hat=tuple(x[3:]), residual=float(residual))
 
@@ -428,33 +449,14 @@ RYBCZYNSKI_SIGNS: dict[Subregion, tuple[tuple[int, int, int], tuple[int, int, in
     Subregion.M7: ((-1, -1, 1), (1, 1, -1)),
 }
 
-STOLPER_SAMUELSON_SIGNS: dict[
-    Subregion, tuple[tuple[int, int, int], tuple[int, int, int]]
-] = {
-    Subregion.P1: ((1, -1, -1), (1, -1, -1)),
-    Subregion.P2: ((1, -1, -1), (1, -1, 1)),
-    Subregion.P3: ((1, -1, 1), (1, -1, 1)),
-    Subregion.P4: ((-1, -1, 1), (1, -1, 1)),
-    Subregion.P5: ((-1, -1, 1), (-1, -1, 1)),
-    Subregion.M1: ((1, 1, -1), (1, 1, -1)),
-    Subregion.M2: ((1, -1, -1), (1, 1, -1)),
-    Subregion.M3: ((1, -1, -1), (1, -1, -1)),
-    Subregion.M4: ((1, -1, -1), (1, -1, 1)),
-    Subregion.M5: ((1, -1, 1), (1, -1, 1)),
-    Subregion.M6: ((-1, -1, 1), (1, -1, 1)),
-    Subregion.M7: ((-1, -1, 1), (-1, -1, 1)),
+# By reciprocity a factor's real reward in the first good's price moves
+# against the second sector's output response to that factor, and in the
+# second good's price with the first sector's: the ss rows of
+# comparative_statics, whose share ratios are positive.
+STOLPER_SAMUELSON_SIGNS: dict[Subregion, tuple[tuple[int, int, int], tuple[int, int, int]]] = {
+    region: (tuple(-v for v in sector_2), sector_1)
+    for region, (sector_1, sector_2) in RYBCZYNSKI_SIGNS.items()
 }
-
-_STRONG_RESULT_REGIONS = frozenset(
-    {
-        Subregion.P1,
-        Subregion.P2,
-        Subregion.P3,
-        Subregion.M3,
-        Subregion.M4,
-        Subregion.M5,
-    }
-)
 
 
 def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
@@ -484,5 +486,6 @@ def _signs(values) -> np.ndarray:
 
 def strong_rybczynski(region: Subregion) -> bool:
     """Whether each extreme factor's growth raises its intensive sector's
-    output and lowers the other's."""
-    return region in _STRONG_RESULT_REGIONS
+    output and lowers the other's: land for sector 1, capital for 2."""
+    sector_1, sector_2 = RYBCZYNSKI_SIGNS[region]
+    return sector_1[LAND] > 0 > sector_2[LAND] and sector_2[CAPITAL] > 0 > sector_1[CAPITAL]

@@ -22,9 +22,10 @@ from .scenario import Scenario
 from .shares import CAPITAL, LABOR, LAND, _first_fault
 from .statics import (
     RESIDUAL_TOL,
+    RYBCZYNSKI_SIGNS,
+    STOLPER_SAMUELSON_SIGNS,
     assemble_system,
     dense_signs,
-    sign_pattern_lookup,
     strong_rybczynski,
 )
 from .substitution import (
@@ -43,14 +44,6 @@ from .substitution import (
 
 # Canonical grid keys and the (sector, row, column) they set. Symmetric
 # partners are set together; diagonals are never free.
-GRID_KEYS = (
-    "land_capital_1",
-    "land_labor_1",
-    "capital_labor_1",
-    "land_capital_2",
-    "land_labor_2",
-    "capital_labor_2",
-)
 _KEY_SLOTS = {
     "land_capital_1": (0, 0, 1),
     "land_labor_1": (0, 0, 2),
@@ -59,6 +52,7 @@ _KEY_SLOTS = {
     "land_labor_2": (1, 0, 2),
     "capital_labor_2": (1, 1, 2),
 }
+GRID_KEYS = tuple(_KEY_SLOTS)
 
 CSV_COLUMNS = GRID_KEYS + (
     "s_prime",
@@ -181,9 +175,10 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
 
     classified = np.flatnonzero(stage == _OK)
     ryb, ss, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
+    # Built per call from the tables as they stand, not cached at import.
     tabled = [
-        np.array([sign_pattern_lookup(r, kind).entries for r in REGIONS])[region[classified]]
-        for kind in ("rybczynski", "stolper_samuelson")
+        np.array([signs[r] for r in REGIONS])[region[classified]]
+        for signs in (RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS)
     ]
     agree = (
         np.all(ryb == tabled[0], axis=(-2, -1))

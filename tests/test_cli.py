@@ -77,3 +77,15 @@ def test_internal_error_exit_code(scenario_file, capsys, monkeypatch):
     monkeypatch.setattr(ews32.cli, "run_report", boom)
     assert main(["report", scenario_file]) == 1
     assert "internal error: routes disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("price, code", [(1e307, 0), (5e307, 2), (1e308, 2)])
+def test_report_refuses_a_shock_whose_response_overflows(tmp_path, capsys, price, code):
+    path = tmp_path / "huge-shock.json"
+    path.write_text(json.dumps(dict(REFERENCE_DOC, shocks=[{"price": price}])), encoding="utf-8")
+    assert main(["report", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "numeric and tabled signs agree: yes" in out
+    else:
+        assert err.startswith(f"invalid input: the response to ShockVector(price_shock={price!r},")

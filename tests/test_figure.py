@@ -90,6 +90,8 @@ def test_window_override_changes_geometry(reference_scenario):
         ((-4.0, float("inf")), (-1.0, 1.0)),
         ((-4.0, 4.0), (float("-inf"), 4.0)),
         ((-1e308, 1e308), (-1.0, 1.0)),  # finite bounds, overflowing span
+        ((0.0, 1e-310), (-1.0, 1.0)),  # subnormal span, overflowing pixel scale
+        ((-4.0, 4.0), (1.0, 1.0 + 5e-324)),
     ],
 )
 def test_window_must_have_finite_nonzero_spans(reference_scenario, window):

@@ -71,6 +71,16 @@ def test_zero_share_rejected():
         build_share_table(bad, REFERENCE_SECTOR)
 
 
+def test_nan_share_rejected():
+    # NaN compares false both ways, so it must fail the range test itself
+    # rather than slip through to the ranking check.
+    theta = [[0.50, 0.20], [float("nan"), 0.50], [0.35, 0.30]]
+    with pytest.raises(OutOfRangeShare):
+        build_share_table(theta, REFERENCE_SECTOR)
+    with pytest.raises(OutOfRangeShare):
+        build_share_table(REFERENCE_THETA, [float("nan"), 0.4])
+
+
 def test_ranking_reference_passes(reference_table):
     report = check_intensity_ranking(reference_table)
     assert report.ok

@@ -19,6 +19,7 @@ from ews32 import (
     SingularSystem,
     Subregion,
     SystemMatrix,
+    ValidationError,
     assemble_system,
     cofactors,
     comparative_statics,
@@ -197,10 +198,27 @@ def test_solve_residual_and_linearity():
 def test_solve_singular_system(reference_table):
     with pytest.raises(SingularSystem):
         solve_responses(SystemMatrix(a=np.zeros((5, 5))), ShockVector(price_shock=1.0))
-    # A NaN shock solves to NaN; its residual must fail the check.
+
+
+@pytest.mark.parametrize(
+    "shock",
+    [{"price_shock": float("nan")}, {"endowment_shocks": (0.0, float("-inf"), 0.0)}],
+    ids=["nan-price", "infinite-endowment"],
+)
+def test_shock_must_be_finite(shock):
+    with pytest.raises(ValidationError, match="shock entries must be finite"):
+        ShockVector(**shock)
+
+
+def test_overflowing_response_is_refused(reference_table):
+    # The response is linear in the shock; past what a float holds the
+    # shock is refused by name, not reported as a failed residual check.
     sys = assemble_system(reference_table, reference_g())
-    with pytest.raises(SingularSystem):
-        solve_responses(sys, ShockVector(price_shock=float("nan")))
+    for price in (5e307, 1e308):
+        with pytest.raises(ValidationError, match=re.escape(f"ShockVector(price_shock={price!r},")):
+            solve_responses(sys, ShockVector(price_shock=price))
+    response = solve_responses(sys, ShockVector(price_shock=1e307))
+    assert np.all(np.isfinite(response.as_array()))
 
 
 def test_dense_signs_on_a_stack(reference_table):
