@@ -90,7 +90,7 @@ from .substitution import (
     sample_valid_aes,
     validate_aes,
 )
-from .sweep import format_csv, parse_grid, sweep
+from .sweep import SweepRows, format_csv, parse_grid, sweep
 
 __version__ = "0.1.0"
 

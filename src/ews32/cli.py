@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import Ews32Error, ValidationError
 from .figure import render_figure
 from .scenario import format_report, load_scenario, run_report
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
             rows = sweep(scenario, parse_grid(args.grid))
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(format_csv(rows))
-            accepted = sum(1 for row in rows if row["status"] == "ok")
+            accepted = int(np.count_nonzero(rows.status == "ok"))
             print(f"wrote {args.out}: {len(rows)} rows, {accepted} classified")
             return 0
         raise AssertionError(f"unhandled verb {args.verb!r}")

@@ -120,12 +120,14 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
         s = lo + np.arange(BOUNDARY_SAMPLES) * step
         u = boundary_value(s, table)
         inside = (uy0 - pad <= u) & (u <= uy1 + pad)
-        xy = np.stack(to_svg(s, u), axis=-1)
-        # Alternating first and one-past-last indices of the runs.
+        # Alternating first and one-past-last indices of the runs. Only
+        # the drawn samples are mapped: under a tiny span the pixel
+        # coordinates of far-off samples would overflow.
         edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
         for start, end in edges.reshape(-1, 2):
             if end - start > 1:
-                doc.append(_polyline(xy[start:end], 'stroke="#000000" stroke-width="1.8"'))
+                xy = np.stack(to_svg(s[start:end], u[start:end]), axis=-1)
+                doc.append(_polyline(xy, 'stroke="#000000" stroke-width="1.8"'))
 
     # The six border lines: color by factor, dash by sector.
     for factor in range(3):

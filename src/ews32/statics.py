@@ -51,6 +51,8 @@ class ShockVector:
     endowment_shocks: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if len(self.endowment_shocks) != 3:
+            raise ValidationError(f"endowment shocks must have 3 entries, got {self!r}")
         if not all(map(math.isfinite, (self.price_shock, *self.endowment_shocks))):
             raise ValidationError(f"shock entries must be finite, got {self!r}")
 

@@ -373,7 +373,8 @@ def aggregate_substitution(g: EwsMatrix, endowments, prices) -> np.ndarray:
     w = np.asarray(prices, dtype=float)
     if v.shape != (3,) or w.shape != (3,):
         raise NonPositiveLevels("endowments and prices must each have 3 entries")
-    if np.any(v <= 0.0) or np.any(w <= 0.0):
+    # Written to fail, not pass, on NaN.
+    if not (np.all(v > 0.0) and np.all(w > 0.0)):
         raise NonPositiveLevels("endowments and prices must be strictly positive")
     s = g.g * v[:, np.newaxis] / w[np.newaxis, :]
     if not _identity_ok(np.max(np.abs(s - s.T)), s, None):

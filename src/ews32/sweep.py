@@ -8,11 +8,16 @@ validation, epsilon and g with their invariants, the ratio vector, its
 classification, and a dense solve of every classified point's system
 whose signs must match the tabled patterns. Invalid points stay in the
 output with a rejection status instead of being dropped.
+
+The result keeps the engine's columns (SweepRows); a row's dict is built
+only when it is read, and format_csv writes the CSV from the columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -135,8 +140,9 @@ def _point(index: int, sigma: np.ndarray) -> str:
     return f"grid point {index} ({values})"
 
 
-def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
-    """One result row per grid point, in deterministic grid order.
+def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
+    """One result row per grid point, in deterministic grid order, as
+    SweepRows.
 
     Every classified point's tabled sign patterns are checked against a
     dense solve of its system. A consistency failure raises for the first
@@ -211,42 +217,101 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> list[dict]:
     status = np.array(_AES_STATUSES, dtype=object)[aes_code]
     status[valid[stage == _DEGENERATE]] = "rejected (degenerate ratio)"
     status[valid[stage == _CLASSIFY]] = "rejected (on a border line)"
-    ok = valid[classified]
-    strong = np.array([strong_rybczynski(r) for r in REGIONS], dtype=object)
-    names = np.array([r.value for r in REGIONS], dtype=object)
-    results = []
-    for values in (
+    return SweepRows(
+        {key: np.array(grid[key], dtype=float) for key in active},
+        scenario.aes.sigma,
+        valid[classified],
         s_prime[classified],
         u_prime[classified],
         sign_t[classified],
-        names[region[classified]],
-        strong[region[classified]],
-    ):
-        column = np.full(len(sigma), None, dtype=object)
-        column[ok] = values.tolist()
-        results.append(column.tolist())
-    columns = [sigma[:, sector, row, col].tolist() for sector, row, col in _KEY_SLOTS.values()]
-    return [
-        dict(zip(CSV_COLUMNS, row)) for row in zip(*columns, *results, status.tolist())
-    ]
+        region[classified],
+        status,
+    )
 
 
-def format_csv(rows: list[dict]) -> str:
-    """Fixed-column CSV with 9 significant digits."""
-    out = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row.get(col)
-            if value is None:
-                cells.append("")
-            elif col == "sign_t":
-                cells.append("+" if value > 0 else "-")
-            elif col == "strong_result":
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(f"{value:.9g}")
-            else:
-                cells.append(str(value))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+class SweepRows(Sequence):
+    """The rows of one sweep in grid order: a read-only sequence of dicts
+    keyed by CSV_COLUMNS, held as the sweep's columns. A row's dict is
+    built when the row is read."""
+
+    def __init__(self, axes, sigma, ok, s_prime, u_prime, sign_t, region, status):
+        self._axes = axes  # swept key -> its grid values, in GRID_KEYS order
+        self._shape = tuple(len(values) for values in axes.values())
+        # A row before its swept values, classification and status are
+        # filled in: the template's elasticities and empty cells.
+        self._blank = dict.fromkeys(CSV_COLUMNS)
+        self._blank.update((key, float(sigma[slot])) for key, slot in _KEY_SLOTS.items())
+        self._ok = ok  # indices of the classified rows, ascending
+        self._s_prime, self._u_prime, self._sign_t, self._region = s_prime, u_prime, sign_t, region
+        # Evaluated per sweep from the tables as they stand.
+        self._strong = [strong_rybczynski(r) for r in REGIONS]
+        self.status = status  # one status string per row
+        status.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"sweep row {index} out of range for {len(self)} rows")
+        row = dict(self._blank)
+        rest = i
+        for key, n in zip(reversed(self._axes), reversed(self._shape)):
+            rest, k = divmod(rest, n)
+            row[key] = float(self._axes[key][k])
+        c = int(np.searchsorted(self._ok, i))
+        if c < len(self._ok) and self._ok[c] == i:
+            code = int(self._region[c])
+            row.update(
+                s_prime=float(self._s_prime[c]),
+                u_prime=float(self._u_prime[c]),
+                sign_t=int(self._sign_t[c]),
+                subregion=REGIONS[code].value,
+                strong_result=self._strong[code],
+            )
+        row["status"] = self.status[i]
+        return row
+
+
+def format_csv(rows: SweepRows) -> str:
+    """Fixed-column CSV with 9 significant digits, built from the sweep's
+    columns: each grid value, template value and classified point is
+    formatted once, and the body in one % call."""
+    n, swept = len(rows), len(rows._axes)
+    # A row's line: the unswept template values are written into it, the
+    # swept values, classification cells and status are its arguments.
+    line = ",".join(
+        "%s" if key in rows._axes else "%.9g" % rows._blank[key] for key in GRID_KEYS
+    ) + ",%s,%s\n"
+    cells = np.empty((*rows._shape, swept + 2), dtype=object)
+    # A swept key's strings vary along its own grid axis only.
+    for k, values in enumerate(rows._axes.values()):
+        along = [1] * swept
+        along[k] = -1
+        text = ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+        cells[..., k] = np.array(text, dtype=object).reshape(along)
+    cells = cells.reshape(n, -1)
+    # A classified point's cells s',u',sign_t,subregion,strong_result as
+    # one string; the rest leave them empty.
+    tails = np.array(
+        [
+            [f"{sign},{region.value},{'true' if strong else 'false'}" for sign in "-+"]
+            for region, strong in zip(REGIONS, rows._strong)
+        ],
+        dtype=object,
+    )
+    m = len(rows._ok)
+    classified = np.empty((m, 3), dtype=object)
+    classified[:, 0] = rows._s_prime.tolist()
+    classified[:, 1] = rows._u_prime.tolist()
+    classified[:, 2] = tails[rows._region, (rows._sign_t > 0).astype(int)]
+    cells[:, -2] = ",,,,"
+    text = "%.9g,%.9g,%s\n" * m % tuple(classified.ravel().tolist())
+    cells[rows._ok, -2] = text.split("\n")[:-1]
+    cells[:, -1] = rows.status
+    return ",".join(CSV_COLUMNS) + "\n" + line * n % tuple(cells.ravel().tolist())

@@ -27,6 +27,7 @@ from ews32 import (
     line_coefficients,
     sample_valid_aes,
 )
+from ews32.sweep import CSV_COLUMNS
 
 # Property tests draw the same examples on every run and stay within the
 # suite's time budget; no example database is written.
@@ -152,3 +153,25 @@ def scan_m_regions(table, radius=0.01, count=2880):
             continue
         found.setdefault(region, g)
     return found
+
+
+def reference_csv(rows):
+    """The sweep CSV cell by cell from the row dicts: fixed columns,
+    floats with 9 significant digits, empty cells for None."""
+    out = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        cells = []
+        for col in CSV_COLUMNS:
+            value = row.get(col)
+            if value is None:
+                cells.append("")
+            elif col == "sign_t":
+                cells.append("+" if value > 0 else "-")
+            elif col == "strong_result":
+                cells.append("true" if value else "false")
+            elif isinstance(value, float):
+                cells.append(f"{value:.9g}")
+            else:
+                cells.append(str(value))
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"

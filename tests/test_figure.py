@@ -105,6 +105,15 @@ def test_reversed_window_renders(reference_scenario):
     assert "nan" not in svg and "inf" not in svg
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("window", [((-4.0, 4.0), (0.0, 1e-300)), ((-4.0, 4.0), (0.0, 1e-303))])
+def test_tiny_span_maps_only_drawn_samples(reference_scenario, window):
+    # Boundary samples far outside a tiny window would overflow the pixel
+    # transform, and the RuntimeWarning filter turns that into a failure.
+    svg = render_figure(reference_scenario, window=window)
+    assert "nan" not in svg and "inf" not in svg
+
+
 def reference_boundary(table, window, size=DEFAULT_SIZE) -> list[str]:
     """The boundary polylines of the figure, sample by sample with scalar
     boundary_value calls: a run of in-window samples is cut where the

@@ -210,6 +210,12 @@ def test_shock_must_be_finite(shock):
         ShockVector(**shock)
 
 
+@pytest.mark.parametrize("endowments", [(1.0,), (0.0, 0.0, 0.0, 0.0), ()])
+def test_shock_needs_three_endowment_entries(endowments):
+    with pytest.raises(ValidationError, match="endowment shocks must have 3 entries"):
+        ShockVector(endowment_shocks=endowments)
+
+
 def test_overflowing_response_is_refused(reference_table):
     # The response is linear in the shock; past what a float holds the
     # shock is refused by name, not reported as a failed residual check.

@@ -254,6 +254,17 @@ def test_aggregate_substitution_rejects_bad_levels(reference_table):
         aggregate_substitution(g, np.ones(3), np.ones(3))
 
 
+def test_aggregate_substitution_refuses_nan_levels(reference_table):
+    # A NaN level is not strictly positive; it must not get as far as
+    # the symmetry check.
+    g = EwsMatrix(g=REFERENCE_G.copy())
+    theta = np.asarray(reference_table.theta_factor)
+    with pytest.raises(NonPositiveLevels):
+        aggregate_substitution(g, np.array([np.nan, 1.0, 1.0]), np.ones(3))
+    with pytest.raises(NonPositiveLevels):
+        aggregate_substitution(g, theta, np.array([1.0, np.nan, 1.0]))
+
+
 def test_identity_checks_fail_on_nan(reference_table):
     # A NaN gap compares false against any bound, so each identity check
     # must be written to fail, not pass, on it.

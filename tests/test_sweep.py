@@ -1,4 +1,5 @@
 import itertools
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from ews32 import (
 from ews32.statics import RYBCZYNSKI_SIGNS
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
-from conftest import random_ranked_table
+from conftest import random_ranked_table, reference_csv
 from test_scenario import REFERENCE_DOC
 
 # (sector, row, column) of each grid key, written out independently of
@@ -214,10 +215,62 @@ def test_sweep_matches_per_point_reference(case):
             sweep(scenario, grid)
         return
     got = sweep(scenario, grid)
-    assert got == want
+    assert list(got) == want
     assert [[type(v) for v in row.values()] for row in got] == [
         [type(v) for v in row.values()] for row in want
     ]
+
+
+@given(sweep_cases())
+def test_format_csv_matches_the_per_cell_reference(case):
+    scenario, grid = case
+    try:
+        rows = sweep(scenario, grid)
+    except Ews32Error:
+        return
+    assert format_csv(rows) == reference_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "grid, classified",
+    [
+        ({}, 1),  # the template alone
+        ({"land_capital_1": [1.0]}, 1),
+        ({"land_capital_1": [-3.0, -2.0, -1.0]}, 0),
+        ({"land_capital_1": [0.0, 1.0, 2.0, 3.0], "capital_labor_2": [0.5, 1.0, 1.5]}, 12),
+    ],
+    ids=["template", "one-point", "none-classified", "all-classified"],
+)
+def test_format_csv_edge_grids(reference_scenario, grid, classified):
+    rows = sweep(reference_scenario, grid)
+    assert sum(row["status"] == "ok" for row in rows) == classified
+    assert format_csv(rows) == reference_csv(rows)
+
+
+def test_sweep_rows_protocol(reference_scenario):
+    rows = sweep(reference_scenario, parse_grid("land_capital_1=-3:3:7,capital_labor_2=0.5:1.5:2"))
+    assert isinstance(rows, Sequence)
+    assert len(rows) == 14
+    listed = list(rows)
+    assert len(listed) == 14
+    assert all(list(row) == list(CSV_COLUMNS) for row in listed)
+    assert rows[-1] == listed[13] and rows[-14] == listed[0]
+    assert rows[np.int64(5)] == rows[np.intp(-9)] == listed[5]
+    assert rows[2:9:3] == listed[2:9:3] and rows[::-1] == listed[::-1]
+    for index in (14, -15, np.int64(14)):
+        with pytest.raises(IndexError):
+            rows[index]
+    with pytest.raises(TypeError):
+        rows[1.0]
+    # Each read builds a fresh dict; the columns behind it stay as they were.
+    rows[0]["status"] = "changed"
+    assert rows[0] == listed[0]
+    with pytest.raises(TypeError):
+        rows[0] = listed[1]
+    with pytest.raises(ValueError):
+        rows.status[0] = "ok"
+    (row,) = sweep(reference_scenario, parse_grid("land_capital_1=1:1:1"))
+    assert row["status"] == "ok" and row["subregion"] == "P2"
 
 
 def test_sweep_dense_check_catches_a_wrong_table(reference_scenario, monkeypatch):
