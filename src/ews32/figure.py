@@ -9,6 +9,7 @@ randomness enter the document.
 
 from __future__ import annotations
 
+import html
 import math
 
 import numpy as np
@@ -27,21 +28,25 @@ BOUNDARY_SAMPLES = 400
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
 
 
+class _NonFiniteCoordinate(Exception):
+    """A coordinate the figure would write is not finite."""
+
+
 def _fmt(v: float) -> str:
+    if not math.isfinite(v):
+        raise _NonFiniteCoordinate
     return f"{v:.3f}"
 
 
-def _require_window(window, size) -> None:
+def _require_window(window) -> None:
     """Raise ValidationError unless both ranges of the window have finite
-    bounds and a nonzero span (in either order) that gives a finite
-    pixel scale."""
-    for (lo, hi), pixels in zip(window, size):
+    bounds and a nonzero span (in either order)."""
+    for lo, hi in window:
         span = hi - lo
-        spanned = math.isfinite(span) and span != 0.0
-        if not (spanned and math.isfinite((pixels - 2.0 * MARGIN) / span)):
+        if not (math.isfinite(span) and span != 0.0):
             raise ValidationError(
                 f"figure window {window!r} needs finite bounds and, on each axis, a "
-                "finite nonzero span whose pixel scale is finite"
+                "finite nonzero span"
             )
 
 
@@ -60,6 +65,12 @@ def _transform(window, size):
     return to_svg
 
 
+def _line(p0, p1, attrs: str) -> str:
+    """A line between the pixel points p0 and p1."""
+    (x1, y1), (x2, y2) = p0, p1
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs} />'
+
+
 def _polyline(xy: np.ndarray, attrs: str) -> str:
     """A polyline through the pixel points xy[k] = (px, py)."""
     # "%.3f" formats a float exactly as _fmt does.
@@ -70,7 +81,22 @@ def _polyline(xy: np.ndarray, attrs: str) -> str:
 def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFAULT_SIZE) -> str:
     """Render the scenario's plane to an SVG document; optionally write
     it to a file."""
-    _require_window(window, size)
+    _require_window(window)
+    try:
+        svg = _document(scenario, window, size)
+    except _NonFiniteCoordinate:
+        raise ValidationError(f"figure window {window!r} maps a point out of float range") from None
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    return svg
+
+
+# A point far outside a tiny window maps past what a float holds, which
+# _fmt refuses.
+@np.errstate(over="ignore", invalid="ignore")
+def _document(scenario: Scenario, window, size) -> str:
+    """The SVG text of render_figure."""
     table = scenario.table
     vector = ews_ratio_vector(scenario.ews)
     lines = line_coefficients(table)
@@ -81,11 +107,12 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
     width, height = size
     to_svg = _transform(window, size)
     pad = 0.5 * (uy1 - uy0)
+    name = html.escape(scenario.name, quote=False)
 
     doc = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f"<title>{scenario.name}</title>",
+        f"<title>{name}</title>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff" />',
         '<clipPath id="plot">'
         f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" '
@@ -98,18 +125,10 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
 
     # Axes through the origin.
     for x0, y0, x1, y1 in ((0.0, uy0, 0.0, uy1), (sx0, 0.0, sx1, 0.0)):
-        p0, p1 = to_svg(x0, y0), to_svg(x1, y1)
-        doc.append(
-            f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" x2="{_fmt(p1[0])}" '
-            f'y2="{_fmt(p1[1])}" stroke="#bbbbbb" />'
-        )
+        doc.append(_line(to_svg(x0, y0), to_svg(x1, y1), 'stroke="#bbbbbb"'))
     # Asymptotes of the boundary.
     for x0, y0, x1, y1 in ((-1.0, uy0, -1.0, uy1), (sx0, -ratio, sx1, -ratio)):
-        p0, p1 = to_svg(x0, y0), to_svg(x1, y1)
-        doc.append(
-            f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" x2="{_fmt(p1[0])}" '
-            f'y2="{_fmt(p1[1])}" stroke="#888888" stroke-dasharray="4 4" />'
-        )
+        doc.append(_line(to_svg(x0, y0), to_svg(x1, y1), 'stroke="#888888" stroke-dasharray="4 4"'))
 
     # Boundary hyperbola: one polyline per maximal run of two or more
     # samples of a branch that stay inside the (padded) window.
@@ -135,11 +154,7 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
             p0 = to_svg(sx0, lines.value(factor, sector, sx0))
             p1 = to_svg(sx1, lines.value(factor, sector, sx1))
             dash = "" if sector == 0 else ' stroke-dasharray="7 3"'
-            doc.append(
-                f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" x2="{_fmt(p1[0])}" '
-                f'y2="{_fmt(p1[1])}" stroke="{_FACTOR_COLORS[factor]}" '
-                f'stroke-width="1.2"{dash} />'
-            )
+            doc.append(_line(p0, p1, f'stroke="{_FACTOR_COLORS[factor]}" stroke-width="1.2"{dash}'))
     doc.append("</g>")
 
     # Anchors: the common point and the six per-line boundary crossings.
@@ -171,12 +186,7 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
     )
     doc.append(
         f'<text x="{_fmt(vx + 8)}" y="{_fmt(vy + 4)}" font-size="12" '
-        f'font-family="sans-serif">{scenario.name}</text>'
+        f'font-family="sans-serif">{name}</text>'
     )
     doc.append("</svg>")
-    svg = "\n".join(doc) + "\n"
-
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    return svg
+    return "\n".join(doc) + "\n"

@@ -159,12 +159,13 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
 
 def load_scenario(path) -> Scenario:
     """Read, parse, and validate a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
+        doc = json.loads(data.decode("utf-8"))
+    # RecursionError: nesting deeper than the decoder's recursion limit.
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"scenario file is not valid UTF-8 JSON: {exc}") from exc
     return scenario_from_mapping(doc, default_name=Path(path).stem)
 
 

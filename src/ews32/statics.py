@@ -65,7 +65,8 @@ class ShockVector:
 @dataclass(frozen=True)
 class ResponseVector:
     """Solution of the system: factor prices deflated by the first
-    good's price, and the two output changes."""
+    good's price, and the two output changes; residual is the solve's
+    worst residual, relative to its scale past RESIDUAL_TOL."""
 
     w_hat: tuple[float, float, float]
     x_hat: tuple[float, float]
@@ -291,52 +292,48 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     return CofactorReport(direct=direct, expanded=expanded, factored=factored)
 
 
-def _residual_scale(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Largest entry of |a| @ |x|, at least one, per system over leading
-    axes with solutions x[..., 5, k]: the residual a @ x - rhs is
-    roundoff on sums of that size. NaN when x holds a NaN."""
-    return np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=(-2, -1)))
-
-
-def _pivoted_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense pivoted solve of one system for one right-hand side rhs[5]
-    or for each column of rhs[5, k]; SingularSystem if it is singular."""
+def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense pivoted solve of every system a[..., 5, 5] over leading axes
+    for each column of rhs[5, k]: the solutions x[..., 5, k], NaN for an
+    exactly singular system, and each system's worst column residual. A
+    column's residual is roundoff on the sums |a| @ |x|, so past
+    RESIDUAL_TOL it is divided by that column's largest sum, when above
+    one; a system passes when the result is at most RESIDUAL_TOL, and NaN
+    fails."""
     try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"comparative-statics system is singular: {exc}") from exc
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(a) == 0.0
+        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), rhs)
+        x[singular] = np.nan
+    residual = np.abs(a @ x - rhs).max(axis=-2)
+    # The scale is at least one, so it can decide only past RESIDUAL_TOL.
+    past = residual > RESIDUAL_TOL
+    if past.any():
+        scale = np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=-2))
+        residual = np.where(past, residual / scale, residual)
+    return x, residual.max(axis=-1)
 
 
-def _residual(a: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Worst residual of each column of the solution x of a @ x = rhs;
-    SingularSystem for one above its relative bound, or NaN."""
-    residual = np.abs(a @ x - rhs).max(axis=0)
-    # The relative bound is never below RESIDUAL_TOL.
-    if not np.all(residual <= RESIDUAL_TOL):
-        bound = RESIDUAL_TOL * _residual_scale(a, x.T[..., np.newaxis])
-        for r, limit in zip(np.ravel(residual).tolist(), np.ravel(bound).tolist()):
-            if not r <= limit:
-                raise SingularSystem(f"solve residual {r:e} exceeds {limit:e}")
-    return residual
-
-
-def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_pivoted_solve and the _residual of each column."""
-    x = _pivoted_solve(a, rhs)
-    return x, _residual(a, x, rhs)
+def _require_residual(residual) -> None:
+    """SingularSystem unless a _dense_solve residual passes its bound."""
+    if not residual <= RESIDUAL_TOL:
+        raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
 
 
 def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
     """Dense pivoted solve of the system for one shock. The response is
     linear in the shock, so a finite shock whose response or residual
     bound overflows is an input fault: ValidationError."""
-    rhs = shock.right_hand_side()
-    x = _pivoted_solve(sys.a, rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(_residual_scale(sys.a, x[:, np.newaxis])):
-            raise ValidationError(f"the response to {shock!r} overflows floating point")
-    residual = _residual(sys.a, x, rhs)
-    x = x.tolist()
+        x, residual = _dense_solve(sys.a, shock.right_hand_side()[:, np.newaxis])
+        # The bound's sums |a| @ |x| must be finite too; a singular
+        # system's NaN solution is left to the bound.
+        overflow = np.isinf(x).any() or np.isinf(np.abs(sys.a) @ np.abs(x)).any()
+    if overflow:
+        raise ValidationError(f"the response to {shock!r} overflows floating point")
+    _require_residual(residual)
+    x = x[:, 0].tolist()
     return ResponseVector(w_hat=tuple(x[:3]), x_hat=tuple(x[3:]), residual=float(residual))
 
 
@@ -349,29 +346,24 @@ _CHECK_SHOCKS = np.column_stack(
 _PRICE_COLUMN = 3
 
 
+def _dense_elasticities(x: np.ndarray) -> np.ndarray:
+    """Output elasticities [..., sector, factor] over real-reward
+    elasticities [..., deflator, factor], as rows 0-1 and 2-3, read from
+    solutions x[..., 5, 4] for the columns of _CHECK_SHOCKS."""
+    w = x[..., np.newaxis, :3, _PRICE_COLUMN]
+    # Deflator 1 is the first good's price, deflator 2 the second's.
+    return np.concatenate((x[..., 3:, :3], w, w + 1.0), axis=-2)
+
+
 def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense sign grids of the output elasticities [..., sector, factor]
     and real-reward elasticities [..., deflator, factor] of every system
     over leading axes, from one pivoted solve with four right-hand sides
     (the unit endowment shocks and the unit price shock), and each
-    system's worst residual, divided by its _residual_scale where it
-    exceeds RESIDUAL_TOL, so that comparing it with RESIDUAL_TOL applies
-    the relative bound; a singular system gets a NaN residual."""
-    a = sys.a
-    try:
-        x = np.linalg.solve(a, _CHECK_SHOCKS)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.det(a) == 0.0
-        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), _CHECK_SHOCKS)
-        x[singular] = np.nan
-    residual = np.max(np.abs(a @ x - _CHECK_SHOCKS), axis=(-2, -1))
-    # The scale is at least one, so it can decide only past RESIDUAL_TOL.
-    past = residual > RESIDUAL_TOL
-    if np.any(past):
-        residual = np.where(past, residual / _residual_scale(a, x), residual)
-    w_hat = x[..., :3, _PRICE_COLUMN]
-    rewards = np.stack([w_hat, w_hat + 1.0], axis=-2)
-    return _signs(x[..., 3:, :3]), _signs(rewards), residual
+    system's _dense_solve residual: NaN for a singular system."""
+    x, residual = _dense_solve(sys.a, _CHECK_SHOCKS)
+    signs = _signs(_dense_elasticities(x))
+    return signs[..., :2, :], signs[..., 2:, :], residual
 
 
 def comparative_statics(
@@ -397,32 +389,25 @@ def comparative_statics(
         ]
         for sector in range(2)
     ]
-    x, _ = _solve(sys.a, _CHECK_SHOCKS)
-    dense = x.tolist()
-    for factor in _FACTOR_ROWS:
-        for sector in range(2):
-            closed, solved = ryb[sector][factor], dense[3 + sector][factor]
-            if not _relative_gap(closed, solved) <= CROSS_CHECK_TOL:
-                raise ClosedFormMismatch(
-                    "output-response closed form disagrees with the dense solve "
-                    f"at sector {sector + 1}, factor {factor}: {closed!r} vs {solved!r}"
-                )
-
     tf = table.theta_factor.tolist()
     ts = table.theta_sector.tolist()
     ss = [
         [-(ts[1] / tf[factor]) * ryb[1][factor] for factor in _FACTOR_ROWS],
         [(ts[0] / tf[factor]) * ryb[0][factor] for factor in _FACTOR_ROWS],
     ]
-    for factor in _FACTOR_ROWS:
-        w = dense[factor][_PRICE_COLUMN]
-        # Deflator 1 is the first good's price, deflator 2 the second's.
-        for deflator, solved in enumerate((w, w + 1.0)):
-            closed = ss[deflator][factor]
+    x, residual = _dense_solve(sys.a, _CHECK_SHOCKS)
+    _require_residual(residual)
+    dense = _dense_elasticities(x).tolist()
+    for row, (closed_row, solved_row) in enumerate(zip(ryb + ss, dense)):
+        for factor, closed, solved in zip(_FACTOR_ROWS, closed_row, solved_row):
             if not _relative_gap(closed, solved) <= CROSS_CHECK_TOL:
+                what = (
+                    "output-response closed form disagrees with the dense solve at sector"
+                    if row < 2
+                    else "reciprocity form disagrees with the dense price-shock solve at deflator"
+                )
                 raise ClosedFormMismatch(
-                    "reciprocity form disagrees with the dense price-shock solve "
-                    f"at deflator {deflator + 1}, factor {factor}: {closed!r} vs {solved!r}"
+                    f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
     return ComparativeStatics(
         system=sys,

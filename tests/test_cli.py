@@ -89,3 +89,15 @@ def test_report_refuses_a_shock_whose_response_overflows(tmp_path, capsys, price
         assert "numeric and tabled signs agree: yes" in out
     else:
         assert err.startswith(f"invalid input: the response to ShockVector(price_shock={price!r},")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 3000 + b"]" * 3000],
+    ids=["not-utf8", "nested-past-recursion-limit"],
+)
+def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: scenario file is not valid UTF-8 JSON")

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -74,6 +76,12 @@ def test_file_output_matches_return(tmp_path, reference_scenario):
     assert out.read_text(encoding="utf-8") == svg
 
 
+def test_name_is_escaped(reference_scenario):
+    scenario = dataclasses.replace(reference_scenario, name="R&D <x>")
+    root = ElementTree.fromstring(render_figure(scenario))
+    assert root.find("{http://www.w3.org/2000/svg}title").text == "R&D <x>"
+
+
 def test_window_override_changes_geometry(reference_scenario):
     wide = render_figure(reference_scenario, window=((-8.0, 8.0), (-12.0, 6.0)))
     assert wide != render_figure(reference_scenario)
@@ -92,6 +100,7 @@ def test_window_override_changes_geometry(reference_scenario):
         ((-1e308, 1e308), (-1.0, 1.0)),  # finite bounds, overflowing span
         ((0.0, 1e-310), (-1.0, 1.0)),  # subnormal span, overflowing pixel scale
         ((-4.0, 4.0), (1.0, 1.0 + 5e-324)),
+        ((-4.0, 4.0), (0.0, 1e-305)),  # finite pixel scale, border-line ends overflow
     ],
 )
 def test_window_must_have_finite_nonzero_spans(reference_scenario, window):

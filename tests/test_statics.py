@@ -420,15 +420,15 @@ def test_output_check_catches_a_wrong_closed_form(monkeypatch, bad):
 def corrupt_price_column(monkeypatch, bad):
     """Scale the capital reward of the check solve's price-shock column by
     bad, after the solve's own residual check."""
-    real = statics._solve
+    real = statics._dense_solve
 
     def corrupted(a, rhs):
         x, residual = real(a, rhs)
-        if rhs.ndim == 2:
+        if rhs is statics._CHECK_SHOCKS:
             x[CAPITAL, -1] *= bad
         return x, residual
 
-    monkeypatch.setattr(statics, "_solve", corrupted)
+    monkeypatch.setattr(statics, "_dense_solve", corrupted)
 
 
 @BAD_FACTORS
@@ -450,6 +450,29 @@ def test_check_solve_residual_catches_a_wrong_solution(monkeypatch, bad):
     monkeypatch.setattr(np.linalg, "solve", corrupted)
     with pytest.raises(SingularSystem, match="solve residual"):
         run_report(reference_scenario())
+
+
+def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
+    # On the reference system the four check columns have residual
+    # scales of about 1.44, 1.44, 1.00 and 4.45. A residual of 2e-10 in
+    # column 2 is twice the bound of that column, whatever the other
+    # columns' scales: the report and the sweep's dense check both refuse it.
+    real = np.linalg.solve
+
+    def corrupted(a, rhs):
+        x = real(a, rhs)
+        if rhs.shape[-1] == 4:
+            # a @ x - rhs gains 2e-10 in row 0 of column 2.
+            x[..., :, 2] += 2e-10 * real(a, np.eye(5)[:, :1])[..., 0]
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    with pytest.raises(SingularSystem, match=r"solve residual 2\.0\d*e-10 exceeds"):
+        run_report(reference_scenario())
+    a = assemble_system(reference_table, reference_g()).a
+    _, _, residual = dense_signs(SystemMatrix(a=a[np.newaxis]))
+    assert residual[0] == pytest.approx(2e-10, rel=1e-3)
+    assert not residual[0] <= statics.RESIDUAL_TOL
 
 
 def test_mismatch_messages_name_both_values(monkeypatch, reference_table):
