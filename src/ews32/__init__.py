@@ -69,7 +69,6 @@ from .statics import (
     cofactors,
     comparative_statics,
     determinant_delta,
-    sign_pattern_from_values,
     sign_pattern_lookup,
     solve_responses,
     strong_rybczynski,

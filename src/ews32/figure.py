@@ -50,9 +50,9 @@ def _require_window(window) -> None:
             )
 
 
-def _transform(window, size):
+def _transform(window):
     (sx0, sx1), (uy0, uy1) = window
-    width, height = size
+    width, height = DEFAULT_SIZE
     inner_w = width - 2.0 * MARGIN
     inner_h = height - 2.0 * MARGIN
 
@@ -78,12 +78,12 @@ def _polyline(xy: np.ndarray, attrs: str) -> str:
     return f'<polyline fill="none" {attrs} points="{coords}" />'
 
 
-def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFAULT_SIZE) -> str:
+def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW) -> str:
     """Render the scenario's plane to an SVG document; optionally write
     it to a file."""
     _require_window(window)
     try:
-        svg = _document(scenario, window, size)
+        svg = _document(scenario, window)
     except _NonFiniteCoordinate:
         raise ValidationError(f"figure window {window!r} maps a point out of float range") from None
     if out is not None:
@@ -95,7 +95,7 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW, size=DEFA
 # A point far outside a tiny window maps past what a float holds, which
 # _fmt refuses.
 @np.errstate(over="ignore", invalid="ignore")
-def _document(scenario: Scenario, window, size) -> str:
+def _document(scenario: Scenario, window) -> str:
     """The SVG text of render_figure."""
     table = scenario.table
     vector = ews_ratio_vector(scenario.ews)
@@ -104,8 +104,8 @@ def _document(scenario: Scenario, window, size) -> str:
     ratio = table.labor_to_capital
 
     (sx0, sx1), (uy0, uy1) = window
-    width, height = size
-    to_svg = _transform(window, size)
+    width, height = DEFAULT_SIZE
+    to_svg = _transform(window)
     pad = 0.5 * (uy1 - uy0)
     name = html.escape(scenario.name, quote=False)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -24,8 +25,10 @@ from .statics import (
     ResponseVector,
     ShockVector,
     SignPattern,
+    _contradicts_tables,
+    _sign_mismatch,
+    _signs,
     comparative_statics,
-    sign_pattern_from_values,
     sign_pattern_lookup,
     solve_responses,
     strong_rybczynski,
@@ -43,6 +46,10 @@ from .substitution import (
 )
 
 COBB_DOUGLAS_TAG = "cobb-douglas"
+
+# Characters XML 1.0 cannot hold, which the figure would write verbatim:
+# C0 controls other than tab, LF and CR, lone surrogates, U+FFFE, U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything the pipeline derives from one scenario."""
+    """Everything the pipeline derives from one scenario (signs_agree is always True)."""
 
     scenario_name: str
     ranking: RankingReport
@@ -125,8 +132,8 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
             raise ParseError(f"scenario is missing required key {key!r}")
 
     name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ParseError("scenario name must be a non-empty string")
+    if not isinstance(name, str) or not name or _NOT_XML.search(name):
+        raise ParseError(f"scenario name must be a non-empty string XML 1.0 can hold, got {name!r}")
 
     theta = _as_float_grid(doc["theta"], (3, 2), "theta")
     theta_sector = _as_float_grid(doc["theta_sector"], (2,), "theta_sector")
@@ -170,24 +177,18 @@ def load_scenario(path) -> Scenario:
 
 
 def run_report(scenario: Scenario) -> Report:
-    """Run the full pipeline and cross-check the two sign routes."""
+    """Run the full pipeline; ClosedFormMismatch unless the signs of the
+    closed-form elasticities are the tabled signs of the subregion."""
     table = scenario.table
     ews = scenario.ews
     vector = ews_ratio_vector(ews)
     lines = line_coefficients(table)
     region = classify_subregion(vector, lines, table)
     statics = comparative_statics(table, ews, vector, lines)
-
-    output_signs = sign_pattern_lookup(region, "rybczynski")
-    reward_signs = sign_pattern_lookup(region, "stolper_samuelson")
-    ryb_signs = sign_pattern_from_values(statics.rybczynski, "rybczynski")
-    ss_signs = sign_pattern_from_values(statics.stolper_samuelson, "stolper_samuelson")
-    signs_agree = (
-        not ryb_signs.zero_flagged
-        and not ss_signs.zero_flagged
-        and ryb_signs.entries == output_signs.entries
-        and ss_signs.entries == reward_signs.entries
-    )
+    signs = _signs(np.concatenate((statics.rybczynski, statics.stolper_samuelson)))
+    disagree, tabled = _contradicts_tables(signs, (region,), 0)
+    if disagree:
+        raise _sign_mismatch(region, signs, tabled)
 
     responses = tuple(
         (shock, solve_responses(statics.system, shock)) for shock in scenario.shocks
@@ -203,19 +204,19 @@ def run_report(scenario: Scenario) -> Report:
         vector=vector,
         subregion=region,
         strong_result=strong_rybczynski(region),
-        output_signs=output_signs,
-        reward_signs=reward_signs,
+        output_signs=sign_pattern_lookup(region, "rybczynski"),
+        reward_signs=sign_pattern_lookup(region, "stolper_samuelson"),
         rybczynski=statics.rybczynski,
         stolper_samuelson=statics.stolper_samuelson,
         delta=statics.delta,
-        signs_agree=signs_agree,
+        signs_agree=True,
         max_residual=max_residual,
         responses=responses,
     )
 
 
 def _sign_row(row) -> str:
-    return " ".join("+" if v > 0 else ("-" if v < 0 else "0") for v in row)
+    return " ".join("+" if v > 0 else "-" for v in row)
 
 
 def _matrix_rows(arr: np.ndarray) -> list[str]:

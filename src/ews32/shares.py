@@ -65,7 +65,6 @@ class RankingReport:
 
     intensity_ok: bool
     middle_ok: bool
-    diff_signs: tuple[int, int, int]
 
     @property
     def ok(self) -> bool:
@@ -115,8 +114,7 @@ def check_intensity_ranking(table: ShareTable) -> RankingReport:
     r = table.theta[:, 0] / table.theta[:, 1]
     intensity_ok = bool(r[LAND] > r[LABOR] > r[CAPITAL])
     middle_ok = bool(table.theta[LABOR, 0] > table.theta[LABOR, 1])
-    signs = tuple(int(np.sign(d)) for d in table.diff)
-    return RankingReport(intensity_ok=intensity_ok, middle_ok=middle_ok, diff_signs=signs)
+    return RankingReport(intensity_ok=intensity_ok, middle_ok=middle_ok)
 
 
 def require_ranking(table: ShareTable) -> RankingReport:

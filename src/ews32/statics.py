@@ -26,8 +26,8 @@ CROSS_CHECK_TOL = 1e-9
 # Solve residuals, relative to the size of the sums they come from and
 # absolute when that is below one.
 RESIDUAL_TOL = 1e-10
-# Entries at most this size get sign 0 and a flag; the sign tables
-# contain no zeros for interior vectors.
+# Entries at most this size get sign 0, too close to call; the sign
+# tables contain no zeros, so such a sign never matches them.
 SIGN_ZERO_TOL = 1e-12
 
 _FACTOR_ROWS = (LAND, CAPITAL, LABOR)
@@ -78,16 +78,11 @@ class ResponseVector:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """A 2x3 sign grid; entries in {-1, 0, +1}, rows per orientation.
-
-    For "rybczynski" rows are sectors and columns factors; for
-    "stolper_samuelson" rows are the two price deflators. zero_flagged
-    marks numerically degenerate entries reported as 0.
-    """
+    """A tabled 2x3 sign grid; entries in {-1, +1}. For "rybczynski"
+    rows are sectors and columns factors; for "stolper_samuelson" rows
+    are the two price deflators."""
 
     entries: tuple[tuple[int, int, int], tuple[int, int, int]]
-    orientation: str
-    zero_flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -315,10 +310,15 @@ def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, residual.max(axis=-1)
 
 
+def _residual_error(residual) -> SingularSystem:
+    """The error for a _dense_solve residual past its bound."""
+    return SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
+
+
 def _require_residual(residual) -> None:
     """SingularSystem unless a _dense_solve residual passes its bound."""
     if not residual <= RESIDUAL_TOL:
-        raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
+        raise _residual_error(residual)
 
 
 def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
@@ -355,15 +355,13 @@ def _dense_elasticities(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., 3:, :3], w, w + 1.0), axis=-2)
 
 
-def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense sign grids of the output elasticities [..., sector, factor]
-    and real-reward elasticities [..., deflator, factor] of every system
-    over leading axes, from one pivoted solve with four right-hand sides
-    (the unit endowment shocks and the unit price shock), and each
-    system's _dense_solve residual: NaN for a singular system."""
+def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sign grids [..., 4, 3] of every system over leading axes, rows as
+    in _dense_elasticities, from one pivoted solve for the columns of
+    _CHECK_SHOCKS, and each system's _dense_solve residual: NaN for a
+    singular system."""
     x, residual = _dense_solve(sys.a, _CHECK_SHOCKS)
-    signs = _signs(_dense_elasticities(x))
-    return signs[..., :2, :], signs[..., 2:, :], residual
+    return _signs(_dense_elasticities(x)), residual
 
 
 def comparative_statics(
@@ -450,18 +448,29 @@ def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
     """Tabled sign pattern of a subregion, kind "rybczynski" or
     "stolper_samuelson"."""
     if kind == "rybczynski":
-        return SignPattern(entries=RYBCZYNSKI_SIGNS[region], orientation=kind)
+        return SignPattern(entries=RYBCZYNSKI_SIGNS[region])
     if kind == "stolper_samuelson":
-        return SignPattern(entries=STOLPER_SAMUELSON_SIGNS[region], orientation=kind)
+        return SignPattern(entries=STOLPER_SAMUELSON_SIGNS[region])
     raise ValueError(f"unknown sign-pattern kind {kind!r}")
 
 
-def sign_pattern_from_values(values: np.ndarray, orientation: str) -> SignPattern:
-    """Extract the sign grid of a numeric 2x3 matrix, flagging entries
-    too close to zero to call."""
-    entries = tuple(map(tuple, _signs(values).tolist()))
-    flagged = any(0 in row for row in entries)
-    return SignPattern(entries=entries, orientation=orientation, zero_flagged=flagged)
+def _contradicts_tables(signs: np.ndarray, regions, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each sign grid signs[..., 4, 3] (output over real-reward
+    rows) differs from the tabled rows of its subregion regions[codes],
+    over leading axes, and those rows as the tables now stand. A sign too
+    close to call is 0, which no table holds."""
+    tabled = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in regions])[codes]
+    return (signs != tabled).any(axis=(-2, -1)), tabled
+
+
+def _sign_mismatch(region: Subregion, signs: np.ndarray, tabled: np.ndarray) -> ClosedFormMismatch:
+    """The error for a sign grid [4, 3] that contradicts the tabled rows
+    of its subregion."""
+    signs, tabled = signs.tolist(), tabled.tolist()
+    return ClosedFormMismatch(
+        f"computed signs contradict the tabled signs of {region.value}: output signs "
+        f"{signs[:2]} vs {tabled[:2]}, real-reward signs {signs[2:]} vs {tabled[2:]}"
+    )
 
 
 def _signs(values) -> np.ndarray:

@@ -335,21 +335,20 @@ def ews_from_stu(table: ShareTable, s: float, t: float, u: float) -> EwsMatrix:
     return EwsMatrix(g=g)
 
 
-def sample_valid_aes(
-    table: ShareTable,
-    seed: int,
-    spread: float = 3.0,
-    max_attempts: int = 10000,
-) -> AesTensor:
-    """Draw a random valid Allen tensor: off-diagonals uniform on
-    [-spread, spread], diagonals completed by homogeneity, rejected until
+# Bound of sample_valid_aes' off-diagonal draws.
+SAMPLE_SPREAD = 3.0
+
+
+def sample_valid_aes(table: ShareTable, seed: int, max_attempts: int = 10000) -> AesTensor:
+    """Draw a random valid Allen tensor: off-diagonals uniform within
+    +-SAMPLE_SPREAD, diagonals completed by homogeneity, rejected until
     own-negativity and quasi-concavity hold. Deterministic per seed."""
     rng = np.random.default_rng(seed)
     sigma = np.empty((2, 3, 3))
     for j in range(2):
         th = table.theta[:, j]
         for _ in range(max_attempts):
-            tk, tl, kl = rng.uniform(-spread, spread, size=3)
+            tk, tl, kl = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
             s = np.array([[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]])
             _complete_diagonal(s, th)
             if _aes_flags(s, th).all():

@@ -21,14 +21,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ClosedFormMismatch, ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError
 from .geometry import REGIONS, _ON_LINE_FAULT, _classify, _classify_error, line_coefficients
 from .scenario import Scenario
 from .shares import CAPITAL, LABOR, LAND, _first_fault
 from .statics import (
     RESIDUAL_TOL,
-    RYBCZYNSKI_SIGNS,
-    STOLPER_SAMUELSON_SIGNS,
+    _contradicts_tables,
+    _residual_error,
+    _sign_mismatch,
     assemble_system,
     dense_signs,
     strong_rybczynski,
@@ -146,8 +147,9 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
 
     Every classified point's tabled sign patterns are checked against a
     dense solve of its system. A consistency failure raises for the first
-    failing grid point in grid order, ClosedFormMismatch when the dense
-    signs or residuals contradict the tables.
+    failing grid point in grid order: SingularSystem for a solve residual
+    past its bound, ClosedFormMismatch when the dense signs contradict the
+    tables, as in run_report.
     """
     for key in grid:
         if key not in _KEY_SLOTS:
@@ -180,18 +182,9 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     stage = _first_fault([~rowsum_ok, invariant > 0, _degenerate(t), fault > 0])
 
     classified = np.flatnonzero(stage == _OK)
-    ryb, ss, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
-    # Built per call from the tables as they stand, not cached at import.
-    tabled = [
-        np.array([signs[r] for r in REGIONS])[region[classified]]
-        for signs in (RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS)
-    ]
-    agree = (
-        np.all(ryb == tabled[0], axis=(-2, -1))
-        & np.all(ss == tabled[1], axis=(-2, -1))
-        & (residual <= RESIDUAL_TOL)
-    )
-    stage[classified[~agree]] = _DENSE
+    signs, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
+    disagree, tabled = _contradicts_tables(signs, REGIONS, region[classified])
+    stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 
     caught = (stage == _DEGENERATE) | ((stage == _CLASSIFY) & (fault == _ON_LINE_FAULT))
     bad = np.flatnonzero((stage != _OK) & ~caught)
@@ -206,11 +199,10 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
             exc = _classify_error(int(fault[k]), offsets[k], int(sign_t[k]))
         else:
             c = int(np.searchsorted(classified, k))
-            exc = ClosedFormMismatch(
-                f"dense solve contradicts the tabled signs of "
-                f"{REGIONS[region[k]].value}: output signs {ryb[c].tolist()} vs "
-                f"{tabled[0][c].tolist()}, real-reward signs {ss[c].tolist()} vs "
-                f"{tabled[1][c].tolist()}, scaled residual {residual[c]:.3e}"
+            exc = (
+                _sign_mismatch(REGIONS[region[k]], signs[c], tabled[c])
+                if residual[c] <= RESIDUAL_TOL
+                else _residual_error(residual[c])
             )
         raise type(exc)(f"{where}: {exc}")
 

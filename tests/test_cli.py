@@ -1,10 +1,12 @@
 import json
+from xml.etree import ElementTree
 
 import pytest
 
 import ews32.cli
-from ews32 import ConsistencyError
+from ews32 import ConsistencyError, Subregion
 from ews32.cli import main
+from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 
 from test_scenario import REFERENCE_DOC
 
@@ -101,3 +103,35 @@ def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("invalid input: scenario file is not valid UTF-8 JSON")
+
+
+@pytest.mark.parametrize("table", [RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS], ids=["ryb", "ss"])
+def test_report_exits_1_on_a_wrong_table(scenario_file, capsys, monkeypatch, table):
+    (top, bottom) = table[Subregion.P2]
+    monkeypatch.setitem(table, Subregion.P2, ((-top[0],) + top[1:], bottom))
+    assert main(["report", scenario_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: computed signs contradict the tabled signs of P2: ")
+
+
+@pytest.mark.parametrize(
+    "name", ["a\u0001b", "a\ud800b", "a\uffffb"], ids=["c0", "surrogate", "ffff"]
+)
+@pytest.mark.parametrize("verb", ["validate", "report", "figure"])
+def test_name_xml_cannot_hold_is_a_parse_error(tmp_path, capsys, name, verb):
+    # json.dumps writes each as a \u escape, so the file itself is ASCII.
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(REFERENCE_DOC, name=name)), encoding="utf-8")
+    out = tmp_path / "plane.svg"
+    assert main([verb, str(path)] + (["-o", str(out)] if verb == "figure" else [])) == 2
+    assert capsys.readouterr().err.startswith("invalid input: scenario name ")
+    assert not out.exists()
+
+
+def test_name_with_tab_and_newline_still_renders(tmp_path):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(REFERENCE_DOC, name="a\tb\nc\u00e9")), encoding="utf-8")
+    out = tmp_path / "plane.svg"
+    assert main(["figure", str(path), "-o", str(out)]) == 0
+    ElementTree.parse(out)

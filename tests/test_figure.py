@@ -123,12 +123,12 @@ def test_tiny_span_maps_only_drawn_samples(reference_scenario, window):
     assert "nan" not in svg and "inf" not in svg
 
 
-def reference_boundary(table, window, size=DEFAULT_SIZE) -> list[str]:
+def reference_boundary(table, window) -> list[str]:
     """The boundary polylines of the figure, sample by sample with scalar
     boundary_value calls: a run of in-window samples is cut where the
     curve leaves the padded window and kept if it has two or more."""
     (sx0, sx1), (uy0, uy1) = window
-    to_svg = _transform(window, size)
+    to_svg = _transform(window)
     pad = 0.5 * (uy1 - uy0)
     out = []
 

@@ -32,14 +32,15 @@ from ews32 import (
     run_report,
     sample_valid_aes,
     scenario_from_mapping,
-    sign_pattern_from_values,
     sign_pattern_lookup,
+    sweep,
     solve_responses,
     strong_rybczynski,
 )
 from ews32 import statics
 from ews32.geometry import SIGNATURES
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
+from ews32.sweep import parse_grid
 
 from conftest import (
     dense_output_elasticities,
@@ -231,10 +232,10 @@ def test_dense_signs_on_a_stack(reference_table):
     # The reference system beside a singular one: the first gets the P2
     # sign grids, the second a NaN residual rather than an exception.
     good = assemble_system(reference_table, reference_g()).a
-    ryb, ss, residual = dense_signs(SystemMatrix(a=np.stack([good, np.zeros((5, 5))])))
-    assert ryb.shape == ss.shape == (2, 2, 3)
-    assert tuple(map(tuple, ryb[0].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
-    assert tuple(map(tuple, ss[0].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
+    signs, residual = dense_signs(SystemMatrix(a=np.stack([good, np.zeros((5, 5))])))
+    assert signs.shape == (2, 4, 3)
+    assert tuple(map(tuple, signs[0, :2].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
+    assert tuple(map(tuple, signs[0, 2:].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
     assert residual[0] <= 1e-10
     assert np.isnan(residual[1])
 
@@ -349,19 +350,47 @@ def test_strong_result_set():
     }
 
 
-def test_sign_pattern_from_values_flags_zeros():
-    clean = sign_pattern_from_values(np.array([[1.0, -2.0, 3.0], [-1.0, 2.0, -3.0]]), "rybczynski")
-    assert not clean.zero_flagged
-    assert clean.entries == ((1, -1, 1), (-1, 1, -1))
-    shaky = sign_pattern_from_values(np.array([[1.0, -2.0, 1e-14], [-1.0, 2.0, -3.0]]), "rybczynski")
-    assert shaky.zero_flagged
-    assert shaky.entries[0][2] == 0
-    # A NaN has no sign to call either.
-    blank = sign_pattern_from_values(
-        np.array([[1.0, -2.0, np.nan], [-1.0, 2.0, -3.0]]), "rybczynski"
-    )
-    assert blank.zero_flagged
-    assert blank.entries[0][2] == 0
+def test_table_check_refuses_a_sign_too_close_to_call():
+    # The reference P2 values, then one entry of 1e-14 or NaN in place of
+    # a tabled +1: its sign is 0, which no table holds.
+    values = np.concatenate((REFERENCE_RYBCZYNSKI, [REFERENCE_PRICE_REWARDS]))
+    values = np.concatenate((values, values[2:] + 1.0))
+    clean = statics._signs(values)
+    for shaky in (1e-14, np.nan):
+        values[0, 0] = shaky
+        signs = statics._signs(values)
+        assert signs[0, 0] == 0
+        disagree, tabled = statics._contradicts_tables(
+            np.stack([clean, signs]), (Subregion.P2,), [0, 0]
+        )
+        assert disagree.tolist() == [False, True]
+        assert tabled[0].tolist() == clean.tolist()
+        message = str(statics._sign_mismatch(Subregion.P2, signs, tabled[1]))
+        assert message.startswith(
+            "computed signs contradict the tabled signs of P2: "
+            "output signs [[0, -1, 1], [-1, 1, 1]] vs [[1, -1, 1], [-1, 1, 1]]"
+        ), message
+
+
+def flipped(table, region):
+    """The table's rows for region with its first entry negated."""
+    (top, bottom) = table[region]
+    return ((-top[0],) + top[1:], bottom)
+
+
+@pytest.mark.parametrize("table", [RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS], ids=["ryb", "ss"])
+def test_report_and_sweep_refuse_a_wrong_table_alike(monkeypatch, table):
+    # STOLPER_SAMUELSON_SIGNS is derived at import, so each table is
+    # patched where it is read.
+    monkeypatch.setitem(table, Subregion.P2, flipped(table, Subregion.P2))
+    with pytest.raises(ClosedFormMismatch, match=r"tabled signs of P2: ") as report_error:
+        run_report(reference_scenario())
+    # The reference template is Cobb-Douglas: every cross elasticity is 1.
+    with pytest.raises(ClosedFormMismatch) as sweep_error:
+        sweep(reference_scenario(), parse_grid("land_capital_1=1:1:1"))
+    prefix, _, message = str(sweep_error.value).partition("): ")
+    assert prefix.startswith("grid point 0 (land_capital_1=1.0,")
+    assert message == str(report_error.value)
 
 
 # Each cross-check, fed one corrupted route: a value off by half, or a
@@ -470,9 +499,13 @@ def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
     with pytest.raises(SingularSystem, match=r"solve residual 2\.0\d*e-10 exceeds"):
         run_report(reference_scenario())
     a = assemble_system(reference_table, reference_g()).a
-    _, _, residual = dense_signs(SystemMatrix(a=a[np.newaxis]))
+    _, residual = dense_signs(SystemMatrix(a=a[np.newaxis]))
     assert residual[0] == pytest.approx(2e-10, rel=1e-3)
     assert not residual[0] <= statics.RESIDUAL_TOL
+    with pytest.raises(
+        SingularSystem, match=r"^grid point 0 \(.*\): solve residual 2\.0\d*e-10 exceeds"
+    ):
+        sweep(reference_scenario(), parse_grid("land_capital_1=1:1:1"))
 
 
 def test_mismatch_messages_name_both_values(monkeypatch, reference_table):

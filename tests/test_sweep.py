@@ -32,6 +32,7 @@ from ews32 import (
     sweep,
 )
 from ews32.statics import RYBCZYNSKI_SIGNS
+from ews32.substitution import SAMPLE_SPREAD
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
 from conftest import random_ranked_table, reference_csv
@@ -92,8 +93,11 @@ def sweep_cases(draw):
     of up to three keys with up to five points each."""
     seeds = st.integers(0, 2**32 - 1)
     table = random_ranked_table(np.random.default_rng(draw(seeds)))
-    spread = draw(st.floats(0.5, 4.0))
-    scenario = Scenario(name="drawn", table=table, aes=sample_valid_aes(table, draw(seeds), spread))
+    # The Allen-tensor checks hold under positive scaling, so this draws
+    # the off-diagonals on [-spread, spread] for a spread in [0.5, 4].
+    scale = draw(st.floats(0.5, 4.0)) / SAMPLE_SPREAD
+    aes = AesTensor(sigma=scale * sample_valid_aes(table, draw(seeds)).sigma)
+    scenario = Scenario(name="drawn", table=table, aes=aes)
     keys = draw(st.lists(st.sampled_from(GRID_KEYS), min_size=1, max_size=3, unique=True))
     bounds = st.floats(-5.0, 5.0)
     grid = {
