@@ -15,10 +15,9 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import anchor_points, boundary_value, line_coefficients
+from .geometry import anchor_points, boundary_value
 from .scenario import Scenario
 from .shares import FACTOR_NAMES
-from .substitution import ews_ratio_vector
 
 DEFAULT_WINDOW = ((-4.0, 4.0), (-10.0, 4.0))
 DEFAULT_SIZE = (800, 600)
@@ -97,9 +96,7 @@ def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def _document(scenario: Scenario, window) -> str:
     """The SVG text of render_figure."""
-    table = scenario.table
-    vector = ews_ratio_vector(scenario.ews)
-    lines = line_coefficients(table)
+    table, vector, lines = scenario.table, scenario.vector, scenario.lines
     anchors = anchor_points(table)
     ratio = table.labor_to_capital
 

@@ -1,9 +1,10 @@
 """Scenario files and end-to-end reports.
 
 A scenario is a JSON document carrying the share structure, an Allen
-tensor (or the "cobb-douglas" preset), and optional shocks. A report
-runs the whole pipeline on it: validation, aggregation, classification,
-sign patterns, numeric elasticities, and the oracle cross-checks.
+tensor (or the "cobb-douglas" preset), and optional shocks. Building a
+Scenario validates it and derives g, the ratio vector and its subregion
+once; a report runs the rest of the pipeline on it: sign patterns,
+numeric elasticities, and the oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Subregion, classify_subregion, line_coefficients
-from .shares import RankingReport, ShareTable, build_share_table, require_ranking
+from .geometry import LineCoeffs, Subregion, classify_subregion, line_coefficients
+from .shares import ShareTable, build_share_table
 from .statics import (
     DeltaReport,
     ResponseVector,
@@ -37,7 +37,6 @@ from .substitution import (
     AesTensor,
     EwsMatrix,
     EwsRatioVector,
-    ValidityReport,
     _checked_epsilon,
     cobb_douglas_aes,
     ews_from_epsilon,
@@ -54,25 +53,30 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named model instance, validated when built: construction raises
-    RankingViolation or InvalidAes, and keeps both check reports."""
+    """A named model instance, checked and derived when built.
+
+    Construction derives the border lines (checking the ranking), checks
+    the Allen tensor, then derives g, the ratio vector and its
+    subregion, and keeps them: it raises RankingViolation, InvalidAes,
+    DegenerateT, Infeasible or OnLine, in that order of checking.
+    """
 
     name: str
     table: ShareTable
     aes: AesTensor
     shocks: tuple[ShockVector, ...] = ()
-    ranking: RankingReport = field(init=False)
-    aes_validity: ValidityReport = field(init=False)
+    lines: LineCoeffs = field(init=False)
+    ews: EwsMatrix = field(init=False)
+    vector: EwsRatioVector = field(init=False)
+    subregion: Subregion = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ranking", require_ranking(self.table))
-        object.__setattr__(self, "aes_validity", require_valid_aes(self.aes, self.table))
-
-    @cached_property
-    def ews(self) -> EwsMatrix:
-        """Economy-wide substitution, derived on first use from the tensor
-        that construction validated."""
-        return ews_from_epsilon(_checked_epsilon(self.aes, self.table), self.table)
+        table, keep = self.table, object.__setattr__
+        keep(self, "lines", line_coefficients(table))
+        require_valid_aes(self.aes, table)
+        keep(self, "ews", ews_from_epsilon(_checked_epsilon(self.aes, table), table))
+        keep(self, "vector", ews_ratio_vector(self.ews))
+        keep(self, "subregion", classify_subregion(self.vector, self.lines, table))
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,6 @@ class Report:
     """Everything the pipeline derives from one scenario (signs_agree is always True)."""
 
     scenario_name: str
-    ranking: RankingReport
-    aes_validity: ValidityReport
     ews: EwsMatrix
     vector: EwsRatioVector
     subregion: Subregion
@@ -179,12 +181,8 @@ def load_scenario(path) -> Scenario:
 def run_report(scenario: Scenario) -> Report:
     """Run the full pipeline; ClosedFormMismatch unless the signs of the
     closed-form elasticities are the tabled signs of the subregion."""
-    table = scenario.table
-    ews = scenario.ews
-    vector = ews_ratio_vector(ews)
-    lines = line_coefficients(table)
-    region = classify_subregion(vector, lines, table)
-    statics = comparative_statics(table, ews, vector, lines)
+    region = scenario.subregion
+    statics = comparative_statics(scenario.table, scenario.ews, scenario.vector, scenario.lines)
     signs = _signs(np.concatenate((statics.rybczynski, statics.stolper_samuelson)))
     disagree, tabled = _contradicts_tables(signs, (region,), 0)
     if disagree:
@@ -198,10 +196,8 @@ def run_report(scenario: Scenario) -> Report:
 
     return Report(
         scenario_name=scenario.name,
-        ranking=scenario.ranking,
-        aes_validity=scenario.aes_validity,
-        ews=ews,
-        vector=vector,
+        ews=scenario.ews,
+        vector=scenario.vector,
         subregion=region,
         strong_result=strong_rybczynski(region),
         output_signs=sign_pattern_lookup(region, "rybczynski"),
@@ -226,13 +222,9 @@ def _matrix_rows(arr: np.ndarray) -> list[str]:
 def format_report(report: Report) -> str:
     """Plain-text rendering of a report."""
     lines = [f"scenario: {report.scenario_name}"]
-    lines.append(
-        "ranking checks: intensity "
-        + ("pass" if report.ranking.intensity_ok else "FAIL")
-        + ", middle factor "
-        + ("pass" if report.ranking.middle_ok else "FAIL")
-    )
-    lines.append(f"allen tensor valid: {'yes' if report.aes_validity.ok else 'NO'}")
+    # A built Scenario has passed both checks.
+    lines.append("ranking checks: intensity pass, middle factor pass")
+    lines.append("allen tensor valid: yes")
     lines.append("economy-wide substitution (rows/cols land, capital, labor):")
     lines += ["  " + row for row in _matrix_rows(report.ews.g)]
     v = report.vector

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParseError
 from .geometry import REGIONS, _ON_LINE_FAULT, _classify, _classify_error, line_coefficients
-from .scenario import Scenario
+from .scenario import Scenario, _finite_numbers
 from .shares import CAPITAL, LABOR, LAND, _first_fault
 from .statics import (
     RESIDUAL_TOL,
@@ -151,9 +151,11 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     past its bound, ClosedFormMismatch when the dense signs contradict the
     tables, as in run_report.
     """
-    for key in grid:
+    for key, values in grid.items():
         if key not in _KEY_SLOTS:
             raise ParseError(f"unknown grid key {key!r}")
+        if not (len(values) and _finite_numbers(values)):
+            raise ParseError(f"grid key {key!r} needs one or more values, all finite numbers")
     active = [key for key in GRID_KEYS if key in grid]
     points = math.prod(len(grid[key]) for key in active)
     if points > MAX_GRID_POINTS:

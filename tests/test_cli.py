@@ -8,7 +8,7 @@ from ews32 import ConsistencyError, Subregion
 from ews32.cli import main
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 
-from test_scenario import REFERENCE_DOC
+from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
 
 
 @pytest.fixture
@@ -135,3 +135,20 @@ def test_name_with_tab_and_newline_still_renders(tmp_path):
     out = tmp_path / "plane.svg"
     assert main(["figure", str(path), "-o", str(out)]) == 0
     ElementTree.parse(out)
+
+
+@pytest.mark.parametrize("verb", ["validate", "report", "figure", "sweep"])
+def test_every_verb_refuses_a_degenerate_vector(tmp_path, capsys, reference_table, verb):
+    path = write_scenario(tmp_path, degenerate_t_doc(reference_table))
+    out = tmp_path / "out"
+    options = {
+        "figure": ["-o", str(out)],
+        "sweep": ["--grid", "land_capital_1=-2:2:5", "-o", str(out)],
+    }
+    assert main([verb, str(path), *options.get(verb, [])]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "invalid input: labor-land substitution is numerically zero; "
+        "the ratio vector is undefined\n",
+    )
+    assert not out.exists()

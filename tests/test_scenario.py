@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ews32 import (
+    LABOR,
+    LAND,
     AesTensor,
+    DegenerateT,
     InvalidAes,
     ParseError,
     RankingViolation,
@@ -16,6 +19,7 @@ from ews32 import (
     load_scenario,
     render_figure,
     run_report,
+    sample_valid_aes,
     scenario_from_mapping,
 )
 from ews32 import scenario as scenario_module
@@ -39,6 +43,23 @@ def write_scenario(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def degenerate_t_doc(table):
+    """The reference document on a sampled tensor whose sector-1
+    land-labor elasticity zeroes t = g[labor, land], the sum over
+    sectors j of lam[labor, j] * theta[land, j] * sigma[j, land, labor];
+    the diagonals are completed by homogeneity."""
+    lam, theta = table.lam, table.theta
+    sigma = sample_valid_aes(table, 0).sigma.copy()
+    sigma[0, LAND, LABOR] = sigma[0, LABOR, LAND] = (
+        -lam[LABOR, 1] * theta[LAND, 1] * sigma[1, LAND, LABOR] / (lam[LABOR, 0] * theta[LAND, 0])
+    )
+    for j in range(2):
+        for i in range(3):
+            sigma[j, i, i] = 0.0
+            sigma[j, i, i] = -(sigma[j, i] @ theta[:, j]) / theta[i, j]
+    return dict(REFERENCE_DOC, name="t-zero", sigma=sigma.tolist())
 
 
 def test_file_round_trip(tmp_path, reference_table):
@@ -145,8 +166,13 @@ def test_invalid_sigma_rejected(reference_table):
         epsilon_from_aes(AesTensor(sigma=sigma), reference_table)
 
 
+def test_degenerate_vector_is_refused_at_construction(reference_table):
+    sigma = np.array(degenerate_t_doc(reference_table)["sigma"])
+    with pytest.raises(DegenerateT, match="^labor-land substitution is numerically zero"):
+        Scenario(name="direct", table=reference_table, aes=AesTensor(sigma=sigma))
+
+
 def test_scenario_validates_and_derives_g_once(monkeypatch):
-    scenario = scenario_from_mapping(dict(REFERENCE_DOC))
     calls = {"validate_aes": 0, "ews_from_epsilon": 0}
 
     def counted(module, name):
@@ -160,10 +186,11 @@ def test_scenario_validates_and_derives_g_once(monkeypatch):
 
     counted(substitution, "validate_aes")
     counted(scenario_module, "ews_from_epsilon")
+    scenario = scenario_from_mapping(dict(REFERENCE_DOC))
     first = run_report(scenario)
     render_figure(scenario)
     second = run_report(scenario)
-    assert calls == {"validate_aes": 0, "ews_from_epsilon": 1}
+    assert calls == {"validate_aes": 1, "ews_from_epsilon": 1}
     assert first.ews is second.ews is scenario.ews
 
 
@@ -172,7 +199,6 @@ def test_run_report_reference():
     assert report.subregion is Subregion.P2
     assert report.strong_result
     assert report.signs_agree
-    assert report.ranking.ok and report.aes_validity.ok
     assert report.vector.s_prime == pytest.approx(0.7093023255813954, rel=1e-12)
     assert report.vector.u_prime == pytest.approx(0.7497995188452286, rel=1e-12)
     assert report.vector.quadrant == 1

@@ -177,6 +177,17 @@ def test_sweep_rejects_unknown_key(reference_scenario):
         sweep(reference_scenario, {"diagonal_1": [1.0]})
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], [float("inf")], [0.5, float("nan")], [None], ["1.0"], [True]],
+    ids=["empty", "inf", "nan", "none", "string", "bool"],
+)
+def test_sweep_refuses_an_empty_axis_or_a_value_not_a_finite_number(reference_scenario, values):
+    # parse_grid never builds such an axis; a library caller can.
+    with pytest.raises(ParseError, match="^grid key 'land_capital_1' needs one or more values"):
+        format_csv(sweep(reference_scenario, {"land_capital_1": values}))
+
+
 def test_csv_layout(reference_scenario):
     rows = sweep(reference_scenario, parse_grid("land_capital_1=-3:3:7"))
     text = format_csv(rows)
