@@ -33,7 +33,6 @@ from .geometry import (
     Subregion,
     anchor_points,
     boundary_value,
-    check_feasible,
     classify_subregion,
     line_coefficients,
     verify_anchor_ordering,

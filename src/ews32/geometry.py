@@ -294,17 +294,6 @@ def _classify_error(fault: int, offsets: np.ndarray, sign_t: int) -> Exception:
     return cls(message)
 
 
-def check_feasible(v: EwsRatioVector, table: ShareTable) -> None:
-    """Raise unless the vector lies strictly inside its side of the
-    boundary: above it right of the pole for a positive denominator,
-    below it left of the pole for a negative one."""
-    for (cls, message), failed in zip(
-        _CLASSIFY_FAULTS, _infeasible(v.s_prime, v.u_prime, v.sign_t, table)
-    ):
-        if failed:
-            raise cls(message)
-
-
 def classify_subregion(
     v: EwsRatioVector, lines: LineCoeffs, table: ShareTable
 ) -> Subregion:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
-from .geometry import LineCoeffs, Subregion, line_coefficients
+from .geometry import SIGNATURES, LineCoeffs, Subregion, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
@@ -415,23 +415,26 @@ def comparative_statics(
     )
 
 
-# Sign tables, one column per subregion. Rows are sectors for the output
+# Sign tables, one pattern per subregion. Rows are sectors for the output
 # patterns and price deflators for the real-reward patterns; columns are
-# (land, capital, labor). The P and M columns pair up: P1..P5 match
-# M3..M7.
+# (land, capital, labor).
+#
+# The output response of sector s to factor f is (-1)^(s+f) * C / delta,
+# where the cofactor C = e * t * offset is the linear form of line
+# (f, s), e its vertical coefficient. delta is negative, and under the
+# ranking the vertical coefficients of the (land, capital, labor) lines
+# have signs (+, -, -) in both sectors, so H[s][f] = -(-1)^(s+f) * sign(e)
+# is constant and a response has the sign sign_t * H[s][f] * sign(offset):
+# the output table is sign_t times the Hadamard product of H with the
+# subregion's offset signature.
+H = ((-1, -1, 1), (1, 1, -1))
+
 RYBCZYNSKI_SIGNS: dict[Subregion, tuple[tuple[int, int, int], tuple[int, int, int]]] = {
-    Subregion.P1: ((1, -1, -1), (-1, 1, 1)),
-    Subregion.P2: ((1, -1, 1), (-1, 1, 1)),
-    Subregion.P3: ((1, -1, 1), (-1, 1, -1)),
-    Subregion.P4: ((1, -1, 1), (1, 1, -1)),
-    Subregion.P5: ((-1, -1, 1), (1, 1, -1)),
-    Subregion.M1: ((1, 1, -1), (-1, -1, 1)),
-    Subregion.M2: ((1, 1, -1), (-1, 1, 1)),
-    Subregion.M3: ((1, -1, -1), (-1, 1, 1)),
-    Subregion.M4: ((1, -1, 1), (-1, 1, 1)),
-    Subregion.M5: ((1, -1, 1), (-1, 1, -1)),
-    Subregion.M6: ((1, -1, 1), (1, 1, -1)),
-    Subregion.M7: ((-1, -1, 1), (1, 1, -1)),
+    region: tuple(
+        tuple(region.sign_t * h * o for h, o in zip(h_row, o_row))
+        for h_row, o_row in zip(H, signature)
+    )
+    for region, signature in SIGNATURES.items()
 }
 
 # By reciprocity a factor's real reward in the first good's price moves

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ParseError
-from .geometry import REGIONS, _ON_LINE_FAULT, _classify, _classify_error, line_coefficients
+from .geometry import REGIONS, _ON_LINE_FAULT, _classify, _classify_error
 from .scenario import Scenario, _finite_numbers
 from .shares import CAPITAL, LABOR, LAND, _first_fault
 from .statics import (
@@ -177,9 +177,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
         s_prime, u_prime = s / t, u / t
         sign_t = np.where(t > 0.0, 1, -1)
-        region, failed, offsets = _classify(
-            s_prime, u_prime, sign_t, line_coefficients(table), table
-        )
+        region, failed, offsets = _classify(s_prime, u_prime, sign_t, scenario.lines, table)
         fault = _first_fault(failed)
     stage = _first_fault([~rowsum_ok, invariant > 0, _degenerate(t), fault > 0])
 

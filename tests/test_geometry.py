@@ -17,7 +17,6 @@ from ews32 import (
     anchor_points,
     boundary_value,
     build_share_table,
-    check_feasible,
     classify_subregion,
     ews_ratio_vector,
     line_coefficients,
@@ -169,7 +168,7 @@ def test_classify_on_line(reference_table):
     sp = 3.5
     up = lines.value(LABOR, 0, sp)
     v = EwsRatioVector(s=sp, t=1.0, u=up, s_prime=sp, u_prime=up, sign_t=1)
-    check_feasible(v, reference_table)  # strictly inside the boundary
+    # OnLine, not Infeasible: the vector is strictly inside the boundary.
     with pytest.raises(OnLine):
         classify_subregion(v, lines, reference_table)
 
@@ -179,19 +178,17 @@ def test_infeasible_placements(reference_table):
     # Positive denominator but below the boundary curve.
     below = EwsRatioVector(s=0.5, t=1.0, u=-4.0, s_prime=0.5, u_prime=-4.0, sign_t=1)
     with pytest.raises(Infeasible):
-        check_feasible(below, reference_table)
-    with pytest.raises(Infeasible):
         classify_subregion(below, lines, reference_table)
     # Negative denominator but on the positive side of the plane.
     wrong_side = EwsRatioVector(
         s=-0.7, t=-1.0, u=-0.7, s_prime=0.7, u_prime=0.7, sign_t=-1
     )
     with pytest.raises(Infeasible):
-        check_feasible(wrong_side, reference_table)
+        classify_subregion(wrong_side, lines, reference_table)
     # On the pole's vertical.
     pole = EwsRatioVector(s=-1.0, t=1.0, u=0.0, s_prime=-1.0, u_prime=0.0, sign_t=1)
     with pytest.raises(Infeasible):
-        check_feasible(pole, reference_table)
+        classify_subregion(pole, lines, reference_table)
 
 
 def test_unmatched_signature(reference_table):

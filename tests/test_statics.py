@@ -1,5 +1,8 @@
 import dataclasses
+import math
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from ews32 import (
     SystemMatrix,
     ValidationError,
     assemble_system,
+    build_share_table,
     cofactors,
     comparative_statics,
     determinant_delta,
@@ -39,7 +43,7 @@ from ews32 import (
 )
 from ews32 import statics
 from ews32.geometry import SIGNATURES
-from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
+from ews32.statics import H, RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
 from ews32.sweep import parse_grid
 
 from conftest import (
@@ -316,8 +320,8 @@ def test_output_signs_follow_signatures():
     # Each output sign factors into the offset-grid sign, the cofactor
     # parity, the vertical line-coefficient sign, the denominator sign,
     # and the (negative) determinant sign. The vertical signs are read
-    # off the closed-form lines of random ranked economies, so the table
-    # is checked against the factored cofactor e * t * offset.
+    # off the closed-form lines of random ranked economies, so H and the
+    # table are checked against the factored cofactor e * t * offset.
     rng = np.random.default_rng(46)
     for _ in range(50):
         abe = line_coefficients(random_ranked_table(rng)).abe
@@ -327,6 +331,7 @@ def test_output_signs_follow_signatures():
             for region in Subregion:
                 for factor in range(3):
                     parity = 1 if (factor + sector) % 2 == 0 else -1
+                    assert H[sector][factor] == -parity * vertical_signs[factor]
                     derived = (
                         -1
                         * parity
@@ -348,6 +353,268 @@ def test_strong_result_set():
         Subregion.M4,
         Subregion.M5,
     }
+    # The paper's sufficient condition on the ratio vector's position:
+    # below both land lines and above both capital lines, offsets taken
+    # in the direction of the denominator's sign.
+    for region, signature in SIGNATURES.items():
+        (land_1, capital_1, _), (land_2, capital_2, _) = (
+            tuple(region.sign_t * o for o in row) for row in signature
+        )
+        below_land = land_1 < 0 and land_2 < 0
+        above_capital = capital_1 > 0 and capital_2 > 0
+        assert strong_rybczynski(region) == (below_land and above_capital), region
+
+
+# The paper's output-response sign table, one pattern per subregion:
+# rows sectors, columns (land, capital, labor).
+PAPER_RYBCZYNSKI_SIGNS = {
+    Subregion.P1: ((1, -1, -1), (-1, 1, 1)),
+    Subregion.P2: ((1, -1, 1), (-1, 1, 1)),
+    Subregion.P3: ((1, -1, 1), (-1, 1, -1)),
+    Subregion.P4: ((1, -1, 1), (1, 1, -1)),
+    Subregion.P5: ((-1, -1, 1), (1, 1, -1)),
+    Subregion.M1: ((1, 1, -1), (-1, -1, 1)),
+    Subregion.M2: ((1, 1, -1), (-1, 1, 1)),
+    Subregion.M3: ((1, -1, -1), (-1, 1, 1)),
+    Subregion.M4: ((1, -1, 1), (-1, 1, 1)),
+    Subregion.M5: ((1, -1, 1), (-1, 1, -1)),
+    Subregion.M6: ((1, -1, 1), (1, 1, -1)),
+    Subregion.M7: ((-1, -1, 1), (1, 1, -1)),
+}
+
+
+def test_derived_output_table_is_the_papers():
+    # The Hadamard product of H with the signatures gives back the
+    # paper's table, as plain int tuples in subregion order.
+    assert RYBCZYNSKI_SIGNS == PAPER_RYBCZYNSKI_SIGNS
+    assert list(RYBCZYNSKI_SIGNS) == list(Subregion)
+    for rows in RYBCZYNSKI_SIGNS.values():
+        assert all(type(v) is int for row in rows for v in row)
+
+
+# Exact arithmetic: shares are multiples of 1/_SHARE_UNIT, so the floats
+# handed to build_share_table are the same numbers; the drawn
+# off-diagonal elasticities are multiples of 1/_AES_UNIT in [-3, 3].
+_SHARE_UNIT = 1024
+_AES_UNIT = 256
+_OFF_DIAGONALS = ((LAND, CAPITAL), (LAND, LABOR), (CAPITAL, LABOR))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _exact_ranked_shares(rng):
+    """theta[factor][sector] and theta_sector as Fractions that meet both
+    rankings, with the margins of random_ranked_table."""
+    n = _SHARE_UNIT
+    while True:
+        columns = []
+        for _ in range(2):
+            lo, hi = sorted(rng.sample(range(1, n), 2))
+            columns.append((lo, hi - lo, n - hi))
+        theta = [[Fraction(columns[j][i], n) for j in range(2)] for i in range(3)]
+        first = Fraction(rng.randint(n // 20, n - n // 20), n)
+        a, b, e = (row[0] - row[1] for row in theta)
+        ratio = [row[0] / row[1] for row in theta]
+        if (
+            min(min(row) for row in theta) > Fraction(1, 50)
+            and min(a, -b, e) >= Fraction(1, 100)
+            and ratio[LAND] > ratio[LABOR] > ratio[CAPITAL]
+        ):
+            return theta, (first, 1 - first)
+
+
+def _exact_aes(theta, sector, off):
+    """One sector's Allen tensor from its three off-diagonals, diagonal
+    completed by homogeneity, and whether it passes the validity checks
+    (own elasticities negative, land-capital minor positive)."""
+    sigma = [[Fraction(0)] * 3 for _ in range(3)]
+    for (i, k), value in zip(_OFF_DIAGONALS, off):
+        sigma[i][k] = sigma[k][i] = value
+    th = [row[sector] for row in theta]
+    for i in range(3):
+        sigma[i][i] = -sum(th[k] * sigma[i][k] for k in range(3)) / th[i]
+    minor = (
+        th[LAND] ** 2 * th[CAPITAL] ** 2
+        * (sigma[LAND][LAND] * sigma[CAPITAL][CAPITAL] - sigma[LAND][CAPITAL] ** 2)
+    )
+    return sigma, all(sigma[i][i] < 0 for i in range(3)) and minor > 0
+
+
+def _exact_g(theta, lam, sigmas):
+    """Economy-wide substitution g[i][h] = sum_j lam[i][j] theta[h][j]
+    sigma_j[i][h]."""
+    return [
+        [sum(lam[i][j] * theta[h][j] * sigmas[j][i][h] for j in range(2)) for h in range(3)]
+        for i in range(3)
+    ]
+
+
+def _exact_system(theta, lam, g):
+    """The 5x5 comparative-statics matrix, rebuilt from its definition."""
+    return [theta_row + [0, 0] for theta_row in map(list, zip(*theta))] + [
+        g[f] + lam[f] for f in range(3)
+    ]
+
+
+def _exact_reduce(m, n):
+    """Gauss-Jordan elimination of the first n columns of the Fraction
+    rows m, in place; returns the determinant of that n x n block."""
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(len(m)):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _exact_det(a) -> Fraction:
+    return _exact_reduce([list(row) for row in a], len(a))
+
+
+def _exact_output_responses(a):
+    """Output responses [sector][factor] to unit endowment shocks and the
+    determinant, by exact elimination of the 5x5 system a."""
+    m = [list(row) + [Fraction(int(r == 2 + f)) for f in range(3)] for r, row in enumerate(a)]
+    det = _exact_reduce(m, 5)
+    return [[m[3 + s][5 + f] / m[3 + s][3 + s] for f in range(3)] for s in range(2)], det
+
+
+def _exact_lines(theta, lam, tf):
+    """Coefficients (a, b, e) [factor][sector] of the line forms
+    e*u - a*s - b*t, read off the output-response cofactors of the 5x5
+    system at the unit (s, t, u) triples. The cofactor of sector s and
+    factor f is minus the minor at row 2 + f, column 3 + s, and it is
+    linear in g, which share-weighted symmetry and zero row sums fix from
+    (s, t, u)."""
+    forms = []
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        g = [[Fraction(0)] * 3 for _ in range(3)]
+        g[LABOR][CAPITAL], g[LABOR][LAND], g[CAPITAL][LAND] = map(Fraction, unit)
+        for i, h in ((LABOR, CAPITAL), (LABOR, LAND), (CAPITAL, LAND)):
+            g[h][i] = tf[i] / tf[h] * g[i][h]
+        for i in range(3):
+            g[i][i] = -sum(g[i])
+        a = _exact_system(theta, lam, g)
+        minor = [
+            [
+                _exact_det([row[: 3 + s] + row[4 + s :] for r, row in enumerate(a) if r != 2 + f])
+                for s in range(2)
+            ]
+            for f in range(3)
+        ]
+        forms.append(minor)
+    by_s, by_t, by_u = forms
+    return [[(by_s[f][s], by_t[f][s], -by_u[f][s]) for s in range(2)] for f in range(3)]
+
+
+def _exact_forms(theta, lam, lines, sigmas):
+    """g, the six line forms [sector][factor] and t of one draw."""
+    g = _exact_g(theta, lam, sigmas)
+    s, t, u = g[LABOR][CAPITAL], g[LABOR][LAND], g[CAPITAL][LAND]
+    forms = [
+        [e * u - a * s - b * t for a, b, e in (lines[f][sector] for f in range(3))]
+        for sector in range(2)
+    ]
+    return g, forms, t
+
+
+def _exact_draw(rng, theta):
+    """Both sectors' valid Allen tensors from random off-diagonals."""
+    while True:
+        pair = [
+            _exact_aes(
+                theta,
+                j,
+                [Fraction(rng.randint(-3 * _AES_UNIT, 3 * _AES_UNIT), _AES_UNIT) for _ in range(3)],
+            )
+            for j in range(2)
+        ]
+        if all(ok for _, ok in pair):
+            return [sigma for sigma, _ in pair]
+
+
+def _near_line(rng, theta, lam, lines, sigmas):
+    """sigmas with one random off-diagonal moved so that the offset to a
+    random line is a random o with 0 < |o| <= 1e-15, or None when that
+    tensor is invalid. The offset times e t is linear in the moved value,
+    so the value is one division away."""
+    j, slot = rng.randrange(2), rng.randrange(3)
+    f, sector = rng.randrange(3), rng.randrange(2)
+    o = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), 10**21)
+    off = [sigmas[j][p][q] for p, q in _OFF_DIAGONALS]
+
+    def moved(x):
+        return _exact_aes(theta, j, off[:slot] + [x] + off[slot + 1 :])
+
+    def gap(x):
+        _, forms, t = _exact_forms(theta, lam, lines, [*sigmas[:j], moved(x)[0], *sigmas[j + 1 :]])
+        return forms[sector][f] - o * lines[f][sector][2] * t
+
+    g0, g1 = gap(Fraction(0)), gap(Fraction(1))
+    if g0 == g1:
+        return None
+    sigma, ok = moved(g0 / (g0 - g1))
+    return [*sigmas[:j], sigma, *sigmas[j + 1 :]] if ok else None
+
+
+def test_exact_responses_follow_the_hadamard_rule():
+    # Random rational ranked economies, solved exactly: every output
+    # response has the sign sign_t * H[s][f] * sign(offset) of its line's
+    # offset = form / (e t), and the signs are the tabled pattern of the
+    # exactly classified subregion. Half the draws sit within 1e-15 of a
+    # line, where floats cannot call the offset's sign.
+    rng = random.Random(47)
+    by_signature = {(SIGNATURES[r], r.sign_t): r for r in Subregion}
+    checked = near = 0
+    for _ in range(12):
+        theta, ts = _exact_ranked_shares(rng)
+        tf = [sum(row[j] * ts[j] for j in range(2)) for row in theta]
+        lam = [[ts[j] * row[j] / tf[i] for j in range(2)] for i, row in enumerate(theta)]
+        lines = _exact_lines(theta, lam, tf)
+        table = build_share_table([list(map(float, row)) for row in theta], list(map(float, ts)))
+        abe = line_coefficients(table).abe
+        for f in range(3):
+            for sector in range(2):
+                assert _sign(lines[f][sector][2]) == (1, -1, -1)[f]
+                for want, got in zip(lines[f][sector], abe[f, sector]):
+                    assert math.isclose(float(want), got, rel_tol=1e-12), (f, sector)
+
+        draws = []
+        while len(draws) < 8:
+            sigmas = _exact_draw(rng, theta)
+            if len(draws) % 2:
+                sigmas = _near_line(rng, theta, lam, lines, sigmas)
+            if sigmas is not None:
+                draws.append(sigmas)
+
+        for sigmas in draws:
+            g, forms, t = _exact_forms(theta, lam, lines, sigmas)
+            assert t != 0
+            sign_t = _sign(t)
+            offsets = [[forms[s][f] / (lines[f][s][2] * t) for f in range(3)] for s in range(2)]
+            assert all(offset for row in offsets for offset in row)
+            near += min(abs(offset) for row in offsets for offset in row) <= Fraction(1, 10**15)
+            ryb, det = _exact_output_responses(_exact_system(theta, lam, g))
+            assert det < 0
+            signs = tuple(tuple(_sign(v) for v in row) for row in ryb)
+            rule = tuple(
+                tuple(sign_t * H[s][f] * _sign(offsets[s][f]) for f in range(3)) for s in range(2)
+            )
+            assert signs == rule
+            signature = tuple(tuple(_sign(v) for v in row) for row in offsets)
+            assert signs == RYBCZYNSKI_SIGNS[by_signature[signature, sign_t]]
+            checked += 1
+    assert checked == 96 and near >= 48
 
 
 def test_table_check_refuses_a_sign_too_close_to_call():
