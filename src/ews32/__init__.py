@@ -50,11 +50,8 @@ from .shares import (
     FACTOR_NAMES,
     LABOR,
     LAND,
-    RankingReport,
     ShareTable,
     build_share_table,
-    check_intensity_ranking,
-    require_ranking,
 )
 from .statics import (
     CofactorReport,

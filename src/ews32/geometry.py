@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptotePole, Infeasible, OnLine, UnmatchedSignature
-from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly, require_ranking
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
 from .substitution import EwsRatioVector
 
 # A vector this close to a line (or the boundary asymptote) has no
@@ -166,7 +166,6 @@ def line_coefficients(table: ShareTable) -> LineCoeffs:
     shares: it marks where that factor's output response in that sector
     changes sign.
     """
-    require_ranking(table)
     a, b, e = table.diff
     tf = table.theta_factor
     abe = np.empty((3, 2, 3))
@@ -196,7 +195,6 @@ def line_coefficients(table: ShareTable) -> LineCoeffs:
 def anchor_points(table: ShareTable) -> AnchorSet:
     """The common point q of all six lines and each line's second
     boundary crossing."""
-    require_ranking(table)
     a, b, e = table.diff
     ratio = table.labor_to_capital
     q = (b / a, (b / e) * ratio)

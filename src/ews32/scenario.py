@@ -55,10 +55,11 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 class Scenario:
     """A named model instance, checked and derived when built.
 
-    Construction derives the border lines (checking the ranking), checks
-    the Allen tensor, then derives g, the ratio vector and its
-    subregion, and keeps them: it raises RankingViolation, InvalidAes,
-    DegenerateT, Infeasible or OnLine, in that order of checking.
+    Its ShareTable is ranked by construction. Building the Scenario
+    derives the border lines, checks the Allen tensor, then derives g,
+    the ratio vector and its subregion, and keeps them: it raises
+    InvalidAes, DegenerateT, Infeasible or OnLine, in that order of
+    checking.
     """
 
     name: str
@@ -222,7 +223,7 @@ def _matrix_rows(arr: np.ndarray) -> list[str]:
 def format_report(report: Report) -> str:
     """Plain-text rendering of a report."""
     lines = [f"scenario: {report.scenario_name}"]
-    # A built Scenario has passed both checks.
+    # Every ShareTable is ranked, and a built Scenario's tensor is valid.
     lines.append("ranking checks: intensity pass, middle factor pass")
     lines.append("allen tensor valid: yes")
     lines.append("economy-wide substitution (rows/cols land, capital, labor):")
@@ -243,7 +244,8 @@ def format_report(report: Report) -> str:
     lines.append("real-reward elasticities:")
     lines += ["  " + row for row in _matrix_rows(report.stolper_samuelson)]
     lines.append(f"system determinant: {report.delta.value:.9g}")
-    lines.append(f"numeric and tabled signs agree: {'yes' if report.signs_agree else 'NO'}")
+    # run_report raises unless the signs agree.
+    lines.append("numeric and tabled signs agree: yes")
     if report.responses:
         lines.append(f"worst solve residual: {report.max_residual:.3e}")
         for shock, response in report.responses:

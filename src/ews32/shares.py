@@ -40,6 +40,12 @@ def _first_fault(failed) -> np.ndarray:
 class ShareTable:
     """Distributive shares plus every quantity derived from them.
 
+    Every ShareTable satisfies the maintained rankings, because
+    build_share_table, the one way tables are built, refuses any other:
+    sector 0 is land-intensive and sector 1 capital-intensive, labor
+    lies strictly between them, and labor's share is strictly larger in
+    sector 0.
+
     theta[i, j]: share of factor i in sector j's revenue.
     theta_sector[j]: sector j's share of national income.
     theta_factor[i]: factor i's share of national income.
@@ -59,21 +65,14 @@ class ShareTable:
         return self.theta_factor[LABOR] / self.theta_factor[CAPITAL]
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    """Outcome of the maintained-assumption checks on a share table."""
-
-    intensity_ok: bool
-    middle_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.intensity_ok and self.middle_ok
-
-
 def build_share_table(theta, theta_sector) -> ShareTable:
-    """Validate raw shares and derive factor shares, allocation shares,
-    and the cross-sector difference triple."""
+    """Validate raw shares and the maintained rankings, and derive factor
+    shares, allocation shares, and the cross-sector difference triple.
+
+    Raises OutOfRangeShare, NonStochasticColumns or RankingViolation, in
+    that order of checking. Ties fail the rankings: the sign tables
+    downstream assume strict inequalities.
+    """
     th = np.array(theta, dtype=float)
     ts = np.array(theta_sector, dtype=float)
     if th.shape != (3, 2):
@@ -92,6 +91,17 @@ def build_share_table(theta, theta_sector) -> ShareTable:
         )
     if abs(ts.sum() - 1.0) > STOCHASTIC_TOL:
         raise NonStochasticColumns(f"sector shares must sum to 1, got {ts.sum()!r}")
+    r = th[:, 0] / th[:, 1]
+    if not r[LAND] > r[LABOR] > r[CAPITAL]:
+        raise RankingViolation(
+            "factor-intensity ranking violated: need strict "
+            "land-share ratio > labor-share ratio > capital-share ratio across sectors"
+        )
+    if not th[LABOR, 0] > th[LABOR, 1]:
+        raise RankingViolation(
+            "middle-factor ranking violated: need labor's distributive share "
+            "strictly larger in the land-intensive sector"
+        )
 
     tf = th @ ts
     lam = (ts[np.newaxis, :] / tf[:, np.newaxis]) * th
@@ -103,31 +113,3 @@ def build_share_table(theta, theta_sector) -> ShareTable:
         lam=_readonly(lam),
         diff=diff,
     )
-
-
-def check_intensity_ranking(table: ShareTable) -> RankingReport:
-    """Check that sector 0 is land-intensive, sector 1 capital-intensive,
-    labor in between, and that labor's share is larger in sector 0.
-
-    Ties fail: the sign tables downstream assume strict inequalities.
-    """
-    r = table.theta[:, 0] / table.theta[:, 1]
-    intensity_ok = bool(r[LAND] > r[LABOR] > r[CAPITAL])
-    middle_ok = bool(table.theta[LABOR, 0] > table.theta[LABOR, 1])
-    return RankingReport(intensity_ok=intensity_ok, middle_ok=middle_ok)
-
-
-def require_ranking(table: ShareTable) -> RankingReport:
-    """Raise unless both maintained rankings hold; return the report."""
-    report = check_intensity_ranking(table)
-    if not report.intensity_ok:
-        raise RankingViolation(
-            "factor-intensity ranking violated: need strict "
-            "land-share ratio > labor-share ratio > capital-share ratio across sectors"
-        )
-    if not report.middle_ok:
-        raise RankingViolation(
-            "middle-factor ranking violated: need labor's distributive share "
-            "strictly larger in the land-intensive sector"
-        )
-    return report

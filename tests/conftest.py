@@ -15,10 +15,10 @@ from ews32 import (
     LABOR,
     Infeasible,
     OnLine,
+    RankingViolation,
     anchor_points,
     boundary_value,
     build_share_table,
-    check_intensity_ranking,
     classify_subregion,
     epsilon_from_aes,
     ews_from_epsilon,
@@ -62,9 +62,10 @@ def random_ranked_table(rng):
         a, b, e = (theta[:, 0] - theta[:, 1]).tolist()
         if a < 0.01 or -b < 0.01 or e < 0.01:
             continue
-        table = build_share_table(theta, sector)
-        if check_intensity_ranking(table).ok:
-            return table
+        try:
+            return build_share_table(theta, sector)
+        except RankingViolation:
+            continue
 
 
 def random_valid_ews(table, seed):

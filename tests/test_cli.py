@@ -152,3 +152,26 @@ def test_every_verb_refuses_a_degenerate_vector(tmp_path, capsys, reference_tabl
         "the ratio vector is undefined\n",
     )
     assert not out.exists()
+
+
+SWAPPED_DOC = dict(REFERENCE_DOC, theta=[row[::-1] for row in REFERENCE_DOC["theta"]])
+INTENSITY_MESSAGE = (
+    "factor-intensity ranking violated: need strict "
+    "land-share ratio > labor-share ratio > capital-share ratio across sectors"
+)
+
+
+@pytest.mark.parametrize(
+    "second_fault, message",
+    [
+        ({"theta_sector": [1.5, -0.5]}, "every sector share must lie strictly between 0 and 1"),
+        ({"sigma": "leontief"}, INTENSITY_MESSAGE),
+        ({"sigma": [[[0.0] * 3] * 3] * 2}, INTENSITY_MESSAGE),
+    ],
+    ids=["out-of-range-share", "unknown-preset", "invalid-allen-tensor"],
+)
+def test_share_faults_are_reported_first(tmp_path, capsys, second_fault, message):
+    # Range, then column sums, then the ranking, all before sigma is read.
+    path = write_scenario(tmp_path, dict(SWAPPED_DOC, **second_fault))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")

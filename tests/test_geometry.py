@@ -11,12 +11,10 @@ from ews32 import (
     Infeasible,
     LineCoeffs,
     OnLine,
-    RankingViolation,
     Subregion,
     UnmatchedSignature,
     anchor_points,
     boundary_value,
-    build_share_table,
     classify_subregion,
     ews_ratio_vector,
     line_coefficients,
@@ -25,7 +23,6 @@ from ews32 import (
 from ews32.geometry import SIGNATURES
 
 from conftest import (
-    REFERENCE_SECTOR,
     matrix_at,
     random_ranked_table,
     sample_in_band,
@@ -58,12 +55,6 @@ def test_line_coefficients_reference(reference_table):
     # capital lines, under the maintained ranking.
     assert lines.abe[LAND, 0, 2] > 0 and lines.abe[LAND, 1, 2] > 0
     assert lines.abe[CAPITAL, 0, 2] < 0 and lines.abe[CAPITAL, 1, 2] < 0
-
-
-def test_line_coefficients_need_ranking(reference_table):
-    swapped = build_share_table(reference_table.theta[:, ::-1], REFERENCE_SECTOR)
-    with pytest.raises(RankingViolation):
-        line_coefficients(swapped)
 
 
 def test_anchor_points_reference(reference_table):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ews32 import (
     CAPITAL,
@@ -9,8 +13,6 @@ from ews32 import (
     OutOfRangeShare,
     RankingViolation,
     build_share_table,
-    check_intensity_ranking,
-    require_ranking,
 )
 
 from conftest import REFERENCE_SECTOR, REFERENCE_THETA, random_ranked_table
@@ -82,35 +84,79 @@ def test_nan_share_rejected():
 
 
 def test_ranking_reference_passes(reference_table):
-    report = check_intensity_ranking(reference_table)
-    assert report.ok
-    assert report.intensity_ok and report.middle_ok
-    require_ranking(reference_table)  # should not raise
+    assert np.array_equal(reference_table.theta, REFERENCE_THETA)
 
 
 def test_ranking_swapped_sectors_fails(reference_table):
-    swapped = build_share_table(reference_table.theta[:, ::-1], REFERENCE_SECTOR)
-    report = check_intensity_ranking(swapped)
-    assert not report.intensity_ok
-    with pytest.raises(RankingViolation):
-        require_ranking(swapped)
+    with pytest.raises(RankingViolation, match="^factor-intensity ranking violated"):
+        build_share_table(reference_table.theta[:, ::-1], REFERENCE_SECTOR)
 
 
 def test_ranking_middle_tie_fails():
     # Land/capital ordering holds but labor is split evenly, so the
     # middle-factor condition fails on the strict inequality.
-    tied = build_share_table([[0.5, 0.25], [0.2, 0.45], [0.3, 0.30]], [0.5, 0.5])
-    report = check_intensity_ranking(tied)
-    assert report.intensity_ok
-    assert not report.middle_ok
-    with pytest.raises(RankingViolation):
-        require_ranking(tied)
+    with pytest.raises(RankingViolation, match="^middle-factor ranking violated"):
+        build_share_table([[0.5, 0.25], [0.2, 0.45], [0.3, 0.30]], [0.5, 0.5])
 
 
 def test_sector_shares_do_not_affect_intensity(reference_table):
     for split in (0.1, 0.5, 0.9):
-        t = build_share_table(reference_table.theta, [split, 1.0 - split])
-        assert check_intensity_ranking(t).intensity_ok
+        build_share_table(reference_table.theta, [split, 1.0 - split])
+        with pytest.raises(RankingViolation):
+            build_share_table(reference_table.theta[:, ::-1], [split, 1.0 - split])
+
+
+def _ranked_exactly(theta):
+    """The two maintained rankings, decided in exact rational arithmetic
+    by cross-multiplication: (intensity holds, middle factor holds)."""
+    (l0, l1), (k0, k1), (n0, n1) = [[Fraction(float(x)) for x in row] for row in theta]
+    return l0 * n1 > n0 * l1 and n0 * k1 > k0 * n1, n0 > n1
+
+
+# Eighths are exact in binary, so equal ratios on this grid are equal
+# floats and exact ties reach the strict tests unrounded.
+GRID = 8
+
+
+@st.composite
+def grid_column(draw):
+    land = draw(st.integers(1, GRID - 2))
+    capital = draw(st.integers(1, GRID - 1 - land))
+    return [land / GRID, capital / GRID, (GRID - land - capital) / GRID]
+
+
+@st.composite
+def share_cases(draw):
+    """Random Dirichlet shares, or shares on the grid with its exact
+    ties; half of them with the factors relabelled by descending share
+    ratio, so that passes and middle-factor failures are common."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        theta = rng.dirichlet(np.ones(3), size=2).T
+        sector = rng.dirichlet(np.ones(2))
+        assume(theta.min() > 0.0 and sector.min() > 0.0)
+    else:
+        theta = np.array([draw(grid_column()), draw(grid_column())]).T
+        first = draw(st.integers(1, GRID - 1))
+        sector = np.array([first, GRID - first]) / GRID
+    if draw(st.booleans()):
+        high, middle, low = np.argsort(theta[:, 1] / theta[:, 0], kind="stable")
+        theta = theta[[high, low, middle]]
+    return theta, sector
+
+
+@given(share_cases())
+def test_ranking_refused_exactly_when_it_fails(case):
+    theta, sector = case
+    intensity, middle = _ranked_exactly(theta)
+    if not intensity:
+        with pytest.raises(RankingViolation, match="^factor-intensity ranking violated"):
+            build_share_table(theta, sector)
+    elif not middle:
+        with pytest.raises(RankingViolation, match="^middle-factor ranking violated"):
+            build_share_table(theta, sector)
+    else:
+        assert np.array_equal(build_share_table(theta, sector).theta, theta)
 
 
 def test_random_tables_have_expected_signs():
