@@ -37,11 +37,10 @@ from .substitution import (
     AesTensor,
     EwsMatrix,
     EwsRatioVector,
-    _checked_epsilon,
     cobb_douglas_aes,
+    epsilon_from_aes,
     ews_from_epsilon,
     ews_ratio_vector,
-    require_valid_aes,
 )
 
 COBB_DOUGLAS_TAG = "cobb-douglas"
@@ -56,10 +55,10 @@ class Scenario:
     """A named model instance, checked and derived when built.
 
     Its ShareTable is ranked by construction. Building the Scenario
-    derives the border lines, checks the Allen tensor, then derives g,
-    the ratio vector and its subregion, and keeps them: it raises
-    InvalidAes, DegenerateT, Infeasible or OnLine, in that order of
-    checking.
+    derives the border lines, then g through epsilon_from_aes (which
+    checks the Allen tensor and analyses its completion), the ratio
+    vector and its subregion, and keeps them; aes stays as given. It
+    raises InvalidAes, DegenerateT, Infeasible or OnLine, in that order.
     """
 
     name: str
@@ -74,8 +73,7 @@ class Scenario:
     def __post_init__(self):
         table, keep = self.table, object.__setattr__
         keep(self, "lines", line_coefficients(table))
-        require_valid_aes(self.aes, table)
-        keep(self, "ews", ews_from_epsilon(_checked_epsilon(self.aes, table), table))
+        keep(self, "ews", ews_from_epsilon(epsilon_from_aes(self.aes, table), table))
         keep(self, "vector", ews_ratio_vector(self.ews))
         keep(self, "subregion", classify_subregion(self.vector, self.lines, table))
 

@@ -132,15 +132,18 @@ def _identity_ok(gap, entries, axis):
     return ok
 
 
-def _complete_diagonal(s: np.ndarray, th: np.ndarray) -> None:
-    """Set the own elasticities of sector tensors s[..., 3, 3] with shares
-    th[..., 3], in place, so that each share-weighted row sums to zero
-    (homogeneity)."""
+def _complete(s: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Complete sector tensors s[..., 3, 3] with shares th[..., 3] in place
+    and return s: mirror the upper triangle, which holds the free
+    elasticities, and set the own ones so share-weighted rows sum to zero."""
+    s[..., 1:, 0] = s[..., 0, 1:]
+    s[..., 2, 1] = s[..., 1, 2]
     own = np.arange(3)
     s[..., own, own] = 0.0
     # vecdot reduces with the BLAS dot that `row @ th` uses, so a stack of
     # tensors gets the same bits as each tensor on its own.
     s[..., own, own] = -np.vecdot(s, th[..., np.newaxis, :]) / th
+    return s
 
 
 def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -192,9 +195,7 @@ def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
 def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     """Unit elasticities between distinct factors; diagonals follow from
     homogeneity as -(1 - theta_ij)/theta_ij."""
-    sigma = np.ones((2, 3, 3))
-    _complete_diagonal(sigma, table.theta.T)
-    return AesTensor(sigma=sigma)
+    return AesTensor(sigma=_complete(np.ones((2, 3, 3)), table.theta.T))
 
 
 def _epsilon(sigma: np.ndarray, table: ShareTable) -> np.ndarray:
@@ -215,20 +216,16 @@ def _rowsum_error(gap: float) -> ConsistencyError:
     return ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
 
 
-def _checked_epsilon(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
-    """Epsilon of a tensor that has passed validation, with its row-sum
-    check."""
-    eps = _epsilon(aes.sigma, table)
+def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
+    """Validate the Allen tensor, then scale each elasticity of the tensor
+    its upper triangle fixes (see _complete) by the price-owner's
+    distributive share."""
+    require_valid_aes(aes, table)
+    eps = _epsilon(_complete(aes.sigma.copy(), table.theta.T), table)
     gap, ok = _rowsum_gap(eps)
     if not ok:
         raise _rowsum_error(float(gap))
     return EpsilonTensor(eps=eps)
-
-
-def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
-    """Scale each Allen elasticity by the price-owner's distributive share."""
-    require_valid_aes(aes, table)
-    return _checked_epsilon(aes, table)
 
 
 def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
@@ -346,13 +343,10 @@ def sample_valid_aes(table: ShareTable, seed: int, max_attempts: int = 10000) ->
     rng = np.random.default_rng(seed)
     sigma = np.empty((2, 3, 3))
     for j in range(2):
-        th = table.theta[:, j]
+        s, th = sigma[j], table.theta[:, j]
         for _ in range(max_attempts):
-            tk, tl, kl = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
-            s = np.array([[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]])
-            _complete_diagonal(s, th)
-            if _aes_flags(s, th).all():
-                sigma[j] = s
+            s[0, 1], s[0, 2], s[1, 2] = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
+            if _aes_flags(_complete(s, th), th).all():
                 break
         else:
             raise GenerationExhausted(

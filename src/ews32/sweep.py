@@ -2,12 +2,12 @@
 
 A grid spec names any subset of the six free elasticities and a range
 for each; the sweep takes the Cartesian product in a fixed key order,
-builds the whole stack of tensors at once (diagonals always recomputed
-from homogeneity), and runs the pipeline over the stack in one pass:
-validation, epsilon and g with their invariants, the ratio vector, its
-classification, and a dense solve of every classified point's system
-whose signs must match the tabled patterns. Invalid points stay in the
-output with a rejection status instead of being dropped.
+builds the whole stack of tensors at once (each completed from its upper
+triangle and homogeneity), and runs the pipeline over the stack in one
+pass: validation, epsilon and g with their invariants, the ratio vector,
+its classification, and a dense solve of every classified point's
+system whose signs must match the tabled patterns. Invalid points stay
+in the output with a rejection status instead of being dropped.
 
 The result keeps the engine's columns (SweepRows); a row's dict is built
 only when it is read, and format_csv writes the CSV from the columns.
@@ -40,7 +40,7 @@ from .substitution import (
     EwsMatrix,
     _aes_flags,
     _aggregate,
-    _complete_diagonal,
+    _complete,
     _degenerate,
     _epsilon,
     _ews_failures,
@@ -48,8 +48,8 @@ from .substitution import (
     _rowsum_gap,
 )
 
-# Canonical grid keys and the (sector, row, column) they set. Symmetric
-# partners are set together; diagonals are never free.
+# Canonical grid keys and the upper-triangle (sector, row, column) they
+# set; completion mirrors it and sets the diagonals, which are never free.
 _KEY_SLOTS = {
     "land_capital_1": (0, 0, 1),
     "land_labor_1": (0, 0, 2),
@@ -123,17 +123,14 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
 
 def _grid_tensors(scenario: Scenario, grid: dict[str, list[float]], active, points) -> np.ndarray:
     """Every grid point's Allen tensor, (points, 2, 3, 3), in grid order:
-    the template with the swept entries set and the diagonals completed."""
+    the template with the swept entries set, completed."""
     axes = np.meshgrid(*(np.asarray(grid[key], dtype=float) for key in active), indexing="ij")
     sigma = np.empty((points, 2, 3, 3))
     sigma[:] = scenario.aes.sigma
     for key, values in zip(active, axes):
         sector, row, col = _KEY_SLOTS[key]
-        sigma[:, sector, row, col] = sigma[:, sector, col, row] = values.ravel()
-    # Diagonals follow from the off-diagonals; stale template values
-    # would silently break homogeneity.
-    _complete_diagonal(sigma, scenario.table.theta.T)
-    return sigma
+        sigma[:, sector, row, col] = values.ravel()
+    return _complete(sigma, scenario.table.theta.T)
 
 
 def _point(index: int, sigma: np.ndarray) -> str:
@@ -227,7 +224,8 @@ class SweepRows(Sequence):
     built when the row is read."""
 
     def __init__(self, axes, sigma, ok, s_prime, u_prime, sign_t, region, status):
-        self._axes = axes  # swept key -> its grid values, in GRID_KEYS order
+        # Swept key -> its grid values as Python floats, in GRID_KEYS order.
+        self._axes = {key: values.tolist() for key, values in axes.items()}
         self._shape = tuple(len(values) for values in axes.values())
         # A row before its swept values, classification and status are
         # filled in: the template's elasticities and empty cells.
@@ -239,6 +237,9 @@ class SweepRows(Sequence):
         self._strong = [strong_rybczynski(r) for r in REGIONS]
         self.status = status  # one status string per row
         status.flags.writeable = False
+        # Each row's index among the classified rows, or -1.
+        self._slot = np.full(len(status), -1)
+        self._slot[ok] = np.arange(len(ok))
 
     def __len__(self) -> int:
         return len(self.status)
@@ -251,22 +252,21 @@ class SweepRows(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"sweep row {index} out of range for {len(self)} rows")
-        row = dict(self._blank)
-        rest = i
-        for key, n in zip(reversed(self._axes), reversed(self._shape)):
-            rest, k = divmod(rest, n)
-            row[key] = float(self._axes[key][k])
-        c = int(np.searchsorted(self._ok, i))
-        if c < len(self._ok) and self._ok[c] == i:
-            code = int(self._region[c])
+        row = dict(self._blank, status=self.status[i])
+        # item() reads a Python scalar without making a numpy one.
+        c = self._slot.item(i)
+        if c >= 0:
+            code = self._region.item(c)
             row.update(
-                s_prime=float(self._s_prime[c]),
-                u_prime=float(self._u_prime[c]),
-                sign_t=int(self._sign_t[c]),
+                s_prime=self._s_prime.item(c),
+                u_prime=self._u_prime.item(c),
+                sign_t=self._sign_t.item(c),
                 subregion=REGIONS[code].value,
                 strong_result=self._strong[code],
             )
-        row["status"] = self.status[i]
+        for key, values in reversed(self._axes.items()):
+            i, k = divmod(i, len(values))
+            row[key] = values[k]
         return row
 
 
@@ -285,7 +285,7 @@ def format_csv(rows: SweepRows) -> str:
     for k, values in enumerate(rows._axes.values()):
         along = [1] * swept
         along[k] = -1
-        text = ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+        text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
         cells[..., k] = np.array(text, dtype=object).reshape(along)
     cells = cells.reshape(n, -1)
     # A classified point's cells s',u',sign_t,subregion,strong_result as

@@ -39,6 +39,36 @@ settings.load_profile("deterministic")
 REFERENCE_THETA = [[0.50, 0.20], [0.15, 0.50], [0.35, 0.30]]
 REFERENCE_SECTOR = [0.6, 0.4]
 
+# The reference shares' sample_valid_aes tensors for seeds 201 and 252,
+# rounded to 10 significant digits. Both pass validation; analysed as
+# stated, they broke the g and the epsilon row sums respectively.
+ROUNDED_SIGMAS = {
+    201: [
+        [
+            [-1.037180718, 2.944402469, 0.2197999672],
+            [2.944402469, -9.651453779, -0.06995190789],
+            [0.2197999672, -0.06995190789, -0.2840205641],
+        ],
+        [
+            [-3.03627674, 0.5518463605, 1.104440559],
+            [0.5518463605, -0.2916735973, 0.1182250886],
+            [1.104440559, 0.1182250886, -0.9333355202],
+        ],
+    ],
+    252: [
+        [
+            [-0.2101589395, 0.3758869267, 0.1391326593],
+            [0.3758869267, -5.540036542, 1.837320051],
+            [0.1391326593, 1.837320051, -0.986183821],
+        ],
+        [
+            [-0.5914069577, 0.4324664218, -0.3265060646],
+            [0.4324664218, -0.3846192466, 0.3527211298],
+            [-0.3265060646, 0.3527211298, -0.37019784],
+        ],
+    ],
+}
+
 
 @pytest.fixture
 def reference_table():

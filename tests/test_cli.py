@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ews32.cli
-from ews32 import ConsistencyError, Subregion
+from ews32 import ConsistencyError, Subregion, sample_valid_aes
 from ews32.cli import main
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
+from ews32.substitution import IDENTITY_TOL
 
+from conftest import ROUNDED_SIGMAS, random_ranked_table
 from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
 
 
@@ -175,3 +184,59 @@ def test_share_faults_are_reported_first(tmp_path, capsys, second_fault, message
     path = write_scenario(tmp_path, dict(SWAPPED_DOC, **second_fault))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+
+
+def _run(argv):
+    """main's exit code, stdout and stderr, without pytest fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def perturbed_docs(draw):
+    """A ranked table and a sampled valid tensor, written the way a user
+    might: every entry rounded to 10 significant digits, or each own
+    elasticity moved by up to the identity tolerance."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    sigma = sample_valid_aes(table, draw(seeds)).sigma.copy()
+    if draw(st.booleans()):
+        sigma = np.array([float(f"{v:.10g}") for v in sigma.ravel()]).reshape(sigma.shape)
+    else:
+        for j in range(2):
+            for i in range(3):
+                sigma[j, i, i] += draw(st.floats(-IDENTITY_TOL, IDENTITY_TOL))
+    return {
+        "name": "perturbed",
+        "theta": table.theta.tolist(),
+        "theta_sector": table.theta_sector.tolist(),
+        "sigma": sigma.tolist(),
+        "shocks": [{"price": 1.0}, {"endowments": [1.0, 0.0, 0.0]}],
+    }
+
+
+@given(perturbed_docs())
+@example(dict(REFERENCE_DOC, name="seed-201", sigma=ROUNDED_SIGMAS[201]))
+@example(dict(REFERENCE_DOC, name="seed-252", sigma=ROUNDED_SIGMAS[252]))
+@settings(max_examples=300)
+def test_a_document_that_validates_never_exits_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = _run(["validate", str(path)])
+        if code != 0:
+            assert (code, err.startswith("invalid input: ")) == (2, True)
+            return
+        code, report, err = _run(["report", str(path)])
+        assert (code, err) == (0, "")
+        # The template's own point, through the sweep.
+        value = doc["sigma"][0][0][1]
+        csv = Path(tmp) / "grid.csv"
+        grid = f"land_capital_1={value!r}:{value!r}:1"
+        code, _, err = _run(["sweep", str(path), "--grid", grid, "-o", str(csv)])
+        assert (code, err) == (0, "")
+        row = dict(zip(*(line.split(",") for line in csv.read_text().splitlines())))
+        assert row["status"] == "ok"
+        assert f"subregion: {row['subregion']}\n" in report

@@ -15,6 +15,7 @@ from ews32 import (
     InconsistentLevels,
     InvalidAes,
     NonPositiveLevels,
+    Scenario,
     aggregate_substitution,
     cobb_douglas_aes,
     epsilon_from_aes,
@@ -25,8 +26,10 @@ from ews32 import (
     sample_valid_aes,
     validate_aes,
 )
+from ews32.substitution import IDENTITY_TOL, _complete
+from ews32.sweep import GRID_KEYS, _grid_tensors
 
-from conftest import random_ranked_table, random_valid_ews
+from conftest import ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
 
 # Cobb-Douglas EWS matrix for the reference table, frozen from an
 # independent by-hand evaluation of g_ih = sum_j lam_ij * theta_hj * sigma.
@@ -278,3 +281,47 @@ def test_identity_checks_fail_on_nan(reference_table):
     eps[:, LABOR, CAPITAL] = np.nan
     with pytest.raises(ConsistencyError, match="rows must sum to zero"):
         ews_from_epsilon(EpsilonTensor(eps=eps), reference_table)
+
+
+def completed(sigma, table):
+    return _complete(np.array(sigma), table.theta.T)
+
+
+def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
+    # Every tensor the package completes itself is a fixed point of the
+    # completion, so analysing the completion moves no golden byte.
+    rng = np.random.default_rng(29)
+    grid = {"land_capital_1": [-2.0, 0.25, 2.0], "capital_labor_2": [-1.0, 1.5]}
+    active = [key for key in GRID_KEYS if key in grid]
+    for k, table in enumerate([reference_table] + [random_ranked_table(rng) for _ in range(8)]):
+        tensors = [cobb_douglas_aes(table).sigma]
+        tensors += [sample_valid_aes(table, seed).sigma for seed in range(5 * k, 5 * k + 5)]
+        scenario = Scenario(name="template", table=table, aes=sample_valid_aes(table, 100 + k))
+        stack = _grid_tensors(scenario, grid, active, 6)
+        for sigma in tensors + [stack]:
+            assert completed(sigma, table).tobytes() == sigma.tobytes()
+
+
+def test_epsilon_is_that_of_the_completion(reference_table):
+    # Stated tensors off their completion by up to the identity
+    # tolerance: rounded entries, and a lower triangle and own
+    # elasticities moved within it.
+    cases = [(reference_table, np.array(sigma)) for sigma in ROUNDED_SIGMAS.values()]
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        table = random_ranked_table(rng)
+        sigma = sample_valid_aes(table, trial).sigma
+        rounded = np.array([float(f"{v:.10g}") for v in sigma.ravel()]).reshape(sigma.shape)
+        moved = sigma * (1.0 + rng.uniform(-0.1, 0.1, size=sigma.shape) * IDENTITY_TOL)
+        moved[:, 0, 1:] = sigma[:, 0, 1:]
+        moved[:, 1, 2] = sigma[:, 1, 2]
+        assert completed(moved, table).tobytes() == sigma.tobytes()
+        cases += [(table, rounded), (table, moved)]
+    checked = 0
+    for table, stated in cases:
+        aes = AesTensor(sigma=stated)
+        if validate_aes(aes, table).ok:
+            want = epsilon_from_aes(AesTensor(sigma=completed(stated, table)), table).eps
+            assert epsilon_from_aes(aes, table).eps.tobytes() == want.tobytes()
+            checked += 1
+    assert checked >= 42
