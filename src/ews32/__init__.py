@@ -60,7 +60,6 @@ from .statics import (
     ResponseVector,
     ShockVector,
     SignPattern,
-    SystemMatrix,
     assemble_system,
     cofactors,
     comparative_statics,
@@ -71,7 +70,6 @@ from .statics import (
 )
 from .substitution import (
     AesTensor,
-    EpsilonTensor,
     EwsMatrix,
     EwsRatioVector,
     ValidityReport,

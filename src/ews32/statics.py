@@ -34,16 +34,6 @@ _FACTOR_ROWS = (LAND, CAPITAL, LABOR)
 
 
 @dataclass(frozen=True)
-class SystemMatrix:
-    """Coefficient matrix of the comparative-statics system."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _readonly(self.a))
-
-
-@dataclass(frozen=True)
 class ShockVector:
     """Log-differential shocks: relative goods price and endowments."""
 
@@ -113,19 +103,15 @@ class CofactorReport:
         for name in ("direct", "expanded", "factored"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.direct
-
 
 @dataclass(frozen=True)
 class ComparativeStatics:
-    """One economy's system, determinant, output elasticities to
+    """One economy's read-only 5x5 system, determinant, output elasticities to
     endowments [sector, factor], and real factor-price elasticities to the
     relative goods price [deflator, factor]; deflator row 0 is the first
     good's price, row 1 the second's."""
 
-    system: SystemMatrix
+    system: np.ndarray
     delta: DeltaReport
     rybczynski: np.ndarray
     stolper_samuelson: np.ndarray
@@ -140,21 +126,22 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def assemble_system(table: ShareTable, g: EwsMatrix) -> SystemMatrix:
-    """Stack zero-profit and full-employment rows, for one matrix g or a
-    stack g[..., 3, 3]."""
+def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
+    """The read-only coefficient matrix of the comparative-statics system:
+    zero-profit over full-employment rows, [5, 5] for one matrix g or
+    [..., 5, 5] for a stack g[..., 3, 3]."""
     a = np.zeros(g.g.shape[:-2] + (5, 5))
     a[..., 0, :3] = table.theta[:, 0]
     a[..., 1, :3] = table.theta[:, 1]
     for row, factor in enumerate(_FACTOR_ROWS):
         a[..., 2 + row, :3] = g.g[..., factor, :]
         a[..., 2 + row, 3:] = table.lam[factor]
-    return SystemMatrix(a=a)
+    return _readonly(a)
 
 
-def determinant_delta(sys: SystemMatrix, table: ShareTable, g: EwsMatrix) -> DeltaReport:
+def determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
     """Determinant of the system through three agreeing routes."""
-    dense = float(np.linalg.det(sys.a))
+    dense = float(np.linalg.det(system))
     a, b, _ = table.diff
     tf = table.theta_factor.tolist()
     ts = table.theta_sector.tolist()
@@ -321,15 +308,15 @@ def _require_residual(residual) -> None:
         raise _residual_error(residual)
 
 
-def solve_responses(sys: SystemMatrix, shock: ShockVector) -> ResponseVector:
+def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
     """Dense pivoted solve of the system for one shock. The response is
     linear in the shock, so a finite shock whose response or residual
     bound overflows is an input fault: ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, residual = _dense_solve(sys.a, shock.right_hand_side()[:, np.newaxis])
+        x, residual = _dense_solve(system, shock.right_hand_side()[:, np.newaxis])
         # The bound's sums |a| @ |x| must be finite too; a singular
         # system's NaN solution is left to the bound.
-        overflow = np.isinf(x).any() or np.isinf(np.abs(sys.a) @ np.abs(x)).any()
+        overflow = np.isinf(x).any() or np.isinf(np.abs(system) @ np.abs(x)).any()
     if overflow:
         raise ValidationError(f"the response to {shock!r} overflows floating point")
     _require_residual(residual)
@@ -355,12 +342,12 @@ def _dense_elasticities(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., 3:, :3], w, w + 1.0), axis=-2)
 
 
-def dense_signs(sys: SystemMatrix) -> tuple[np.ndarray, np.ndarray]:
+def dense_signs(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign grids [..., 4, 3] of every system over leading axes, rows as
     in _dense_elasticities, from one pivoted solve for the columns of
     _CHECK_SHOCKS, and each system's _dense_solve residual: NaN for a
     singular system."""
-    x, residual = _dense_solve(sys.a, _CHECK_SHOCKS)
+    x, residual = _dense_solve(system, _CHECK_SHOCKS)
     return _signs(_dense_elasticities(x)), residual
 
 
@@ -377,8 +364,8 @@ def comparative_statics(
     reciprocity and are verified against a dense pure-price-shock solve.
     One pivoted solve with the four right-hand sides serves both checks.
     """
-    sys = assemble_system(table, g)
-    delta = determinant_delta(sys, table, g)
+    system = assemble_system(table, g)
+    delta = determinant_delta(system, table, g)
     cof, _, _ = _cofactor_routes(table, g, vector, lines)
     ryb = [
         [
@@ -393,7 +380,7 @@ def comparative_statics(
         [-(ts[1] / tf[factor]) * ryb[1][factor] for factor in _FACTOR_ROWS],
         [(ts[0] / tf[factor]) * ryb[0][factor] for factor in _FACTOR_ROWS],
     ]
-    x, residual = _dense_solve(sys.a, _CHECK_SHOCKS)
+    x, residual = _dense_solve(system, _CHECK_SHOCKS)
     _require_residual(residual)
     dense = _dense_elasticities(x).tolist()
     for row, (closed_row, solved_row) in enumerate(zip(ryb + ss, dense)):
@@ -408,7 +395,7 @@ def comparative_statics(
                     f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
     return ComparativeStatics(
-        system=sys,
+        system=system,
         delta=delta,
         rybczynski=np.array(ryb),
         stolper_samuelson=np.array(ss),

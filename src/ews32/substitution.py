@@ -56,18 +56,6 @@ class AesTensor:
 
 
 @dataclass(frozen=True)
-class EpsilonTensor:
-    """Price elasticities of cost-minimizing input use, eps[j, i, h]:
-    response of factor i's unit requirement in sector j to factor h's
-    price. Rows sum to zero by linear homogeneity of cost."""
-
-    eps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", _readonly(self.eps))
-
-
-@dataclass(frozen=True)
 class EwsMatrix:
     """Economy-wide substitution matrix g[i, h]: output-constant response
     of factor i's aggregate use to factor h's price."""
@@ -216,16 +204,18 @@ def _rowsum_error(gap: float) -> ConsistencyError:
     return ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
 
 
-def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> EpsilonTensor:
+def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
     """Validate the Allen tensor, then scale each elasticity of the tensor
     its upper triangle fixes (see _complete) by the price-owner's
-    distributive share."""
+    distributive share: the read-only price elasticities of cost-minimizing
+    input use eps[j, i, h], the response of factor i's unit requirement in
+    sector j to factor h's price. Rows sum to zero by linear homogeneity of cost."""
     require_valid_aes(aes, table)
     eps = _epsilon(_complete(aes.sigma.copy(), table.theta.T), table)
     gap, ok = _rowsum_gap(eps)
     if not ok:
         raise _rowsum_error(float(gap))
-    return EpsilonTensor(eps=eps)
+    return _readonly(eps)
 
 
 def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
@@ -233,9 +223,9 @@ def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
     return np.einsum("ij,...jih->...ih", table.lam, eps)
 
 
-def ews_from_epsilon(eps: EpsilonTensor, table: ShareTable) -> EwsMatrix:
-    """Aggregate sector price elasticities with allocation shares."""
-    g = _aggregate(eps.eps, table)
+def ews_from_epsilon(eps: np.ndarray, table: ShareTable) -> EwsMatrix:
+    """Aggregate sector price elasticities eps[j, i, h] with allocation shares."""
+    g = _aggregate(eps, table)
     _require_ews_invariants(g, table)
     return EwsMatrix(g=g)
 

@@ -1,7 +1,10 @@
 import contextlib
+import copy
 import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -11,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ews32.cli
-from ews32 import ConsistencyError, Subregion, sample_valid_aes
+from ews32 import ConsistencyError, Subregion, build_share_table, sample_valid_aes
 from ews32.cli import main
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL
 
-from conftest import ROUNDED_SIGMAS, random_ranked_table
+from conftest import REFERENCE_SECTOR, REFERENCE_THETA, ROUNDED_SIGMAS, random_ranked_table
 from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
 
 
@@ -102,16 +105,25 @@ def test_report_refuses_a_shock_whose_response_overflows(tmp_path, capsys, price
         assert err.startswith(f"invalid input: the response to ShockVector(price_shock={price!r},")
 
 
+NOT_JSON = "scenario file is not valid UTF-8 JSON"
+
+
 @pytest.mark.parametrize(
-    "content",
-    [b"\xff\xfe{}", b"[" * 3000 + b"]" * 3000],
-    ids=["not-utf8", "nested-past-recursion-limit"],
+    "content, message",
+    [
+        (b"\xff\xfe{}", NOT_JSON),
+        (b"[" * 3000 + b"]" * 3000, NOT_JSON),
+        (b"[1]", "scenario document must be a JSON object"),
+        (json.dumps(dict(REFERENCE_DOC, shocks={})).encode(), "shocks must be a list of objects"),
+    ],
+    ids=["not-utf8", "nested-past-recursion-limit", "not-an-object", "shocks-not-a-list"],
 )
-def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content):
+def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("invalid input: scenario file is not valid UTF-8 JSON")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"invalid input: {message}")
 
 
 @pytest.mark.parametrize("table", [RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS], ids=["ryb", "ss"])
@@ -240,3 +252,104 @@ def test_a_document_that_validates_never_exits_1(doc):
         row = dict(zip(*(line.split(",") for line in csv.read_text().splitlines())))
         assert row["status"] == "ok"
         assert f"subregion: {row['subregion']}\n" in report
+
+
+# What a mutation writes in place of a leaf or under an unknown key:
+# booleans, strings, null, NaN and the infinities, small lists, objects.
+_JUNK = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """The path of node and of every value inside it, as tuples of dict
+    keys and list indices."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_docs(draw):
+    """The reference document or one on a sample_valid_aes tensor, with
+    one to three mutations: a leaf replaced, a key deleted or an unknown
+    key added, anywhere in the document; or a document that is not an
+    object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_JUNK.filter(lambda v: not isinstance(v, dict)), st.integers()))
+    if draw(st.booleans()):
+        doc = copy.deepcopy(REFERENCE_DOC)
+    else:
+        table = build_share_table(REFERENCE_THETA, REFERENCE_SECTOR)
+        sigma = sample_valid_aes(table, draw(st.integers(0, 999))).sigma
+        doc = dict(copy.deepcopy(REFERENCE_DOC), name="sampled", sigma=sigma.tolist())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        dicts = [p for p in paths if isinstance(_at(doc, p), dict)]
+        keyed = [p for p in paths[1:] if isinstance(_at(doc, p[:-1]), dict)]
+        leaves = [p for p in paths[1:] if not isinstance(_at(doc, p), (dict, list))]
+        kind = draw(st.sampled_from(["replace", "delete", "add"]))
+        if kind == "replace" and leaves:
+            path = draw(st.sampled_from(leaves))
+            _at(doc, path[:-1])[path[-1]] = draw(_JUNK)
+        elif kind == "delete" and keyed:
+            path = draw(st.sampled_from(keyed))
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            target = _at(doc, draw(st.sampled_from(dicts)))
+            target[draw(st.text(min_size=1, max_size=5))] = draw(_JUNK)
+    return doc
+
+
+@given(mutated_docs())
+@settings(max_examples=150)
+def test_a_mutated_document_exits_0_or_2_on_every_verb(doc):
+    """Every verb ends a mutated document in exit 0 or exit 2, with the
+    same outcome and message as validate, and raises no exception and
+    emits no warning on the way.
+
+    This is the malformed-document half of the whole-document contract
+    fuzz. Mutations stop at wrong types, non-finite literals and missing
+    or unknown keys. Extreme magnitudes and placements near a border
+    line are left out on purpose: they still end some valid documents in
+    exit 1. Past about 1e40 the float dense oracle can lose the sign of an
+    elasticity, and near a line the sign check can call a tie where
+    classification did not.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = str(Path(tmp) / "out")
+        runs = [
+            ["validate", str(path)],
+            ["report", str(path)],
+            ["figure", str(path), "-o", out],
+            ["sweep", str(path), "--grid", "land_capital_1=1:1:1", "-o", out],
+        ]
+        outcomes = []
+        for argv in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, stdout, err = _run(argv)
+            assert caught == []
+            if code == 2:
+                assert stdout == "" and err.startswith("invalid input: ")
+            else:
+                assert (code, err) == (0, "")
+            outcomes.append((code, err))
+        assert outcomes == [outcomes[0]] * len(runs)

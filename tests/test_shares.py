@@ -67,6 +67,21 @@ def test_share_range_enforced():
         build_share_table(bad, REFERENCE_SECTOR)
 
 
+@pytest.mark.parametrize(
+    "theta, sector, message",
+    [
+        (np.transpose(REFERENCE_THETA), REFERENCE_SECTOR, r"theta must be 3x2, got shape \(2, 3\)"),
+        (REFERENCE_THETA, [0.6, 0.3, 0.1], r"theta_sector must have 2 entries, got \(3,\)"),
+    ],
+    ids=["theta", "theta_sector"],
+)
+def test_share_shapes_enforced(theta, sector, message):
+    # scenario_from_mapping refuses these shapes first, so only library
+    # calls reach the checks.
+    with pytest.raises(OutOfRangeShare, match=message):
+        build_share_table(theta, sector)
+
+
 def test_zero_share_rejected():
     bad = [[0.65, 0.2], [0.0, 0.5], [0.35, 0.30]]
     with pytest.raises(OutOfRangeShare):

@@ -21,7 +21,6 @@ from ews32 import (
     ShockVector,
     SingularSystem,
     Subregion,
-    SystemMatrix,
     ValidationError,
     assemble_system,
     build_share_table,
@@ -86,21 +85,32 @@ def statics_of(table, g):
 
 def test_system_layout(reference_table):
     g = reference_g()
-    sys = assemble_system(reference_table, g)
-    assert sys.a.shape == (5, 5)
-    assert np.array_equal(sys.a[0, :3], np.asarray(reference_table.theta)[:, 0])
-    assert np.array_equal(sys.a[1, :3], np.asarray(reference_table.theta)[:, 1])
-    assert np.array_equal(sys.a[:2, 3:], np.zeros((2, 2)))
+    a = assemble_system(reference_table, g)
+    assert a.shape == (5, 5)
+    assert np.array_equal(a[0, :3], np.asarray(reference_table.theta)[:, 0])
+    assert np.array_equal(a[1, :3], np.asarray(reference_table.theta)[:, 1])
+    assert np.array_equal(a[:2, 3:], np.zeros((2, 2)))
     for row in range(3):
-        assert np.array_equal(sys.a[2 + row, :3], g.g[row])
-        assert np.array_equal(sys.a[2 + row, 3:], np.asarray(reference_table.lam)[row])
+        assert np.array_equal(a[2 + row, :3], g.g[row])
+        assert np.array_equal(a[2 + row, 3:], np.asarray(reference_table.lam)[row])
     # A stack of matrices assembles each one as on its own.
     stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, 2.0 * g.g])))
-    assert stacked.a.shape == (2, 5, 5)
-    assert np.array_equal(stacked.a[0], sys.a)
-    assert np.array_equal(
-        stacked.a[1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g)).a
-    )
+    assert stacked.shape == (2, 5, 5)
+    assert np.array_equal(stacked[0], a)
+    assert np.array_equal(stacked[1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g)))
+
+
+def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
+    g = reference_g()
+    eps = epsilon_from_aes(sample_valid_aes(reference_table, 201), reference_table)
+    stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, g.g])))
+    system = statics_of(reference_table, g).system
+    for arr in (eps, assemble_system(reference_table, g), stacked, system):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    assert eps.shape == (2, 3, 3)
 
 
 def test_shock_right_hand_side():
@@ -139,6 +149,15 @@ def test_determinant_linear_in_substitution(reference_table):
         assemble_system(reference_table, doubled), reference_table, doubled
     )
     assert d2.value == pytest.approx(2.0 * d1.value, rel=1e-12)
+
+
+def test_determinant_must_be_negative(reference_table):
+    # The determinant is linear in g, so negating a valid g flips all
+    # three routes to the same positive value; no valid g gets there.
+    g = EwsMatrix(g=-REFERENCE_G)
+    message = r"^system determinant must be negative, got 0\.16"
+    with pytest.raises(ClosedFormMismatch, match=message):
+        determinant_delta(assemble_system(reference_table, g), reference_table, g)
 
 
 def test_cofactors_reference(reference_table):
@@ -202,7 +221,7 @@ def test_solve_residual_and_linearity():
 
 def test_solve_singular_system(reference_table):
     with pytest.raises(SingularSystem):
-        solve_responses(SystemMatrix(a=np.zeros((5, 5))), ShockVector(price_shock=1.0))
+        solve_responses(np.zeros((5, 5)), ShockVector(price_shock=1.0))
 
 
 @pytest.mark.parametrize(
@@ -235,8 +254,8 @@ def test_overflowing_response_is_refused(reference_table):
 def test_dense_signs_on_a_stack(reference_table):
     # The reference system beside a singular one: the first gets the P2
     # sign grids, the second a NaN residual rather than an exception.
-    good = assemble_system(reference_table, reference_g()).a
-    signs, residual = dense_signs(SystemMatrix(a=np.stack([good, np.zeros((5, 5))])))
+    good = assemble_system(reference_table, reference_g())
+    signs, residual = dense_signs(np.stack([good, np.zeros((5, 5))]))
     assert signs.shape == (2, 4, 3)
     assert tuple(map(tuple, signs[0, :2].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
     assert tuple(map(tuple, signs[0, 2:].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
@@ -765,8 +784,8 @@ def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
     monkeypatch.setattr(np.linalg, "solve", corrupted)
     with pytest.raises(SingularSystem, match=r"solve residual 2\.0\d*e-10 exceeds"):
         run_report(reference_scenario())
-    a = assemble_system(reference_table, reference_g()).a
-    _, residual = dense_signs(SystemMatrix(a=a[np.newaxis]))
+    a = assemble_system(reference_table, reference_g())
+    _, residual = dense_signs(a[np.newaxis])
     assert residual[0] == pytest.approx(2e-10, rel=1e-3)
     assert not residual[0] <= statics.RESIDUAL_TOL
     with pytest.raises(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ews32 import (
     AesTensor,
     ConsistencyError,
     DegenerateT,
-    EpsilonTensor,
     EwsMatrix,
     GenerationExhausted,
     Infeasible,
@@ -53,10 +54,10 @@ def test_cobb_douglas_epsilon_values(reference_table):
     aes = cobb_douglas_aes(reference_table)
     eps = epsilon_from_aes(aes, reference_table)
     # Off-diagonal eps equals the partner factor's distributive share.
-    assert eps.eps[0, LAND, CAPITAL] == pytest.approx(0.15, abs=1e-15)
-    assert eps.eps[1, LABOR, LAND] == pytest.approx(0.20, abs=1e-15)
+    assert eps[0, LAND, CAPITAL] == pytest.approx(0.15, abs=1e-15)
+    assert eps[1, LABOR, LAND] == pytest.approx(0.20, abs=1e-15)
     # Rows sum to zero by construction of the diagonal.
-    assert np.allclose(eps.eps.sum(axis=2), 0.0, atol=1e-14)
+    assert np.allclose(eps.sum(axis=2), 0.0, atol=1e-14)
 
 
 def test_reference_ews_matrix(reference_table):
@@ -90,7 +91,7 @@ def test_scaled_aes_entry(reference_table):
     aes = AesTensor(sigma=sigma)
     require_valid_aes(aes, reference_table)
     eps = epsilon_from_aes(aes, reference_table)
-    assert eps.eps[0, LAND, CAPITAL] == pytest.approx(0.30, abs=1e-15)
+    assert eps[0, LAND, CAPITAL] == pytest.approx(0.30, abs=1e-15)
 
 
 def test_reference_ratio_vector():
@@ -132,6 +133,14 @@ def test_degenerate_ratio_rejected():
     )
     with pytest.raises(DegenerateT):
         ews_ratio_vector(EwsMatrix(g=g))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (1, 2, 3, 3)])
+def test_aes_tensor_shape_enforced(shape):
+    # scenario_from_mapping refuses these shapes first, so only library
+    # calls reach the check.
+    with pytest.raises(InvalidAes, match=rf"^sigma must be 2x3x3, got {re.escape(str(shape))}$"):
+        AesTensor(sigma=np.zeros(shape))
 
 
 def test_validate_rejects_positive_own(reference_table):
@@ -277,10 +286,10 @@ def test_identity_checks_fail_on_nan(reference_table):
         aggregate_substitution(EwsMatrix(g=g), reference_table.theta_factor, np.ones(3))
     # A NaN labor-capital term breaks only the identities among the
     # economy-wide invariants.
-    eps = epsilon_from_aes(cobb_douglas_aes(reference_table), reference_table).eps.copy()
+    eps = epsilon_from_aes(cobb_douglas_aes(reference_table), reference_table).copy()
     eps[:, LABOR, CAPITAL] = np.nan
     with pytest.raises(ConsistencyError, match="rows must sum to zero"):
-        ews_from_epsilon(EpsilonTensor(eps=eps), reference_table)
+        ews_from_epsilon(eps, reference_table)
 
 
 def completed(sigma, table):
@@ -321,7 +330,7 @@ def test_epsilon_is_that_of_the_completion(reference_table):
     for table, stated in cases:
         aes = AesTensor(sigma=stated)
         if validate_aes(aes, table).ok:
-            want = epsilon_from_aes(AesTensor(sigma=completed(stated, table)), table).eps
-            assert epsilon_from_aes(aes, table).eps.tobytes() == want.tobytes()
+            want = epsilon_from_aes(AesTensor(sigma=completed(stated, table)), table)
+            assert epsilon_from_aes(aes, table).tobytes() == want.tobytes()
             checked += 1
     assert checked >= 42

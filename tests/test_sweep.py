@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -11,13 +13,16 @@ from ews32 import (
     LAND,
     AesTensor,
     ClosedFormMismatch,
+    ConsistencyError,
     DegenerateT,
     Ews32Error,
+    Infeasible,
     InvalidAes,
     OnLine,
     ParseError,
     Scenario,
     Subregion,
+    UnmatchedSignature,
     classify_subregion,
     epsilon_from_aes,
     ews_from_epsilon,
@@ -31,6 +36,7 @@ from ews32 import (
     strong_rybczynski,
     sweep,
 )
+from ews32 import geometry, substitution
 from ews32.statics import RYBCZYNSKI_SIGNS
 from ews32.substitution import SAMPLE_SPREAD
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
@@ -298,6 +304,86 @@ def test_sweep_dense_check_catches_a_wrong_table(reference_scenario, monkeypatch
     named = rf"grid point {first} \(land_capital_1={value!r},"
     with pytest.raises(ClosedFormMismatch, match=named):
         sweep(reference_scenario, grid)
+
+
+def _corrupt_substitution(name, corrupt):
+    """Corrupt the output of a substitution helper on the scalar and the
+    stacked path alike."""
+
+    def patch(monkeypatch):
+        real = getattr(substitution, name)
+        for module in (substitution, importlib.import_module("ews32.sweep")):
+            monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args)))
+
+    return patch
+
+
+def _corrupt_boundary(monkeypatch):
+    real = geometry._boundary_height
+    monkeypatch.setattr(geometry, "_boundary_height", lambda *args: real(*args) + 100.0)
+
+
+def _forget_p2(monkeypatch):
+    code = geometry._signature_code(np.array(geometry.SIGNATURES[Subregion.P2]), 1)
+    regions = geometry._REGION_BY_CODE.copy()
+    regions[code] = -1
+    monkeypatch.setattr(geometry, "_REGION_BY_CODE", regions)
+
+
+# Labor's entries g[labor, land] and g[labor, capital] moved by +1e-3 and
+# -1e-3: the row sums still vanish, share-weighted symmetry does not.
+_ASYMMETRY = np.zeros((3, 3))
+_ASYMMETRY[LABOR] = (1e-3, -1e-3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, cls, message",
+    [
+        (
+            _corrupt_substitution("_epsilon", lambda eps: eps + 1e-3),
+            ConsistencyError,
+            "epsilon rows must sum to zero",
+        ),
+        (
+            _corrupt_substitution("_aggregate", lambda g: g + 1e-3),
+            ConsistencyError,
+            "economy-wide substitution rows must sum to zero",
+        ),
+        (
+            _corrupt_substitution("_aggregate", lambda g: g + _ASYMMETRY),
+            ConsistencyError,
+            "share-weighted symmetry of economy-wide substitution failed",
+        ),
+        (
+            _corrupt_substitution("_aggregate", lambda g: -g),
+            ConsistencyError,
+            "economy-wide own substitution must be negative",
+        ),
+        (_corrupt_boundary, Infeasible, "positive-denominator vectors must lie strictly above"),
+        (
+            _forget_p2,
+            UnmatchedSignature,
+            "offset signature ((-1, 1, 1), (-1, 1, -1)) with denominator sign +1",
+        ),
+    ],
+    ids=["epsilon-rows", "g-rows", "g-symmetry", "g-own-sign", "infeasible", "no-signature"],
+)
+def test_sweep_aborts_as_the_scalar_path(reference_scenario, monkeypatch, corrupt, cls, message):
+    # Each corruption breaks a check that every valid input passes. The
+    # sweep must raise what the scalar pipeline raises on the same point,
+    # after naming the point; the fixture was built before the corruption.
+    corrupt(monkeypatch)
+    table, lines = reference_scenario.table, reference_scenario.lines
+    with pytest.raises(Ews32Error) as scalar:
+        g = ews_from_epsilon(epsilon_from_aes(reference_scenario.aes, table), table)
+        classify_subregion(ews_ratio_vector(g), lines, table)
+    assert type(scalar.value) is cls and str(scalar.value).startswith(message)
+    # The template's own point, twice: the first one fails.
+    with pytest.raises(cls) as swept:
+        sweep(reference_scenario, parse_grid("land_capital_1=1:1:2"))
+    assert type(swept.value) is cls
+    prefix = r"grid point 0 \(land_capital_1=1\.0, land_labor_1=1\.0, .*, capital_labor_2=1\.0\): "
+    assert re.fullmatch(prefix + re.escape(str(scalar.value)), str(swept.value))
 
 
 def test_sweep_reports_degenerate_ratio(reference_scenario):
