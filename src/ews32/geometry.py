@@ -282,23 +282,16 @@ def _classify(s_prime, u_prime, sign_t, lines: LineCoeffs, table: ShareTable):
     return region, failed, offsets
 
 
-def _classify_error(fault: int, offsets: np.ndarray, sign_t: int) -> Exception:
-    """The error for one vector whose first failed classification check
-    is _CLASSIFY_FAULTS[fault - 1]."""
-    cls, message = _CLASSIFY_FAULTS[fault - 1]
-    if cls is UnmatchedSignature:
-        signature = tuple(tuple(int(x) for x in np.sign(row)) for row in offsets)
-        message = message.format(signature, sign_t)
-    return cls(message)
-
-
 def classify_subregion(
     v: EwsRatioVector, lines: LineCoeffs, table: ShareTable
 ) -> Subregion:
     """Map a feasible ratio vector to its subregion via the offset-sign
     signature of the six border lines."""
     region, failed, offsets = _classify(v.s_prime, v.u_prime, v.sign_t, lines, table)
-    for fault, bad in enumerate(failed, 1):
+    for (cls, message), bad in zip(_CLASSIFY_FAULTS, failed):
         if bad:
-            raise _classify_error(fault, offsets, v.sign_t)
+            if cls is UnmatchedSignature:
+                signature = tuple(tuple(int(x) for x in np.sign(row)) for row in offsets)
+                message = message.format(signature, v.sign_t)
+            raise cls(message)
     return REGIONS[region]

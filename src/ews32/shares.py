@@ -28,14 +28,6 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-def _first_fault(failed) -> np.ndarray:
-    """Fault code per point over leading axes, from a list of check
-    failure flags in checking order: 0 when no check failed, else 1 + the
-    index of the first that did."""
-    flags = np.asarray(failed)
-    return (flags.argmax(axis=0) + 1) * flags.any(axis=0)
-
-
 @dataclass(frozen=True)
 class ShareTable:
     """Distributive shares plus every quantity derived from them.

@@ -136,7 +136,8 @@ def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
     for row, factor in enumerate(_FACTOR_ROWS):
         a[..., 2 + row, :3] = g.g[..., factor, :]
         a[..., 2 + row, 3:] = table.lam[factor]
-    return _readonly(a)
+    a.flags.writeable = False
+    return a
 
 
 def determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
@@ -297,15 +298,10 @@ def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, residual.max(axis=-1)
 
 
-def _residual_error(residual) -> SingularSystem:
-    """The error for a _dense_solve residual past its bound."""
-    return SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
-
-
 def _require_residual(residual) -> None:
     """SingularSystem unless a _dense_solve residual passes its bound."""
     if not residual <= RESIDUAL_TOL:
-        raise _residual_error(residual)
+        raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
 
 
 def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
@@ -397,8 +393,8 @@ def comparative_statics(
     return ComparativeStatics(
         system=system,
         delta=delta,
-        rybczynski=np.array(ryb),
-        stolper_samuelson=np.array(ss),
+        rybczynski=_readonly(ryb),
+        stolper_samuelson=_readonly(ss),
     )
 
 

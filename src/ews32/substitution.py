@@ -199,11 +199,6 @@ def _rowsum_gap(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gap, _identity_ok(gap, eps, (-3, -2, -1))
 
 
-def _rowsum_error(gap: float) -> ConsistencyError:
-    """The error for an epsilon tensor whose worst row sum is gap."""
-    return ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
-
-
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
     """Validate the Allen tensor, then scale each elasticity of the tensor
     its upper triangle fixes (see _complete) by the price-owner's
@@ -214,8 +209,9 @@ def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
     eps = _epsilon(_complete(aes.sigma.copy(), table.theta.T), table)
     gap, ok = _rowsum_gap(eps)
     if not ok:
-        raise _rowsum_error(float(gap))
-    return _readonly(eps)
+        raise ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
+    eps.flags.writeable = False
+    return eps
 
 
 def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:

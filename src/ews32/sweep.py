@@ -21,14 +21,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ParseError
-from .geometry import REGIONS, _ON_LINE_FAULT, _classify, _classify_error
+from .errors import ConsistencyError, Ews32Error, ParseError
+from .geometry import REGIONS, _ON_LINE_FAULT, _classify
 from .scenario import Scenario, _finite_numbers
-from .shares import CAPITAL, LABOR, LAND, _first_fault
+from .shares import CAPITAL, LABOR, LAND
 from .statics import (
     RESIDUAL_TOL,
     _contradicts_tables,
-    _residual_error,
+    _require_residual,
     _sign_mismatch,
     assemble_system,
     dense_signs,
@@ -36,7 +36,7 @@ from .statics import (
 )
 from .substitution import (
     _AES_CHECKS,
-    _EWS_INVARIANTS,
+    AesTensor,
     EwsMatrix,
     _aes_flags,
     _aggregate,
@@ -44,7 +44,6 @@ from .substitution import (
     _degenerate,
     _epsilon,
     _ews_failures,
-    _rowsum_error,
     _rowsum_gap,
 )
 
@@ -82,9 +81,19 @@ _AES_STATUSES = ["ok"] + [
     for mask in range(1, 1 << len(_AES_CHECKS))
 ]
 
-# Pipeline stage at which a valid point leaves, in pipeline order; the
-# first four follow the order of the checks passed to _first_fault.
-_OK, _ROWSUM, _INVARIANT, _DEGENERATE, _CLASSIFY, _DENSE = range(6)
+# Pipeline stage at which a valid point leaves, in pipeline order, by the
+# name a disagreement with the scalar steps gives it; stages 1-4 follow
+# the order of the checks passed to _first_fault.
+_STAGES = ("ok", "epsilon rows", "g invariants", "degenerate", "classification", "dense check")
+_OK, _DEGENERATE, _CLASSIFY, _DENSE = 0, 3, 4, 5
+
+
+def _first_fault(failed) -> np.ndarray:
+    """Fault code per point over leading axes, from a list of check
+    failure flags in checking order: 0 when no check failed, else 1 + the
+    index of the first that did."""
+    flags = np.asarray(failed)
+    return (flags.argmax(axis=0) + 1) * flags.any(axis=0)
 
 
 def parse_grid(spec: str) -> dict[str, list[float]]:
@@ -138,15 +147,33 @@ def _point(index: int, sigma: np.ndarray) -> str:
     return f"grid point {index} ({values})"
 
 
+def _replay(scenario: Scenario, sigma: np.ndarray, stage: int) -> None:
+    """Run the scalar steps on one completed tensor that the stacked
+    pipeline refused at _STAGES[stage], and raise what they raise: build
+    its Scenario, then check its dense signs. ConsistencyError if they
+    accept it."""
+    point = Scenario(scenario.name, scenario.table, AesTensor(sigma=sigma))
+    signs, residual = dense_signs(assemble_system(point.table, point.ews))
+    _require_residual(residual)
+    disagree, tabled = _contradicts_tables(signs, (point.subregion,), 0)
+    if disagree:
+        raise _sign_mismatch(point.subregion, signs, tabled)
+    raise ConsistencyError(
+        f"stacked stage {_STAGES[stage]!r} refused a point the scalar steps accept"
+    )
+
+
 def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     """One result row per grid point, in deterministic grid order, as
     SweepRows.
 
     Every classified point's tabled sign patterns are checked against a
-    dense solve of its system. A consistency failure raises for the first
-    failing grid point in grid order: SingularSystem for a solve residual
-    past its bound, ClosedFormMismatch when the dense signs contradict the
-    tables, as in run_report.
+    dense solve of its system. When a check fails, the first failing grid
+    point in grid order is run again through the scalar steps, and the
+    sweep raises what they raise, as in run_report: the consistency
+    errors of building its Scenario, then SingularSystem for a solve
+    residual past its bound or ClosedFormMismatch when the dense signs
+    contradict the tables.
     """
     for key, values in grid.items():
         if key not in _KEY_SLOTS:
@@ -168,40 +195,29 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         valid = np.flatnonzero(aes_code == 0)
 
         eps = _epsilon(sigma[valid], table)
-        gap, rowsum_ok = _rowsum_gap(eps)
+        _, rowsum_ok = _rowsum_gap(eps)
         g = _aggregate(eps, table)
-        invariant = _first_fault(_ews_failures(g, table))
+        invariant = np.any(_ews_failures(g, table), axis=0)
         s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
         s_prime, u_prime = s / t, u / t
         sign_t = np.where(t > 0.0, 1, -1)
-        region, failed, offsets = _classify(s_prime, u_prime, sign_t, scenario.lines, table)
+        region, failed, _ = _classify(s_prime, u_prime, sign_t, scenario.lines, table)
         fault = _first_fault(failed)
-    stage = _first_fault([~rowsum_ok, invariant > 0, _degenerate(t), fault > 0])
+    stage = _first_fault([~rowsum_ok, invariant, _degenerate(t), fault > 0])
 
     classified = np.flatnonzero(stage == _OK)
     signs, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
-    disagree, tabled = _contradicts_tables(signs, REGIONS, region[classified])
+    disagree, _ = _contradicts_tables(signs, REGIONS, region[classified])
     stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 
     caught = (stage == _DEGENERATE) | ((stage == _CLASSIFY) & (fault == _ON_LINE_FAULT))
     bad = np.flatnonzero((stage != _OK) & ~caught)
     if bad.size:
         k = bad[0]
-        where = _point(int(valid[k]), sigma)
-        if stage[k] == _ROWSUM:
-            exc = _rowsum_error(float(gap[k]))
-        elif stage[k] == _INVARIANT:
-            exc = ConsistencyError(_EWS_INVARIANTS[invariant[k] - 1])
-        elif stage[k] == _CLASSIFY:
-            exc = _classify_error(int(fault[k]), offsets[k], int(sign_t[k]))
-        else:
-            c = int(np.searchsorted(classified, k))
-            exc = (
-                _sign_mismatch(REGIONS[region[k]], signs[c], tabled[c])
-                if residual[c] <= RESIDUAL_TOL
-                else _residual_error(residual[c])
-            )
-        raise type(exc)(f"{where}: {exc}")
+        try:
+            _replay(scenario, sigma[valid[k]], stage[k])
+        except Ews32Error as exc:
+            raise type(exc)(f"{_point(int(valid[k]), sigma)}: {exc}") from exc
 
     status = np.array(_AES_STATUSES, dtype=object)[aes_code]
     status[valid[stage == _DEGENERATE]] = "rejected (degenerate ratio)"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -104,13 +105,35 @@ def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
     g = reference_g()
     eps = epsilon_from_aes(sample_valid_aes(reference_table, 201), reference_table)
     stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, g.g])))
-    system = statics_of(reference_table, g).system
-    for arr in (eps, assemble_system(reference_table, g), stacked, system):
+    derived = statics_of(reference_table, g)
+    report = run_report(reference_scenario())
+    for arr in (
+        eps,
+        assemble_system(reference_table, g),
+        stacked,
+        derived.system,
+        derived.rybczynski,
+        derived.stolper_samuelson,
+        report.rybczynski,
+        report.stolper_samuelson,
+    ):
         assert type(arr) is np.ndarray and arr.dtype == np.float64
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
     assert eps.shape == (2, 3, 3)
+
+
+def test_assemble_system_freezes_its_stack_without_a_copy(reference_table):
+    g = EwsMatrix(g=np.broadcast_to(reference_g().g, (10_000, 3, 3)))
+    tracemalloc.start()
+    try:
+        system = assemble_system(reference_table, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (10000, 5, 5) stack of 2.0 MB; a copy to freeze it would double the peak.
+    assert peak <= 1.25 * system.nbytes
 
 
 def test_shock_right_hand_side():

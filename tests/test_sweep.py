@@ -386,6 +386,48 @@ def test_sweep_aborts_as_the_scalar_path(reference_scenario, monkeypatch, corrup
     assert re.fullmatch(prefix + re.escape(str(scalar.value)), str(swept.value))
 
 
+@pytest.mark.parametrize(
+    "flip_p3, cls, first",
+    [(True, ClosedFormMismatch, 2), (False, UnmatchedSignature, 3)],
+    ids=["dense-check-first", "classification-first"],
+)
+def test_sweep_aborts_at_the_first_failing_point_in_grid_order(
+    reference_scenario, monkeypatch, flip_p3, cls, first
+):
+    # Points 0-1 are rejected tensors, point 2 is in P3 and points 3-8 in
+    # P2. Without P2's signature points 3-8 fail classification; with
+    # P3's output row flipped too, point 2 fails the later dense check
+    # first in grid order. The named index counts grid points, not the
+    # valid points among them.
+    grid = parse_grid("capital_labor_2=-2:6:9")
+    rows = sweep(reference_scenario, grid)
+    assert [row["subregion"] for row in rows] == [None, None, "P3"] + ["P2"] * 6
+    _forget_p2(monkeypatch)
+    if flip_p3:
+        (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P3]
+        monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P3, ((-top[0],) + top[1:], bottom))
+    value = rows[first]["capital_labor_2"]
+    with pytest.raises(cls, match=rf"^grid point {first} \(.*capital_labor_2={value!r}\): "):
+        sweep(reference_scenario, grid)
+
+
+def test_sweep_names_a_point_only_the_stacked_pipeline_refuses(reference_scenario, monkeypatch):
+    # Only the sweep module's binding is corrupted: the stacked g breaks
+    # its row sums, while the scalar steps, run again on the point, pass.
+    real = substitution._aggregate
+    monkeypatch.setattr(
+        importlib.import_module("ews32.sweep"), "_aggregate", lambda *args: real(*args) + 1e-3
+    )
+    with pytest.raises(ConsistencyError) as caught:
+        sweep(reference_scenario, parse_grid("land_capital_1=1:1:2"))
+    assert type(caught.value) is ConsistencyError
+    assert re.fullmatch(
+        r"grid point 0 \(land_capital_1=1\.0, .*, capital_labor_2=1\.0\): "
+        r"stacked stage 'g invariants' refused a point the scalar steps accept",
+        str(caught.value),
+    )
+
+
 def test_sweep_reports_degenerate_ratio(reference_scenario):
     # t = g[labor, land] sums lam[labor, j] * theta[land, j] * sigma[j, labor, land]
     # over sectors j; choose sector 1's land-labor elasticity to zero it.
