@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import anchor_points, boundary_value
-from .scenario import Scenario
+from .scenario import Scenario, _finite_row
 from .shares import FACTOR_NAMES
 
 DEFAULT_WINDOW = ((-4.0, 4.0), (-10.0, 4.0))
@@ -38,15 +38,15 @@ def _fmt(v: float) -> str:
 
 
 def _require_window(window) -> None:
-    """Raise ValidationError unless both ranges of the window have finite
-    bounds and a nonzero span (in either order)."""
-    for lo, hi in window:
-        span = hi - lo
-        if not (math.isfinite(span) and span != 0.0):
-            raise ValidationError(
-                f"figure window {window!r} needs finite bounds and, on each axis, a "
-                "finite nonzero span"
-            )
+    """Raise ValidationError unless the window is two (lo, hi) ranges of
+    finite numbers, each with a finite nonzero span (in either order)."""
+    ranges = isinstance(window, (list, tuple)) or getattr(window, "ndim", 0) == 2
+    ranges = ranges and len(window) == 2 and all(_finite_row(r) and len(r) == 2 for r in window)
+    if not (ranges and all(math.isfinite(hi - lo) and hi - lo != 0.0 for lo, hi in window)):
+        raise ValidationError(
+            f"figure window {window!r} needs finite bounds and, on each axis, a "
+            "finite nonzero span"
+        )
 
 
 def _transform(window):

@@ -98,13 +98,21 @@ class Report:
 
 
 def _finite_numbers(value) -> bool:
-    # Leaf by leaf, because numpy reads true as 1.0 and "1.5" as 1.5.
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return all(map(_finite_numbers, value))
-    return (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
+    # Row by row, down to the entries, each checked by _finite_row.
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return _finite_row([value])
+    return _finite_row(value) or all(map(_finite_numbers, value))
+
+
+def _finite_row(value) -> bool:
+    # A list, tuple or 1-D array of finite numbers, none nested, checked
+    # entry by entry: numpy reads true as 1.0 and "1.5" as 1.5.
+    flat = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1
+    return flat and all(
+        isinstance(v, (int, float, np.integer, np.floating))
+        and not isinstance(v, bool)
+        and math.isfinite(v)
+        for v in value
     )
 
 

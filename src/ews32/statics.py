@@ -131,11 +131,9 @@ def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
     zero-profit over full-employment rows, [5, 5] for one matrix g or
     [..., 5, 5] for a stack g[..., 3, 3]."""
     a = np.zeros(g.g.shape[:-2] + (5, 5))
-    a[..., 0, :3] = table.theta[:, 0]
-    a[..., 1, :3] = table.theta[:, 1]
-    for row, factor in enumerate(_FACTOR_ROWS):
-        a[..., 2 + row, :3] = g.g[..., factor, :]
-        a[..., 2 + row, 3:] = table.lam[factor]
+    a[..., :2, :3] = table.theta.T
+    a[..., 2:, :3] = g.g
+    a[..., 2:, 3:] = table.lam
     a.flags.writeable = False
     return a
 

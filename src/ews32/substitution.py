@@ -23,7 +23,7 @@ from .errors import (
     InvalidAes,
     NonPositiveLevels,
 )
-from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
+from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _readonly
 
 # Identity checks allow this gap relative to the largest magnitude among
 # the entries they compare, and absolutely when those are below one:
@@ -40,6 +40,16 @@ _AES_CHECKS = (
     ("symmetry_ok", "symmetry"),
     ("homogeneity_ok", "homogeneity"),
 )
+
+# A sector tensor's free elasticities are its upper triangle, (row,
+# column) indices in row-major order; completion sets the rest. _KEY_SLOTS
+# names each one and gives its (sector, row, column) slot, sector by sector.
+_UPPER = np.triu_indices(3, 1)
+_KEY_SLOTS = {
+    f"{FACTOR_NAMES[i]}_{FACTOR_NAMES[h]}_{j + 1}": (j, i, h)
+    for j in range(2)
+    for i, h in np.transpose(_UPPER).tolist()
+}
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,8 @@ def _complete(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Complete sector tensors s[..., 3, 3] with shares th[..., 3] in place
     and return s: mirror the upper triangle, which holds the free
     elasticities, and set the own ones so share-weighted rows sum to zero."""
-    s[..., 1:, 0] = s[..., 0, 1:]
-    s[..., 2, 1] = s[..., 1, 2]
+    i, h = _UPPER
+    s[..., h, i] = s[..., i, h]
     own = np.arange(3)
     s[..., own, own] = 0.0
     # vecdot reduces with the BLAS dot that `row @ th` uses, so a stack of
@@ -331,7 +341,7 @@ def sample_valid_aes(table: ShareTable, seed: int, max_attempts: int = 10000) ->
     for j in range(2):
         s, th = sigma[j], table.theta[:, j]
         for _ in range(max_attempts):
-            s[0, 1], s[0, 2], s[1, 2] = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
+            s[_UPPER] = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
             if _aes_flags(_complete(s, th), th).all():
                 break
         else:

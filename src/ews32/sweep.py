@@ -22,20 +22,19 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, Ews32Error, ParseError
-from .geometry import REGIONS, _ON_LINE_FAULT, _classify
-from .scenario import Scenario, _finite_numbers
+from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
+from .scenario import Scenario, _finite_row, run_report
 from .shares import CAPITAL, LABOR, LAND
 from .statics import (
     RESIDUAL_TOL,
     _contradicts_tables,
-    _require_residual,
-    _sign_mismatch,
     assemble_system,
     dense_signs,
     strong_rybczynski,
 )
 from .substitution import (
     _AES_CHECKS,
+    _KEY_SLOTS,
     AesTensor,
     EwsMatrix,
     _aes_flags,
@@ -47,16 +46,6 @@ from .substitution import (
     _rowsum_gap,
 )
 
-# Canonical grid keys and the upper-triangle (sector, row, column) they
-# set; completion mirrors it and sets the diagonals, which are never free.
-_KEY_SLOTS = {
-    "land_capital_1": (0, 0, 1),
-    "land_labor_1": (0, 0, 2),
-    "capital_labor_1": (0, 1, 2),
-    "land_capital_2": (1, 0, 1),
-    "land_labor_2": (1, 0, 2),
-    "capital_labor_2": (1, 1, 2),
-}
 GRID_KEYS = tuple(_KEY_SLOTS)
 
 CSV_COLUMNS = GRID_KEYS + (
@@ -147,20 +136,19 @@ def _point(index: int, sigma: np.ndarray) -> str:
     return f"grid point {index} ({values})"
 
 
-def _replay(scenario: Scenario, sigma: np.ndarray, stage: int) -> None:
-    """Run the scalar steps on one completed tensor that the stacked
-    pipeline refused at _STAGES[stage], and raise what they raise: build
-    its Scenario, then check its dense signs. ConsistencyError if they
-    accept it."""
-    point = Scenario(scenario.name, scenario.table, AesTensor(sigma=sigma))
-    signs, residual = dense_signs(assemble_system(point.table, point.ews))
-    _require_residual(residual)
-    disagree, tabled = _contradicts_tables(signs, (point.subregion,), 0)
-    if disagree:
-        raise _sign_mismatch(point.subregion, signs, tabled)
-    raise ConsistencyError(
-        f"stacked stage {_STAGES[stage]!r} refused a point the scalar steps accept"
-    )
+def _replay(scenario: Scenario, sigma: np.ndarray, stage: int, refusal: type) -> None:
+    """Run run_report on one completed tensor that the stacked pipeline
+    refused at _STAGES[stage], and raise the report's error if it is a
+    refusal, the error class that stage stands for. Any other outcome is
+    a disagreement of the two pipelines: ConsistencyError."""
+    disagree = f"stacked stage {_STAGES[stage]!r} refused a point the scalar steps"
+    try:
+        run_report(Scenario(scenario.name, scenario.table, AesTensor(sigma=sigma)))
+    except refusal:
+        raise
+    except Ews32Error as exc:
+        raise ConsistencyError(f"{disagree} raise {type(exc).__name__}: {exc}") from exc
+    raise ConsistencyError(f"{disagree} accept")
 
 
 def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
@@ -168,17 +156,16 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     SweepRows.
 
     Every classified point's tabled sign patterns are checked against a
-    dense solve of its system. When a check fails, the first failing grid
-    point in grid order is run again through the scalar steps, and the
-    sweep raises what they raise, as in run_report: the consistency
-    errors of building its Scenario, then SingularSystem for a solve
-    residual past its bound or ClosedFormMismatch when the dense signs
-    contradict the tables.
+    dense solve of its system. When a check fails, run_report runs on
+    the first failing grid point in grid order, and the sweep raises the
+    report's error when it is the refusal the failed stage stands for: a
+    ConsistencyError, or for a classification fault the class
+    _CLASSIFY_FAULTS gives it. Any other outcome is ConsistencyError.
     """
     for key, values in grid.items():
         if key not in _KEY_SLOTS:
             raise ParseError(f"unknown grid key {key!r}")
-        if not (len(values) and _finite_numbers(values)):
+        if not (_finite_row(values) and len(values)):
             raise ParseError(f"grid key {key!r} needs one or more values, all finite numbers")
     active = [key for key in GRID_KEYS if key in grid]
     points = math.prod(len(grid[key]) for key in active)
@@ -214,8 +201,9 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     bad = np.flatnonzero((stage != _OK) & ~caught)
     if bad.size:
         k = bad[0]
+        refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
         try:
-            _replay(scenario, sigma[valid[k]], stage[k])
+            _replay(scenario, sigma[valid[k]], stage[k], refusal)
         except Ews32Error as exc:
             raise type(exc)(f"{_point(int(valid[k]), sigma)}: {exc}") from exc
 

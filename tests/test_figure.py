@@ -101,6 +101,9 @@ def test_window_override_changes_geometry(reference_scenario):
         ((0.0, 1e-310), (-1.0, 1.0)),  # subnormal span, overflowing pixel scale
         ((-4.0, 4.0), (1.0, 1.0 + 5e-324)),
         ((-4.0, 4.0), (0.0, 1e-305)),  # finite pixel scale, border-line ends overflow
+        ((-4.0, 4.0),),  # one range
+        ((-4.0, 4.0), (-1.0, 1.0), (0.0, 1.0)),  # three ranges
+        ((-4.0, 4.0), ("0", "1")),  # bounds that are not numbers
     ],
 )
 def test_window_must_have_finite_nonzero_spans(reference_scenario, window):

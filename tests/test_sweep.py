@@ -185,8 +185,18 @@ def test_sweep_rejects_unknown_key(reference_scenario):
 
 @pytest.mark.parametrize(
     "values",
-    [[], [float("inf")], [0.5, float("nan")], [None], ["1.0"], [True]],
-    ids=["empty", "inf", "nan", "none", "string", "bool"],
+    [
+        [],
+        [float("inf")],
+        [0.5, float("nan")],
+        [None],
+        ["1.0"],
+        [True],
+        [[1.0, 2.0]],
+        [[1.0], [1.0, 2.0]],
+        1.0,
+    ],
+    ids=["empty", "inf", "nan", "none", "string", "bool", "nested", "ragged", "scalar"],
 )
 def test_sweep_refuses_an_empty_axis_or_a_value_not_a_finite_number(reference_scenario, values):
     # parse_grid never builds such an axis; a library caller can.
@@ -411,19 +421,63 @@ def test_sweep_aborts_at_the_first_failing_point_in_grid_order(
         sweep(reference_scenario, grid)
 
 
-def test_sweep_names_a_point_only_the_stacked_pipeline_refuses(reference_scenario, monkeypatch):
-    # Only the sweep module's binding is corrupted: the stacked g breaks
-    # its row sums, while the scalar steps, run again on the point, pass.
-    real = substitution._aggregate
-    monkeypatch.setattr(
-        importlib.import_module("ews32.sweep"), "_aggregate", lambda *args: real(*args) + 1e-3
-    )
+def _last_flag_set(classified):
+    region, failed, offsets = classified
+    return region, failed[:-1] + [np.ones_like(failed[-1])], offsets
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, stage",
+    [
+        ("_epsilon", lambda eps: eps + 1e-3, "epsilon rows"),
+        ("_aggregate", lambda g: g + 1e-3, "g invariants"),
+        ("_classify", _last_flag_set, "classification"),
+        ("dense_signs", lambda solved: (-solved[0], solved[1]), "dense check"),
+    ],
+    ids=["epsilon-rows", "g-invariants", "classification", "dense-check"],
+)
+def test_sweep_names_a_point_only_the_stacked_pipeline_refuses(
+    reference_scenario, monkeypatch, name, corrupt, stage
+):
+    # Only the sweep module's binding is corrupted: the stacked pipeline
+    # refuses the point at the stage, while run_report, run on it again,
+    # accepts it.
+    module = importlib.import_module("ews32.sweep")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args)))
     with pytest.raises(ConsistencyError) as caught:
         sweep(reference_scenario, parse_grid("land_capital_1=1:1:2"))
     assert type(caught.value) is ConsistencyError
     assert re.fullmatch(
         r"grid point 0 \(land_capital_1=1\.0, .*, capital_labor_2=1\.0\): "
-        r"stacked stage 'g invariants' refused a point the scalar steps accept",
+        rf"stacked stage '{stage}' refused a point the scalar steps accept",
+        str(caught.value),
+    )
+
+
+def test_sweep_names_a_scalar_error_the_stacked_stage_does_not_stand_for(
+    reference_scenario, monkeypatch
+):
+    # The stacked g invariants refuse a point whose t the scalar steps
+    # find degenerate: the pipelines disagree, which is no input fault.
+    table = reference_scenario.table
+    lam, theta = table.lam, table.theta
+    scenario = Scenario("t-zero", table, sample_valid_aes(table, 0))
+    x = -lam[LABOR, 1] * theta[LAND, 1] * scenario.aes.sigma[1, LAND, LABOR] / (
+        lam[LABOR, 0] * theta[LAND, 0]
+    )
+    (row,) = sweep(scenario, {"land_labor_1": [x]})
+    assert row["status"] == "rejected (degenerate ratio)"
+    real = substitution._aggregate
+    monkeypatch.setattr(
+        importlib.import_module("ews32.sweep"), "_aggregate", lambda *args: real(*args) + 1e-3
+    )
+    with pytest.raises(ConsistencyError) as caught:
+        sweep(scenario, {"land_labor_1": [x]})
+    assert type(caught.value) is ConsistencyError
+    assert re.fullmatch(
+        r"grid point 0 \(land_capital_1=.*\): stacked stage 'g invariants' refused a point "
+        r"the scalar steps raise DegenerateT: labor-land substitution is numerically zero; .*",
         str(caught.value),
     )
 
