@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -59,13 +60,12 @@ def main(argv=None) -> int:
             sys.stdout.write(format_report(run_report(scenario)))
             return 0
         if args.verb == "figure":
-            render_figure(scenario, out=args.out)
+            Path(args.out).write_text(render_figure(scenario), encoding="utf-8")
             print(f"wrote {args.out}")
             return 0
         if args.verb == "sweep":
             rows = sweep(scenario, parse_grid(args.grid))
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(format_csv(rows))
+            Path(args.out).write_text(format_csv(rows), encoding="utf-8")
             accepted = int(np.count_nonzero(rows.status == "ok"))
             print(f"wrote {args.out}: {len(rows)} rows, {accepted} classified")
             return 0

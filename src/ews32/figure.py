@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import anchor_points, boundary_value
-from .scenario import Scenario, _finite_row
-from .shares import FACTOR_NAMES
+from .scenario import Scenario
+from .shares import FACTOR_NAMES, _finite_array
 
 DEFAULT_WINDOW = ((-4.0, 4.0), (-10.0, 4.0))
 DEFAULT_SIZE = (800, 600)
@@ -37,16 +37,18 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _require_window(window) -> None:
-    """Raise ValidationError unless the window is two (lo, hi) ranges of
-    finite numbers, each with a finite nonzero span (in either order)."""
-    ranges = isinstance(window, (list, tuple)) or getattr(window, "ndim", 0) == 2
-    ranges = ranges and len(window) == 2 and all(_finite_row(r) and len(r) == 2 for r in window)
-    if not (ranges and all(math.isfinite(hi - lo) and hi - lo != 0.0 for lo, hi in window)):
+def _require_window(window) -> list[list[float]]:
+    """The window's two (lo, hi) ranges as floats; ValidationError unless
+    both hold finite numbers with a finite nonzero span, in either order."""
+    bounds = _finite_array(window)
+    ranges = bounds is not None and bounds.shape == (2, 2)
+    # Spans on Python floats: numpy would warn where one overflows.
+    if not (ranges and all(0.0 < abs(hi - lo) < math.inf for lo, hi in bounds.tolist())):
         raise ValidationError(
             f"figure window {window!r} needs finite bounds and, on each axis, a "
             "finite nonzero span"
         )
+    return bounds.tolist()
 
 
 def _transform(window):
@@ -77,18 +79,12 @@ def _polyline(xy: np.ndarray, attrs: str) -> str:
     return f'<polyline fill="none" {attrs} points="{coords}" />'
 
 
-def render_figure(scenario: Scenario, out=None, window=DEFAULT_WINDOW) -> str:
-    """Render the scenario's plane to an SVG document; optionally write
-    it to a file."""
-    _require_window(window)
+def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
+    """The SVG document of the scenario's plane."""
     try:
-        svg = _document(scenario, window)
+        return _document(scenario, _require_window(window))
     except _NonFiniteCoordinate:
         raise ValidationError(f"figure window {window!r} maps a point out of float range") from None
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    return svg
 
 
 # A point far outside a tiny window maps past what a float holds, which

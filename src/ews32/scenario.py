@@ -10,7 +10,6 @@ numeric elasticities, and the oracle cross-checks.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import LineCoeffs, Subregion, classify_subregion, line_coefficients
-from .shares import ShareTable, build_share_table
+from .shares import ShareTable, _finite_array, build_share_table
 from .statics import (
     DeltaReport,
     ResponseVector,
@@ -97,34 +96,12 @@ class Report:
     responses: tuple[tuple[ShockVector, ResponseVector], ...]
 
 
-def _finite_numbers(value) -> bool:
-    # Row by row, down to the entries, each checked by _finite_row.
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        return _finite_row([value])
-    return _finite_row(value) or all(map(_finite_numbers, value))
-
-
-def _finite_row(value) -> bool:
-    # A list, tuple or 1-D array of finite numbers, none nested, checked
-    # entry by entry: numpy reads true as 1.0 and "1.5" as 1.5.
-    flat = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1
-    return flat and all(
-        isinstance(v, (int, float, np.integer, np.floating))
-        and not isinstance(v, bool)
-        and math.isfinite(v)
-        for v in value
-    )
-
-
 def _as_float_grid(value, shape, what: str) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what} must be numeric: {exc}") from exc
+    arr = _finite_array(value)
+    if arr is None:
+        raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
     if arr.shape != shape:
         raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not _finite_numbers(value):
-        raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
     return arr
 
 
@@ -165,11 +142,9 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
     for k, raw in enumerate(raw_shocks):
         if not isinstance(raw, dict) or set(raw) - {"price", "endowments"}:
             raise ParseError(f"shock {k} must be an object with keys price/endowments")
-        price = float(_as_float_grid(raw.get("price", 0.0), (), "price"))
+        price = _as_float_grid(raw.get("price", 0.0), (), "price")
         endow = _as_float_grid(raw.get("endowments", (0.0, 0.0, 0.0)), (3,), "endowments")
-        shocks.append(
-            ShockVector(price_shock=price, endowment_shocks=tuple(float(v) for v in endow))
-        )
+        shocks.append(ShockVector(price_shock=price, endowment_shocks=endow))
     return Scenario(name=name, table=table, aes=aes, shocks=tuple(shocks))
 
 

@@ -7,6 +7,7 @@ geometry, comparative statics) reads shares from the table built here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,26 @@ def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _finite_array(value) -> np.ndarray | None:
+    """Float array of a number, or of a rectangular nest of lists, tuples
+    and arrays whose leaves are finite ints or floats (Python or numpy, no
+    bool; a 0-d array inside a nest is a leaf, not a number); else None."""
+    try:
+        leaves = np.array(value, dtype=object)
+        # A ragged nest has lists or arrays among its leaves.
+        kinds = set(map(type, leaves.flat))
+        numbers = bool not in kinds and all(
+            issubclass(kind, (int, float, np.integer, np.floating)) for kind in kinds
+        )
+        # math.isfinite reads each leaf as a float.
+        if not (numbers and all(map(math.isfinite, leaves.flat))):
+            return None
+    # Nests deeper than numpy holds, some ragged nests, ints past the float range.
+    except (RuntimeError, ValueError, OverflowError):
+        return None
+    return leaves.astype(float)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ through a dense pivoted solve. The two routes must agree or we raise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
 from .geometry import SIGNATURES, LineCoeffs, Subregion, line_coefficients
-from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _finite_array, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
@@ -41,10 +40,14 @@ class ShockVector:
     endowment_shocks: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.endowment_shocks) != 3:
+        price, endow = _finite_array(self.price_shock), _finite_array(self.endowment_shocks)
+        if endow is not None and endow.shape != (3,):
             raise ValidationError(f"endowment shocks must have 3 entries, got {self!r}")
-        if not all(map(math.isfinite, (self.price_shock, *self.endowment_shocks))):
+        if price is None or endow is None or price.shape != ():
             raise ValidationError(f"shock entries must be finite, got {self!r}")
+        # Copies, so the shock is hashable and no caller's array moves it.
+        object.__setattr__(self, "price_shock", float(price))
+        object.__setattr__(self, "endowment_shocks", tuple(endow.tolist()))
 
     def right_hand_side(self) -> np.ndarray:
         return np.array(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConsistencyError, Ews32Error, ParseError
 from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
-from .scenario import Scenario, _finite_row, run_report
-from .shares import CAPITAL, LABOR, LAND
+from .scenario import Scenario, run_report
+from .shares import CAPITAL, LABOR, LAND, _finite_array
 from .statics import (
     RESIDUAL_TOL,
     _contradicts_tables,
@@ -162,13 +162,14 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     ConsistencyError, or for a classification fault the class
     _CLASSIFY_FAULTS gives it. Any other outcome is ConsistencyError.
     """
-    for key, values in grid.items():
+    axes = {key: _finite_array(values) for key, values in grid.items()}
+    for key, axis in axes.items():
         if key not in _KEY_SLOTS:
             raise ParseError(f"unknown grid key {key!r}")
-        if not (_finite_row(values) and len(values)):
+        if axis is None or axis.ndim != 1 or not axis.size:
             raise ParseError(f"grid key {key!r} needs one or more values, all finite numbers")
-    active = [key for key in GRID_KEYS if key in grid]
-    points = math.prod(len(grid[key]) for key in active)
+    active = [key for key in GRID_KEYS if key in axes]
+    points = math.prod(axes[key].size for key in active)
     if points > MAX_GRID_POINTS:
         raise ParseError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
     table = scenario.table
@@ -176,7 +177,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     # rejected may hold infinities or NaNs later, which its stage code
     # already accounts for.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sigma = _grid_tensors(scenario, grid, active, points)
+        sigma = _grid_tensors(scenario, axes, active, points)
         aes_failed = ~_aes_flags(sigma, table.theta.T).all(axis=-1)
         aes_code = np.dot(1 << np.arange(len(_AES_CHECKS)), aes_failed)
         valid = np.flatnonzero(aes_code == 0)
@@ -211,7 +212,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     status[valid[stage == _DEGENERATE]] = "rejected (degenerate ratio)"
     status[valid[stage == _CLASSIFY]] = "rejected (on a border line)"
     return SweepRows(
-        {key: np.array(grid[key], dtype=float) for key in active},
+        {key: axes[key] for key in active},
         scenario.aes.sigma,
         valid[classified],
         s_prime[classified],

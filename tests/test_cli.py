@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ews32.cli
-from ews32 import ConsistencyError, Subregion, build_share_table, sample_valid_aes
+from ews32 import (
+    ConsistencyError,
+    Subregion,
+    build_share_table,
+    load_scenario,
+    render_figure,
+    sample_valid_aes,
+)
 from ews32.cli import main
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL
@@ -67,6 +74,13 @@ def test_figure(scenario_file, tmp_path, capsys):
     assert main(["figure", scenario_file, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("<svg ")
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_file_output_matches_return(scenario_file, tmp_path):
+    # render_figure returns the SVG; the CLI writes it.
+    out = tmp_path / "plane.svg"
+    assert main(["figure", scenario_file, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == render_figure(load_scenario(scenario_file))
 
 
 def test_sweep(scenario_file, tmp_path, capsys):

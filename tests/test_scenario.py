@@ -93,6 +93,15 @@ def test_explicit_sigma_accepted(reference_table):
     assert run_report(scenario).subregion is Subregion.P2
 
 
+def test_numpy_values_read_as_the_numbers_they_hold():
+    # A library caller may pass numpy scalars and arrays, 0-d included.
+    def report(shocks):
+        return format_report(run_report(scenario_from_mapping(dict(REFERENCE_DOC, shocks=shocks))))
+
+    arrays = [{"price": np.array(1.0)}, {"endowments": np.array([1, 0, 0])}]
+    assert report(arrays) == report(REFERENCE_DOC["shocks"])
+
+
 def test_parse_errors(tmp_path):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json", encoding="utf-8")

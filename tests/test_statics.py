@@ -249,18 +249,45 @@ def test_solve_singular_system(reference_table):
 
 @pytest.mark.parametrize(
     "shock",
-    [{"price_shock": float("nan")}, {"endowment_shocks": (0.0, float("-inf"), 0.0)}],
-    ids=["nan-price", "infinite-endowment"],
+    [
+        {"price_shock": float("nan")},
+        {"endowment_shocks": (0.0, float("-inf"), 0.0)},
+        {"price_shock": "1"},
+        {"price_shock": None},
+        {"price_shock": 10**400},
+        {"endowment_shocks": (1, 2, 10**400)},
+    ],
+    ids=[
+        "nan-price",
+        "infinite-endowment",
+        "string-price",
+        "none-price",
+        "huge-int-price",
+        "huge-int-endowment",
+    ],
 )
 def test_shock_must_be_finite(shock):
     with pytest.raises(ValidationError, match="shock entries must be finite"):
         ShockVector(**shock)
 
 
-@pytest.mark.parametrize("endowments", [(1.0,), (0.0, 0.0, 0.0, 0.0), ()])
+@pytest.mark.parametrize("endowments", [(1.0,), (0.0, 0.0, 0.0, 0.0), (), 5])
 def test_shock_needs_three_endowment_entries(endowments):
     with pytest.raises(ValidationError, match="endowment shocks must have 3 entries"):
         ShockVector(endowment_shocks=endowments)
+
+
+def test_shock_keeps_its_own_floats():
+    # A frozen shock built from arrays stores floats: it hashes, and a
+    # later write to the caller's array does not move it.
+    endowments = np.array([1.0, 2.0, 3.0])
+    shock = ShockVector(price_shock=np.float32(0.5), endowment_shocks=endowments)
+    assert hash(shock) == hash(ShockVector(0.5, (1.0, 2.0, 3.0)))
+    rhs = shock.right_hand_side()
+    endowments[2] = 9.0
+    assert shock.endowment_shocks == (1.0, 2.0, 3.0)
+    assert type(shock.price_shock) is float
+    np.testing.assert_array_equal(shock.right_hand_side(), rhs)
 
 
 def test_overflowing_response_is_refused(reference_table):

@@ -195,8 +195,9 @@ def test_sweep_rejects_unknown_key(reference_scenario):
         [[1.0, 2.0]],
         [[1.0], [1.0, 2.0]],
         1.0,
+        [10**400],
     ],
-    ids=["empty", "inf", "nan", "none", "string", "bool", "nested", "ragged", "scalar"],
+    ids=["empty", "inf", "nan", "none", "string", "bool", "nested", "ragged", "scalar", "huge-int"],
 )
 def test_sweep_refuses_an_empty_axis_or_a_value_not_a_finite_number(reference_scenario, values):
     # parse_grid never builds such an axis; a library caller can.
