@@ -19,7 +19,7 @@ class NonStochasticColumns(ValidationError):
 
 
 class OutOfRangeShare(ValidationError):
-    """A share lies outside the open interval (0, 1)."""
+    """A finite share lies outside the open interval (0, 1)."""
 
 
 class RankingViolation(ValidationError):
@@ -29,9 +29,9 @@ class RankingViolation(ValidationError):
 class InvalidAes(ValidationError):
     """An Allen-elasticity tensor violates symmetry, own-negativity,
     homogeneity, or strict quasi-concavity; `report` is the failing
-    ValidityReport, or None for a tensor of the wrong shape."""
+    ValidityReport. A tensor of the wrong shape is a ParseError."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 
@@ -46,7 +46,7 @@ class GenerationExhausted(ValidationError):
 
 
 class NonPositiveLevels(ValidationError):
-    """An endowment or price level is not strictly positive."""
+    """A finite endowment or price level is not strictly positive."""
 
 
 class InconsistentLevels(ValidationError):
@@ -69,7 +69,9 @@ class Infeasible(ValidationError):
 
 
 class ParseError(ValidationError):
-    """Scenario file is malformed."""
+    """A scenario file is malformed, or a value is not finite numbers of
+    the shape its function needs (a NaN, a string or a wrong shape, from
+    a document or from a library caller alike)."""
 
 
 class ConsistencyError(Ews32Error):

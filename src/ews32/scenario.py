@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import LineCoeffs, Subregion, classify_subregion, line_coefficients
-from .shares import ShareTable, _finite_array, build_share_table
+from .shares import ShareTable, build_share_table
 from .statics import (
     DeltaReport,
     ResponseVector,
@@ -96,15 +96,6 @@ class Report:
     responses: tuple[tuple[ShockVector, ResponseVector], ...]
 
 
-def _as_float_grid(value, shape, what: str) -> np.ndarray:
-    arr = _finite_array(value)
-    if arr is None:
-        raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
-    if arr.shape != shape:
-        raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
 def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
     if not isinstance(doc, dict):
@@ -121,9 +112,7 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
     if not isinstance(name, str) or not name or _NOT_XML.search(name):
         raise ParseError(f"scenario name must be a non-empty string XML 1.0 can hold, got {name!r}")
 
-    theta = _as_float_grid(doc["theta"], (3, 2), "theta")
-    theta_sector = _as_float_grid(doc["theta_sector"], (2,), "theta_sector")
-    table = build_share_table(theta, theta_sector)
+    table = build_share_table(doc["theta"], doc["theta_sector"])
 
     sigma = doc["sigma"]
     if isinstance(sigma, str):
@@ -133,7 +122,7 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
             )
         aes = cobb_douglas_aes(table)
     else:
-        aes = AesTensor(sigma=_as_float_grid(sigma, (2, 3, 3), "sigma"))
+        aes = AesTensor(sigma=sigma)
 
     shocks = []
     raw_shocks = doc.get("shocks", [])
@@ -142,9 +131,7 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
     for k, raw in enumerate(raw_shocks):
         if not isinstance(raw, dict) or set(raw) - {"price", "endowments"}:
             raise ParseError(f"shock {k} must be an object with keys price/endowments")
-        price = _as_float_grid(raw.get("price", 0.0), (), "price")
-        endow = _as_float_grid(raw.get("endowments", (0.0, 0.0, 0.0)), (3,), "endowments")
-        shocks.append(ShockVector(price_shock=price, endowment_shocks=endow))
+        shocks.append(ShockVector(raw.get("price", 0.0), raw.get("endowments", (0.0, 0.0, 0.0))))
     return Scenario(name=name, table=table, aes=aes, shocks=tuple(shocks))
 
 

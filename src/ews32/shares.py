@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonStochasticColumns, OutOfRangeShare, RankingViolation
+from .errors import NonStochasticColumns, OutOfRangeShare, ParseError, RankingViolation
 
 LAND, CAPITAL, LABOR = 0, 1, 2
 FACTOR_NAMES = ("land", "capital", "labor")
@@ -49,6 +49,18 @@ def _finite_array(value) -> np.ndarray | None:
     return leaves.astype(float)
 
 
+def _read(value, shape: tuple, what: str) -> np.ndarray:
+    """Read-only float array of value, read by _finite_array; ParseError
+    unless it holds finite numbers of the given shape."""
+    arr = _finite_array(value)
+    if arr is None:
+        raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
+    if arr.shape != shape:
+        raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ShareTable:
     """Distributive shares plus every quantity derived from them.
@@ -82,17 +94,12 @@ def build_share_table(theta, theta_sector) -> ShareTable:
     """Validate raw shares and the maintained rankings, and derive factor
     shares, allocation shares, and the cross-sector difference triple.
 
-    Raises OutOfRangeShare, NonStochasticColumns or RankingViolation, in
-    that order of checking. Ties fail the rankings: the sign tables
-    downstream assume strict inequalities.
+    Raises ParseError, OutOfRangeShare, NonStochasticColumns or
+    RankingViolation, in that order of checking. Ties fail the rankings:
+    the sign tables downstream assume strict inequalities.
     """
-    th = np.array(theta, dtype=float)
-    ts = np.array(theta_sector, dtype=float)
-    if th.shape != (3, 2):
-        raise OutOfRangeShare(f"theta must be 3x2, got shape {th.shape}")
-    if ts.shape != (2,):
-        raise OutOfRangeShare(f"theta_sector must have 2 entries, got {ts.shape}")
-    # Written so that NaN fails the range tests.
+    th = _read(theta, (3, 2), "theta")
+    ts = _read(theta_sector, (2,), "theta_sector")
     if not np.all((th > 0.0) & (th < 1.0)):
         raise OutOfRangeShare("every distributive share must lie strictly between 0 and 1")
     if not np.all((ts > 0.0) & (ts < 1.0)):
@@ -120,8 +127,8 @@ def build_share_table(theta, theta_sector) -> ShareTable:
     lam = (ts[np.newaxis, :] / tf[:, np.newaxis]) * th
     diff = tuple(float(d) for d in th[:, 0] - th[:, 1])
     return ShareTable(
-        theta=_readonly(th),
-        theta_sector=_readonly(ts),
+        theta=th,
+        theta_sector=ts,
         theta_factor=_readonly(tf),
         lam=_readonly(lam),
         diff=diff,

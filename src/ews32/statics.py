@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
 from .geometry import SIGNATURES, LineCoeffs, Subregion, line_coefficients
-from .shares import CAPITAL, LABOR, LAND, ShareTable, _finite_array, _readonly
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
@@ -40,11 +40,8 @@ class ShockVector:
     endowment_shocks: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        price, endow = _finite_array(self.price_shock), _finite_array(self.endowment_shocks)
-        if endow is not None and endow.shape != (3,):
-            raise ValidationError(f"endowment shocks must have 3 entries, got {self!r}")
-        if price is None or endow is None or price.shape != ():
-            raise ValidationError(f"shock entries must be finite, got {self!r}")
+        price = _read(self.price_shock, (), "price")
+        endow = _read(self.endowment_shocks, (3,), "endowments")
         # Copies, so the shock is hashable and no caller's array moves it.
         object.__setattr__(self, "price_shock", float(price))
         object.__setattr__(self, "endowment_shocks", tuple(endow.tolist()))

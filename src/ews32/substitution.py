@@ -22,8 +22,9 @@ from .errors import (
     InconsistentLevels,
     InvalidAes,
     NonPositiveLevels,
+    ValidationError,
 )
-from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _readonly
+from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _read, _readonly
 
 # Identity checks allow this gap relative to the largest magnitude among
 # the entries they compare, and absolutely when those are below one:
@@ -60,9 +61,7 @@ class AesTensor:
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _readonly(self.sigma))
-        if self.sigma.shape != (2, 3, 3):
-            raise InvalidAes(f"sigma must be 2x3x3, got {self.sigma.shape}")
+        object.__setattr__(self, "sigma", _read(self.sigma, (2, 3, 3), "sigma"))
 
 
 @dataclass(frozen=True)
@@ -300,14 +299,17 @@ def ews_ratio_vector(g: EwsMatrix) -> EwsRatioVector:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ews_from_stu(table: ShareTable, s: float, t: float, u: float) -> EwsMatrix:
     """Build the full substitution matrix from a target off-diagonal
     triple, using share-weighted symmetry for the upper triangle and zero
     row sums for the diagonal.
 
     Valid placements need s + t > 0 and u(s + t) + (theta_L/theta_K)st > 0;
-    the own-negativity and minor conditions then follow.
+    the own-negativity and minor conditions then follow. A finite triple
+    whose matrix overflows is an input fault: ValidationError.
     """
+    s, t, u = _read((s, t, u), (3,), "(s, t, u)").tolist()
     ratio_lk = table.labor_to_capital
     if not s + t > 0.0:
         raise Infeasible("labor's off-diagonal substitution terms must sum positive")
@@ -324,6 +326,8 @@ def ews_from_stu(table: ShareTable, s: float, t: float, u: float) -> EwsMatrix:
     for i in range(3):
         g[i, i] = 0.0
         g[i, i] = -g[i].sum()
+    if not np.isfinite(g).all():
+        raise ValidationError(f"the matrix of (s, t, u) = {(s, t, u)} overflows floating point")
     _require_ews_invariants(g, table)
     return EwsMatrix(g=g)
 
@@ -351,21 +355,22 @@ def sample_valid_aes(table: ShareTable, seed: int, max_attempts: int = 10000) ->
     return AesTensor(sigma=sigma)
 
 
+@np.errstate(over="ignore")
 def aggregate_substitution(g: EwsMatrix, endowments, prices) -> np.ndarray:
     """Aggregate substitution in levels: s[i, h] = g[i, h] * V_i / w_h.
 
     Requires factor incomes w_i * V_i proportional to the factor shares
     the matrix g was built from; otherwise the result cannot be symmetric
-    and the levels contradict the share data.
+    and the levels contradict the share data. Levels whose result
+    overflows are an input fault: ValidationError.
     """
-    v = np.asarray(endowments, dtype=float)
-    w = np.asarray(prices, dtype=float)
-    if v.shape != (3,) or w.shape != (3,):
-        raise NonPositiveLevels("endowments and prices must each have 3 entries")
-    # Written to fail, not pass, on NaN.
+    v = _read(endowments, (3,), "endowments")
+    w = _read(prices, (3,), "prices")
     if not (np.all(v > 0.0) and np.all(w > 0.0)):
         raise NonPositiveLevels("endowments and prices must be strictly positive")
     s = g.g * v[:, np.newaxis] / w[np.newaxis, :]
+    if np.isinf(s).any():
+        raise ValidationError("aggregate substitution in these levels overflows floating point")
     if not _identity_ok(np.max(np.abs(s - s.T)), s, None):
         raise InconsistentLevels(
             "factor incomes implied by the levels do not match the share table; "

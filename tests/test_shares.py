@@ -11,6 +11,7 @@ from ews32 import (
     LAND,
     NonStochasticColumns,
     OutOfRangeShare,
+    ParseError,
     RankingViolation,
     build_share_table,
 )
@@ -70,15 +71,17 @@ def test_share_range_enforced():
 @pytest.mark.parametrize(
     "theta, sector, message",
     [
-        (np.transpose(REFERENCE_THETA), REFERENCE_SECTOR, r"theta must be 3x2, got shape \(2, 3\)"),
-        (REFERENCE_THETA, [0.6, 0.3, 0.1], r"theta_sector must have 2 entries, got \(3,\)"),
+        (
+            np.transpose(REFERENCE_THETA),
+            REFERENCE_SECTOR,
+            r"^theta must have shape \(3, 2\), got \(2, 3\)$",
+        ),
+        (REFERENCE_THETA, [0.6, 0.3, 0.1], r"^theta_sector must have shape \(2,\), got \(3,\)$"),
     ],
     ids=["theta", "theta_sector"],
 )
 def test_share_shapes_enforced(theta, sector, message):
-    # scenario_from_mapping refuses these shapes first, so only library
-    # calls reach the checks.
-    with pytest.raises(OutOfRangeShare, match=message):
+    with pytest.raises(ParseError, match=message):
         build_share_table(theta, sector)
 
 
@@ -89,12 +92,12 @@ def test_zero_share_rejected():
 
 
 def test_nan_share_rejected():
-    # NaN compares false both ways, so it must fail the range test itself
-    # rather than slip through to the ranking check.
+    # NaN is not a finite number, so it is refused as read, before it can
+    # compare false against a range or ranking test.
     theta = [[0.50, 0.20], [float("nan"), 0.50], [0.35, 0.30]]
-    with pytest.raises(OutOfRangeShare):
+    with pytest.raises(ParseError):
         build_share_table(theta, REFERENCE_SECTOR)
-    with pytest.raises(OutOfRangeShare):
+    with pytest.raises(ParseError):
         build_share_table(REFERENCE_THETA, [float("nan"), 0.4])
 
 

@@ -18,6 +18,7 @@ from ews32 import (
     DegenerateT,
     EwsMatrix,
     OnLine,
+    ParseError,
     Scenario,
     ShockVector,
     SingularSystem,
@@ -267,13 +268,16 @@ def test_solve_singular_system(reference_table):
     ],
 )
 def test_shock_must_be_finite(shock):
-    with pytest.raises(ValidationError, match="shock entries must be finite"):
+    what = {"price_shock": "price", "endowment_shocks": "endowments"}[next(iter(shock))]
+    message = f"^{what} must hold finite numbers, not booleans or strings$"
+    with pytest.raises(ParseError, match=message):
         ShockVector(**shock)
 
 
 @pytest.mark.parametrize("endowments", [(1.0,), (0.0, 0.0, 0.0, 0.0), (), 5])
 def test_shock_needs_three_endowment_entries(endowments):
-    with pytest.raises(ValidationError, match="endowment shocks must have 3 entries"):
+    shape = re.escape(str(np.shape(endowments)))
+    with pytest.raises(ParseError, match=rf"^endowments must have shape \(3,\), got {shape}$"):
         ShockVector(endowment_shocks=endowments)
 
 

@@ -16,6 +16,7 @@ from ews32 import (
     InconsistentLevels,
     InvalidAes,
     NonPositiveLevels,
+    ParseError,
     Scenario,
     aggregate_substitution,
     cobb_douglas_aes,
@@ -137,9 +138,8 @@ def test_degenerate_ratio_rejected():
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (1, 2, 3, 3)])
 def test_aes_tensor_shape_enforced(shape):
-    # scenario_from_mapping refuses these shapes first, so only library
-    # calls reach the check.
-    with pytest.raises(InvalidAes, match=rf"^sigma must be 2x3x3, got {re.escape(str(shape))}$"):
+    message = rf"^sigma must have shape \(2, 3, 3\), got {re.escape(str(shape))}$"
+    with pytest.raises(ParseError, match=message):
         AesTensor(sigma=np.zeros(shape))
 
 
@@ -233,6 +233,20 @@ def test_ews_from_stu_infeasible(reference_table):
         ews_from_stu(reference_table, 1.0, 1.0, -5.0)  # concavity minor fails
 
 
+@pytest.mark.parametrize("slot", range(3), ids=["s", "t", "u"])
+@pytest.mark.parametrize(
+    "value",
+    [np.inf, -np.inf, np.nan, "a", True, 10**400],
+    ids=["inf", "-inf", "nan", "string", "bool", "huge-int"],
+)
+def test_ews_from_stu_refuses_a_triple_not_finite_numbers(reference_table, slot, value):
+    stu = [1.0, 1.0, 1.0]
+    stu[slot] = value
+    message = r"^\(s, t, u\) must hold finite numbers, not booleans or strings$"
+    with pytest.raises(ParseError, match=message):
+        ews_from_stu(reference_table, *stu)
+
+
 def test_aggregate_substitution_reference(reference_table):
     g = EwsMatrix(g=REFERENCE_G.copy())
     theta = np.asarray(reference_table.theta_factor)
@@ -267,13 +281,13 @@ def test_aggregate_substitution_rejects_bad_levels(reference_table):
 
 
 def test_aggregate_substitution_refuses_nan_levels(reference_table):
-    # A NaN level is not strictly positive; it must not get as far as
-    # the symmetry check.
+    # A NaN level is not a finite number; it must not get as far as the
+    # positivity or symmetry checks.
     g = EwsMatrix(g=REFERENCE_G.copy())
     theta = np.asarray(reference_table.theta_factor)
-    with pytest.raises(NonPositiveLevels):
+    with pytest.raises(ParseError):
         aggregate_substitution(g, np.array([np.nan, 1.0, 1.0]), np.ones(3))
-    with pytest.raises(NonPositiveLevels):
+    with pytest.raises(ParseError):
         aggregate_substitution(g, theta, np.array([1.0, np.nan, 1.0]))
 
 
