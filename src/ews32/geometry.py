@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymptotePole, Infeasible, OnLine, UnmatchedSignature
-from .shares import CAPITAL, LABOR, LAND, ShareTable, _readonly
+from .errors import AsymptotePole, Infeasible, OnLine, UnmatchedSignature, ValidationError
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
 from .substitution import EwsRatioVector
 
 # A vector this close to a line (or the boundary asymptote) has no
@@ -152,11 +152,17 @@ def _boundary_height(s_prime, table: ShareTable):
 
 def boundary_value(s_prime, table: ShareTable):
     """Height of the boundary hyperbola at s_prime: a float for a float,
-    an array for an array of abscissas. Raises AsymptotePole if any
-    abscissa sits on the pole."""
-    if np.any(np.abs(s_prime + 1.0) <= ON_LINE_TOL):
+    an array for an array of abscissas. Raises ParseError unless s_prime
+    holds finite numbers, AsymptotePole if any abscissa sits on the pole,
+    and ValidationError if a height overflows floating point."""
+    s = _read(s_prime, None, "s_prime")
+    if (np.abs(s + 1.0) <= ON_LINE_TOL).any():
         raise AsymptotePole("boundary curve has a pole at s_prime = -1")
-    return _boundary_height(s_prime, table)
+    try:
+        with np.errstate(over="raise"):
+            return _boundary_height(s, table)
+    except FloatingPointError:
+        raise ValidationError("a boundary height overflows floating point") from None
 
 
 def line_coefficients(table: ShareTable) -> LineCoeffs:

@@ -33,6 +33,9 @@ def _finite_array(value) -> np.ndarray | None:
     """Float array of a number, or of a rectangular nest of lists, tuples
     and arrays whose leaves are finite ints or floats (Python or numpy, no
     bool; a 0-d array inside a nest is a leaf, not a number); else None."""
+    # A float array reads as itself, with no pass over object leaves.
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        return value.copy() if np.isfinite(value).all() else None
     try:
         leaves = np.array(value, dtype=object)
         # A ragged nest has lists or arrays among its leaves.
@@ -49,13 +52,13 @@ def _finite_array(value) -> np.ndarray | None:
     return leaves.astype(float)
 
 
-def _read(value, shape: tuple, what: str) -> np.ndarray:
+def _read(value, shape: tuple | None, what: str) -> np.ndarray:
     """Read-only float array of value, read by _finite_array; ParseError
-    unless it holds finite numbers of the given shape."""
+    unless it holds finite numbers of the given shape (any, for None)."""
     arr = _finite_array(value)
     if arr is None:
         raise ParseError(f"{what} must hold finite numbers, not booleans or strings")
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr

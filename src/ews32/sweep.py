@@ -1,13 +1,16 @@
 """Parameter sweeps over the off-diagonal Allen elasticities.
 
 A grid spec names any subset of the six free elasticities and a range
-for each; the sweep takes the Cartesian product in a fixed key order,
-builds the whole stack of tensors at once (each completed from its upper
-triangle and homogeneity), and runs the pipeline over the stack in one
-pass: validation, epsilon and g with their invariants, the ratio vector,
-its classification, and a dense solve of every classified point's
-system whose signs must match the tabled patterns. Invalid points stay
-in the output with a rejection status instead of being dropped.
+for each; the sweep takes the Cartesian product in a fixed key order.
+A sector's tensor depends only on that sector's swept keys, so each
+distinct sector tensor is built, completed from its upper triangle and
+homogeneity, and checked once; a point's checks are those of its two
+sector tensors. The pipeline then runs in one pass over the stack of the
+valid points' tensors: epsilon and g with their invariants, the ratio
+vector, its classification, and a dense solve of every classified
+point's system whose signs must match the tabled patterns. Invalid
+points stay in the output with a rejection status instead of being
+dropped.
 
 The result keeps the engine's columns (SweepRows); a row's dict is built
 only when it is read, and format_csv writes the CSV from the columns.
@@ -57,8 +60,9 @@ CSV_COLUMNS = GRID_KEYS + (
     "status",
 )
 
-# The sweep holds every grid point's tensor, intermediates and row at
-# once, so a grid is refused above this many points.
+# The sweep holds every valid grid point's tensor and intermediates, and
+# every point's status, at once, so a grid is refused above this many
+# points.
 MAX_GRID_POINTS = 1_000_000
 
 # Status of a point per bit mask of failed Allen-tensor checks (bit k for
@@ -119,20 +123,25 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
     return grid
 
 
-def _grid_tensors(scenario: Scenario, grid: dict[str, list[float]], active, points) -> np.ndarray:
-    """Every grid point's Allen tensor, (points, 2, 3, 3), in grid order:
-    the template with the swept entries set, completed."""
-    axes = np.meshgrid(*(np.asarray(grid[key], dtype=float) for key in active), indexing="ij")
-    sigma = np.empty((points, 2, 3, 3))
-    sigma[:] = scenario.aes.sigma
-    for key, values in zip(active, axes):
-        sector, row, col = _KEY_SLOTS[key]
-        sigma[:, sector, row, col] = values.ravel()
-    return _complete(sigma, scenario.table.theta.T)
+def _sector_tensors(scenario: Scenario, axes: dict) -> list[np.ndarray]:
+    """Each sector's distinct Allen tensors, (n_j, 3, 3) for sector j, in
+    grid order: the template's sector tensor with that sector's swept
+    entries set, over the product of its own axes only, completed."""
+    tensors = []
+    for j in range(2):
+        keys = [key for key in axes if _KEY_SLOTS[key][0] == j]
+        s = np.empty((math.prod(len(axes[key]) for key in keys), 3, 3))
+        s[:] = scenario.aes.sigma[j]
+        for key, values in zip(keys, np.meshgrid(*(axes[key] for key in keys), indexing="ij")):
+            _, row, col = _KEY_SLOTS[key]
+            s[:, row, col] = values.ravel()
+        tensors.append(_complete(s, scenario.table.theta[:, j]))
+    return tensors
 
 
 def _point(index: int, sigma: np.ndarray) -> str:
-    values = ", ".join(f"{key}={float(sigma[index][slot])!r}" for key, slot in _KEY_SLOTS.items())
+    """The grid point's name in messages, from its index and its tensor."""
+    values = ", ".join(f"{key}={float(sigma[slot])!r}" for key, slot in _KEY_SLOTS.items())
     return f"grid point {index} ({values})"
 
 
@@ -168,8 +177,8 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
             raise ParseError(f"unknown grid key {key!r}")
         if axis is None or axis.ndim != 1 or not axis.size:
             raise ParseError(f"grid key {key!r} needs one or more values, all finite numbers")
-    active = [key for key in GRID_KEYS if key in axes]
-    points = math.prod(axes[key].size for key in active)
+    swept = {key: axes[key] for key in GRID_KEYS if key in axes}
+    points = math.prod(axis.size for axis in swept.values())
     if points > MAX_GRID_POINTS:
         raise ParseError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
     table = scenario.table
@@ -177,12 +186,21 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     # rejected may hold infinities or NaNs later, which its stage code
     # already accounts for.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sigma = _grid_tensors(scenario, axes, active, points)
-        aes_failed = ~_aes_flags(sigma, table.theta.T).all(axis=-1)
-        aes_code = np.dot(1 << np.arange(len(_AES_CHECKS)), aes_failed)
+        sectors = _sector_tensors(scenario, swept)
+        # Bit k of a sector tensor's code is set when _AES_CHECKS[k] fails.
+        bits = 1 << np.arange(len(_AES_CHECKS))
+        codes = [np.dot(bits, ~_aes_flags(s, table.theta[:, j])) for j, s in enumerate(sectors)]
+        # GRID_KEYS lists sector 1's keys before sector 2's, so grid point
+        # p joins sector 1's tensor i0 and sector 2's tensor i1, where
+        # i0, i1 = divmod(p, n1) for sector 2's n1 tensors; a point fails
+        # each check that either of its sector tensors fails.
+        n1 = len(sectors[1])
+        aes_code = np.bitwise_or.outer(*codes).ravel()
         valid = np.flatnonzero(aes_code == 0)
+        i0, i1 = divmod(valid, n1)
+        sigma = np.stack((sectors[0][i0], sectors[1][i1]), axis=1)
 
-        eps = _epsilon(sigma[valid], table)
+        eps = _epsilon(sigma, table)
         _, rowsum_ok = _rowsum_gap(eps)
         g = _aggregate(eps, table)
         invariant = np.any(_ews_failures(g, table), axis=0)
@@ -204,15 +222,15 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         k = bad[0]
         refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
         try:
-            _replay(scenario, sigma[valid[k]], stage[k], refusal)
+            _replay(scenario, sigma[k], stage[k], refusal)
         except Ews32Error as exc:
-            raise type(exc)(f"{_point(int(valid[k]), sigma)}: {exc}") from exc
+            raise type(exc)(f"{_point(int(valid[k]), sigma[k])}: {exc}") from exc
 
     status = np.array(_AES_STATUSES, dtype=object)[aes_code]
     status[valid[stage == _DEGENERATE]] = "rejected (degenerate ratio)"
     status[valid[stage == _CLASSIFY]] = "rejected (on a border line)"
     return SweepRows(
-        {key: axes[key] for key in active},
+        swept,
         scenario.aes.sigma,
         valid[classified],
         s_prime[classified],

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from xml.etree import ElementTree
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ews32 import (
     AsymptotePole,
+    ParseError,
     Scenario,
     ValidationError,
     boundary_value,
@@ -197,6 +199,17 @@ def test_boundary_value_on_an_array_matches_scalar_calls(seed, abscissas):
     assert isinstance(got, np.ndarray) and got.shape == s.shape
     want = np.array([boundary_value(float(x), table) for x in s])
     assert got.tobytes() == want.tobytes()
+
+
+def test_boundary_value_refuses_what_it_cannot_read_or_hold(reference_table):
+    for value in ("x", "0.5", [0.5, math.nan], math.inf, True, [[0.5], [0.5, 1.0]]):
+        with pytest.raises(ParseError, match="^s_prime must hold finite numbers"):
+            boundary_value(value, reference_table)
+    # Finite abscissas whose heights overflow a float.
+    for value in (1.7e308, np.array([0.5, -1.7e308])):
+        with pytest.raises(ValidationError, match="overflows floating point") as caught:
+            boundary_value(value, reference_table)
+        assert type(caught.value) is ValidationError
 
 
 def test_boundary_value_array_pole(reference_table):

@@ -13,8 +13,9 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ews32
 from ews32 import (
@@ -25,12 +26,14 @@ from ews32 import (
     ValidationError,
     aggregate_substitution,
     build_share_table,
+    boundary_value,
     ews_from_stu,
     format_report,
     render_figure,
     run_report,
     scenario_from_mapping,
 )
+from ews32.shares import _finite_array
 from ews32.sweep import format_csv, sweep
 
 from test_scenario import REFERENCE_DOC
@@ -176,6 +179,10 @@ TARGETS = {
         lambda v: ews_from_stu(REFERENCE.table, STU[0], v, STU[2]).g.tolist(),
         STU[1],
     ),
+    "boundary_value": (
+        lambda v: np.asarray(boundary_value(v, REFERENCE.table)).tolist(),
+        [-3.0, 0.5, 2.0],
+    ),
 }
 
 
@@ -204,6 +211,36 @@ def test_every_number_a_caller_hands_over_is_read_or_refused(value):
 def test_an_accepted_value_reads_the_same_in_any_container(target, data):
     call, plain = TARGETS[target]
     assert call(data.draw(_rewritten(plain))) == call(plain)
+
+
+_VIEWS = {
+    "whole": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[..., ::2],
+    "reversed": lambda a: a[::-1],
+}
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+        elements=st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    ),
+    st.sampled_from(list(_VIEWS)),
+)
+def test_a_float_array_reads_as_its_object_array(arr, view):
+    # A float64 array takes the reader's fast path; the same numbers as
+    # an object array take the leaf-by-leaf path.
+    assume(arr.ndim or view in ("whole", "transposed"))
+    value = _VIEWS[view](arr)
+    fast, slow = _finite_array(value), _finite_array(value.astype(object))
+    if slow is None:
+        assert fast is None
+        return
+    assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape)
+    assert fast.tobytes() == slow.tobytes()
+    assert not np.shares_memory(fast, value)
 
 
 @pytest.mark.xfail(

@@ -29,7 +29,7 @@ from ews32 import (
     validate_aes,
 )
 from ews32.substitution import IDENTITY_TOL, _complete
-from ews32.sweep import GRID_KEYS, _grid_tensors
+from ews32.sweep import _sector_tensors
 
 from conftest import ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
 
@@ -315,14 +315,16 @@ def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
     # completion, so analysing the completion moves no golden byte.
     rng = np.random.default_rng(29)
     grid = {"land_capital_1": [-2.0, 0.25, 2.0], "capital_labor_2": [-1.0, 1.5]}
-    active = [key for key in GRID_KEYS if key in grid]
     for k, table in enumerate([reference_table] + [random_ranked_table(rng) for _ in range(8)]):
         tensors = [cobb_douglas_aes(table).sigma]
         tensors += [sample_valid_aes(table, seed).sigma for seed in range(5 * k, 5 * k + 5)]
-        scenario = Scenario(name="template", table=table, aes=sample_valid_aes(table, 100 + k))
-        stack = _grid_tensors(scenario, grid, active, 6)
-        for sigma in tensors + [stack]:
+        for sigma in tensors:
             assert completed(sigma, table).tobytes() == sigma.tobytes()
+        # The sweep's sector tensors, each completed with its sector's shares.
+        scenario = Scenario(name="template", table=table, aes=sample_valid_aes(table, 100 + k))
+        for j, stack in enumerate(_sector_tensors(scenario, grid)):
+            again = _complete(stack.copy(), table.theta[:, j])
+            assert again.tobytes() == stack.tobytes()
 
 
 def test_epsilon_is_that_of_the_completion(reference_table):

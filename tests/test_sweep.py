@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import re
 from collections.abc import Sequence
 
@@ -420,6 +421,48 @@ def test_sweep_aborts_at_the_first_failing_point_in_grid_order(
     value = rows[first]["capital_labor_2"]
     with pytest.raises(cls, match=rf"^grid point {first} \(.*capital_labor_2={value!r}\): "):
         sweep(reference_scenario, grid)
+
+
+def test_sweep_aborts_at_the_first_failing_point_of_a_two_sector_grid(
+    reference_scenario, monkeypatch
+):
+    # Both axes reject tensors: land_capital_1 below 0 in sector 1 and
+    # capital_labor_2 below 0 in sector 2. The first P2 point is 30 =
+    # 3 * 9 + 3, the fourth tensor of each sector; without P2's signature
+    # it is the first to fail, and its message names it by its grid
+    # index and both swept values.
+    grid = parse_grid("land_capital_1=-3:3:7,capital_labor_2=-2:6:9")
+    rows = sweep(reference_scenario, grid)
+    first = next(k for k, row in enumerate(rows) if row["subregion"] == "P2")
+    assert first == 30
+    _forget_p2(monkeypatch)
+    lc, cl = rows[first]["land_capital_1"], rows[first]["capital_labor_2"]
+    named = rf"^grid point {first} \(land_capital_1={lc!r}, .*, capital_labor_2={cl!r}\): "
+    with pytest.raises(UnmatchedSignature, match=named):
+        sweep(reference_scenario, grid)
+
+
+def test_grid_keys_list_sector_one_before_sector_two():
+    # The sweep joins the two sectors' tensors by this order.
+    assert [substitution._KEY_SLOTS[key][0] for key in GRID_KEYS] == [0, 0, 0, 1, 1, 1]
+    assert {key: substitution._KEY_SLOTS[key] for key in GRID_KEYS} == SLOTS
+
+
+def test_sweep_checks_each_distinct_sector_tensor_once(reference_scenario, monkeypatch):
+    # The perfbench grid: 400 sector-1 tensors and 10 sector-2 tensors
+    # make 4,000 points, and only the 410 sector tensors are checked.
+    module = importlib.import_module("ews32.sweep")
+    real, checked = module._aes_flags, []
+
+    def counted(s, th):
+        checked.append(math.prod(s.shape[:-2]))
+        return real(s, th)
+
+    monkeypatch.setattr(module, "_aes_flags", counted)
+    grid = parse_grid("land_capital_1=-2:2:20,land_labor_1=-2:2:20,capital_labor_2=-2:2:10")
+    rows = sweep(reference_scenario, grid)
+    assert len(rows) == 4000
+    assert sum(checked) == 410
 
 
 def _last_flag_set(classified):
