@@ -69,7 +69,7 @@ _ALL = slice(None)
 
 # A 7-bit signature code: bit 3 * sector + factor set for a positive
 # offset to line (factor, sector), bit 6 for a positive denominator.
-_OFFSET_BITS = 1 << np.arange(6).reshape(2, 3)
+_OFFSET_BITS = 1 << np.arange(6)
 _POSITIVE_T_BIT = 1 << 6
 
 
@@ -77,7 +77,8 @@ def _signature_code(offsets: np.ndarray, sign_t) -> np.ndarray:
     """Signature codes of offsets[..., sector, factor] and denominator
     signs over the same leading axes."""
     positive = np.greater(sign_t, 0)
-    return ((offsets > 0.0) * _OFFSET_BITS).sum(axis=(-2, -1)) + _POSITIVE_T_BIT * positive
+    bits = (offsets > 0.0).reshape(*offsets.shape[:-2], 6) @ _OFFSET_BITS
+    return bits + _POSITIVE_T_BIT * positive
 
 
 # Index into REGIONS of each signature code; -1 where no subregion has it.

@@ -287,13 +287,17 @@ def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         singular = np.linalg.det(a) == 0.0
         x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), rhs)
         x[singular] = np.nan
-    residual = np.abs(a @ x - rhs).max(axis=-2)
-    # The scale is at least one, so it can decide only past RESIDUAL_TOL.
-    past = residual > RESIDUAL_TOL
-    if past.any():
+    gap = a @ x
+    gap -= rhs
+    np.abs(gap, out=gap)
+    residual = gap.max(axis=(-2, -1))
+    # The scale is at least one, so it can decide only past RESIDUAL_TOL,
+    # and NaN fails either way.
+    if not (residual <= RESIDUAL_TOL).all():
+        column = gap.max(axis=-2)
         scale = np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=-2))
-        residual = np.where(past, residual / scale, residual)
-    return x, residual.max(axis=-1)
+        residual = np.where(column > RESIDUAL_TOL, column / scale, column).max(axis=-1)
+    return x, residual
 
 
 def _require_residual(residual) -> None:

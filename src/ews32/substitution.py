@@ -204,7 +204,7 @@ def _rowsum_gap(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Worst absolute row sum of each epsilon tensor over leading axes,
     zero up to roundoff by linear homogeneity, and whether it is within
     the identity tolerance."""
-    gap = np.abs(eps.sum(axis=-1)).max(axis=(-2, -1))
+    gap = np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=(-2, -1))
     return gap, _identity_ok(gap, eps, (-3, -2, -1))
 
 
@@ -224,8 +224,14 @@ def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
 
 
 def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
-    """Economy-wide substitution of epsilon tensors eps[..., 2, 3, 3]."""
-    return np.einsum("ij,...jih->...ih", table.lam, eps)
+    """Economy-wide substitution of epsilon tensors eps[..., 2, 3, 3]:
+    g[..., i, h] = sum over sectors j of lam[i, j] * eps[..., j, i, h].
+
+    The sum starts from zero: adding 0.0 leaves every value as it is but
+    -0.0, which becomes 0.0, so a zero entry (and a zero s' after it) is
+    written as 0, never -0."""
+    lam = table.lam
+    return lam[:, 0, None] * eps[..., 0, :, :] + lam[:, 1, None] * eps[..., 1, :, :] + 0.0
 
 
 def ews_from_epsilon(eps: np.ndarray, table: ShareTable) -> EwsMatrix:
@@ -261,7 +267,7 @@ def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     )
     weighted = g * tf[:, np.newaxis]
     return [
-        ~_identity_ok(np.abs(g.sum(axis=-1)).max(axis=-1), g, (-2, -1)),
+        ~_identity_ok(np.abs(g[..., 0] + g[..., 1] + g[..., 2]).max(axis=-1), g, (-2, -1)),
         ~_identity_ok(
             np.abs(weighted - weighted.swapaxes(-1, -2)).max(axis=(-2, -1)), weighted, (-2, -1)
         ),

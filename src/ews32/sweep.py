@@ -12,8 +12,10 @@ point's system whose signs must match the tabled patterns. Invalid
 points stay in the output with a rejection status instead of being
 dropped.
 
-The result keeps the engine's columns (SweepRows); a row's dict is built
-only when it is read, and format_csv writes the CSV from the columns.
+The result keeps the engine's columns (SweepRows), each row's status as
+a code into one list of status labels; a row's dict is built only when
+it is read, and format_csv joins the CSV once from per-row pieces of the
+columns.
 """
 
 from __future__ import annotations
@@ -65,14 +67,20 @@ CSV_COLUMNS = GRID_KEYS + (
 # points.
 MAX_GRID_POINTS = 1_000_000
 
-# Status of a point per bit mask of failed Allen-tensor checks (bit k for
-# _AES_CHECKS[k]); a valid point starts out "ok".
-_AES_STATUSES = ["ok"] + [
-    "rejected ("
-    + "/".join(name for k, (_, name) in enumerate(_AES_CHECKS) if mask >> k & 1)
-    + ")"
-    for mask in range(1, 1 << len(_AES_CHECKS))
-]
+# Status of a point by the code SweepRows keeps per row: first per bit
+# mask of failed Allen-tensor checks (bit k for _AES_CHECKS[k]), where a
+# valid tensor's mask 0 is "ok", then the two rejections of a valid tensor.
+_STATUSES = (
+    ["ok"]
+    + [
+        "rejected ("
+        + "/".join(name for k, (_, name) in enumerate(_AES_CHECKS) if mask >> k & 1)
+        + ")"
+        for mask in range(1, 1 << len(_AES_CHECKS))
+    ]
+    + ["rejected (degenerate ratio)", "rejected (on a border line)"]
+)
+_DEGENERATE_STATUS, _ON_LINE_STATUS = len(_STATUSES) - 2, len(_STATUSES) - 1
 
 # Pipeline stage at which a valid point leaves, in pipeline order, by the
 # name a disagreement with the scalar steps gives it; stages 1-4 follow
@@ -226,9 +234,11 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         except Ews32Error as exc:
             raise type(exc)(f"{_point(int(valid[k]), sigma[k])}: {exc}") from exc
 
-    status = np.array(_AES_STATUSES, dtype=object)[aes_code]
-    status[valid[stage == _DEGENERATE]] = "rejected (degenerate ratio)"
-    status[valid[stage == _CLASSIFY]] = "rejected (on a border line)"
+    # Each point's index into _STATUSES: its Allen-tensor mask, or the
+    # rejection of its valid tensor.
+    code = aes_code
+    code[valid[stage == _DEGENERATE]] = _DEGENERATE_STATUS
+    code[valid[stage == _CLASSIFY]] = _ON_LINE_STATUS
     return SweepRows(
         swept,
         scenario.aes.sigma,
@@ -237,7 +247,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         u_prime[classified],
         sign_t[classified],
         region[classified],
-        status,
+        code,
     )
 
 
@@ -246,7 +256,7 @@ class SweepRows(Sequence):
     keyed by CSV_COLUMNS, held as the sweep's columns. A row's dict is
     built when the row is read."""
 
-    def __init__(self, axes, sigma, ok, s_prime, u_prime, sign_t, region, status):
+    def __init__(self, axes, sigma, ok, s_prime, u_prime, sign_t, region, code):
         # Swept key -> its grid values as Python floats, in GRID_KEYS order.
         self._axes = {key: values.tolist() for key, values in axes.items()}
         self._shape = tuple(len(values) for values in axes.values())
@@ -258,14 +268,21 @@ class SweepRows(Sequence):
         self._s_prime, self._u_prime, self._sign_t, self._region = s_prime, u_prime, sign_t, region
         # Evaluated per sweep from the tables as they stand.
         self._strong = [strong_rybczynski(r) for r in REGIONS]
-        self.status = status  # one status string per row
-        status.flags.writeable = False
+        self._code = code  # each row's index into _STATUSES
         # Each row's index among the classified rows, or -1.
-        self._slot = np.full(len(status), -1)
+        self._slot = np.full(len(code), -1)
         self._slot[ok] = np.arange(len(ok))
 
+    @property
+    def status(self) -> np.ndarray:
+        """Each row's status string, as a read-only array built from the
+        status codes on each read."""
+        status = np.array(_STATUSES, dtype=object)[self._code]
+        status.flags.writeable = False
+        return status
+
     def __len__(self) -> int:
-        return len(self.status)
+        return len(self._code)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -275,7 +292,7 @@ class SweepRows(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"sweep row {index} out of range for {len(self)} rows")
-        row = dict(self._blank, status=self.status[i])
+        row = dict(self._blank, status=_STATUSES[self._code.item(i)])
         # item() reads a Python scalar without making a numpy one.
         c = self._slot.item(i)
         if c >= 0:
@@ -295,27 +312,35 @@ class SweepRows(Sequence):
 
 def format_csv(rows: SweepRows) -> str:
     """Fixed-column CSV with 9 significant digits, built from the sweep's
-    columns: each grid value, template value and classified point is
-    formatted once, and the body in one % call."""
-    n, swept = len(rows), len(rows._axes)
-    # A row's line: the unswept template values are written into it, the
-    # swept values, classification cells and status are its arguments.
-    line = ",".join(
-        "%s" if key in rows._axes else "%.9g" % rows._blank[key] for key in GRID_KEYS
-    ) + ",%s,%s\n"
-    cells = np.empty((*rows._shape, swept + 2), dtype=object)
-    # A swept key's strings vary along its own grid axis only.
-    for k, values in enumerate(rows._axes.values()):
+    columns and joined once from per-row pieces: each swept value's
+    string, which also carries the template's values before it, along
+    its own grid axis, then one tail per row. A tail holds the template's
+    values after the last swept one, then the classification cells and
+    the status: the classified points' tails come from one % call, and
+    every other row's from its status code."""
+    swept = len(rows._axes)
+    pieces = np.empty((*rows._shape, swept + 1), dtype=object)
+    # The template's values since the last swept one, each with its comma.
+    k, text = 0, ""
+    for key in GRID_KEYS:
+        if key not in rows._axes:
+            text += "%.9g," % rows._blank[key]
+            continue
+        values = rows._axes[key]
+        # A swept key's strings vary along its own grid axis only.
         along = [1] * swept
         along[k] = -1
-        text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
-        cells[..., k] = np.array(text, dtype=object).reshape(along)
-    cells = cells.reshape(n, -1)
-    # A classified point's cells s',u',sign_t,subregion,strong_result as
-    # one string; the rest leave them empty.
-    tails = np.array(
+        strings = ((text + "%.9g,\n") * len(values) % tuple(values)).split("\n")[:-1]
+        pieces[..., k] = np.array(strings, dtype=object).reshape(along)
+        k, text = k + 1, ""
+    pieces = pieces.reshape(len(rows), -1)
+    unclassified = np.array([text + ",,,,," + status + "\n" for status in _STATUSES], dtype=object)
+    pieces[:, -1] = unclassified[rows._code]
+    # A classified point's cells sign_t,subregion,strong_result,status
+    # as one string.
+    labels = np.array(
         [
-            [f"{sign},{region.value},{'true' if strong else 'false'}" for sign in "-+"]
+            [f"{sign},{region.value},{'true' if strong else 'false'},ok" for sign in "-+"]
             for region, strong in zip(REGIONS, rows._strong)
         ],
         dtype=object,
@@ -324,9 +349,7 @@ def format_csv(rows: SweepRows) -> str:
     classified = np.empty((m, 3), dtype=object)
     classified[:, 0] = rows._s_prime.tolist()
     classified[:, 1] = rows._u_prime.tolist()
-    classified[:, 2] = tails[rows._region, (rows._sign_t > 0).astype(int)]
-    cells[:, -2] = ",,,,"
-    text = "%.9g,%.9g,%s\n" * m % tuple(classified.ravel().tolist())
-    cells[rows._ok, -2] = text.split("\n")[:-1]
-    cells[:, -1] = rows.status
-    return ",".join(CSV_COLUMNS) + "\n" + line * n % tuple(cells.ravel().tolist())
+    classified[:, 2] = labels[rows._region, (rows._sign_t > 0).astype(int)]
+    tails = (text + "%.9g,%.9g,%s\n") * m % tuple(classified.ravel().tolist())
+    pieces[rows._ok, -1] = tails.splitlines(keepends=True)
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(pieces.ravel().tolist())

@@ -317,6 +317,45 @@ def test_dense_signs_on_a_stack(reference_table):
     assert np.isnan(residual[1])
 
 
+def _column_residuals(a, x, rhs):
+    """Each system's _dense_solve residual, column by column: a column's
+    worst |a @ x - rhs|, divided past RESIDUAL_TOL by its largest sum
+    |a| @ |x| when that is above one; the worst column, NaN if any is."""
+    gap, sums = np.abs(a @ x - rhs), np.abs(a) @ np.abs(x)
+    residuals = []
+    for i in range(len(a)):
+        columns = []
+        for c in range(rhs.shape[1]):
+            residual = gap[i, :, c].max()
+            if residual > statics.RESIDUAL_TOL:
+                residual /= max(1.0, sums[i, :, c].max())
+            columns.append(residual)
+        residuals.append(np.nan if np.isnan(columns).any() else max(columns))
+    return np.array(residuals)
+
+
+def test_dense_solve_residual_is_the_worst_scaled_column(reference_table):
+    # Right-hand sides of 1 and 1e12 on well-scaled and large systems
+    # leave some columns' roundoff under RESIDUAL_TOL and some past it,
+    # beside a singular system, whose residual is NaN.
+    rng = np.random.default_rng(41)
+    good = assemble_system(reference_table, reference_g())
+    a = np.stack([good, 1e6 * good, rng.normal(size=(5, 5)), np.zeros((5, 5)), good])
+    rhs = rng.normal(size=(5, 4)) * np.array([1.0, 1e12, 1.0, 1e9])
+    x, residual = statics._dense_solve(a, rhs)
+    columns = np.abs(a @ x - rhs).max(axis=-2)
+    assert (columns <= statics.RESIDUAL_TOL).any() and (columns > statics.RESIDUAL_TOL).any()
+    assert np.isnan(residual).tolist() == [False, False, False, True, False]
+    np.testing.assert_array_equal(residual, _column_residuals(a, x, rhs))
+    # Every column under the bound, every column past it, and one system
+    # with one column.
+    cases = [(a[[0, 2]], rhs[:, [0, 2]]), (a[[0, 1]], rhs[:, [1, 3]]), (good[None], rhs[:, [0]])]
+    for a, rhs in cases:
+        x, residual = statics._dense_solve(a, rhs)
+        np.testing.assert_array_equal(residual, _column_residuals(a, x, rhs))
+        assert (residual <= statics.RESIDUAL_TOL).all()
+
+
 def test_rybczynski_reference(reference_table):
     ryb = statics_of(reference_table, reference_g()).rybczynski
     assert np.allclose(ryb, REFERENCE_RYBCZYNSKI, atol=1e-12)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -26,9 +27,10 @@ from ews32 import (
     ews_ratio_vector,
     require_valid_aes,
     sample_valid_aes,
+    sweep,
     validate_aes,
 )
-from ews32.substitution import IDENTITY_TOL, _complete
+from ews32.substitution import IDENTITY_TOL, _aggregate, _complete
 from ews32.sweep import _sector_tensors
 
 from conftest import ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
@@ -325,6 +327,29 @@ def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
         for j, stack in enumerate(_sector_tensors(scenario, grid)):
             again = _complete(stack.copy(), table.theta[:, j])
             assert again.tobytes() == stack.tobytes()
+
+
+def test_aggregate_is_the_einsum_bit_for_bit(reference_table):
+    # g[..., i, h] = sum over sectors j of lam[i, j] * eps[..., j, i, h],
+    # with the bits of np.einsum's sum from zero: zeros of either sign,
+    # infinities and NaNs included.
+    rng = np.random.default_rng(37)
+    for table in [reference_table] + [random_ranked_table(rng) for _ in range(8)]:
+        for shape in [(), (1,), (7,), (4, 3), (800,)]:
+            size = (*shape, 2, 3, 3)
+            eps = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
+            for value, share in [(0.0, 0.1), (-0.0, 0.1), (np.inf, 0.02), (-np.inf, 0.02)]:
+                eps[rng.random(size) < share] = value
+            eps[rng.random(size) < 0.02] = np.nan
+            with np.errstate(invalid="ignore"):
+                want = np.einsum("ij,...jih->...ih", table.lam, eps)
+                got = _aggregate(eps, table)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # Negative zeros in both sectors' capital-labor slots give s = 0.0,
+    # so the row reads s' = 0.0, never -0.0.
+    scenario = Scenario("template", reference_table, cobb_douglas_aes(reference_table))
+    (row,) = sweep(scenario, {"capital_labor_1": [-0.0], "capital_labor_2": [-0.0]})
+    assert row["status"] == "ok" and math.copysign(1.0, row["s_prime"]) == 1.0
 
 
 def test_epsilon_is_that_of_the_completion(reference_table):

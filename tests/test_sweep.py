@@ -280,6 +280,44 @@ def test_format_csv_edge_grids(reference_scenario, grid, classified):
     assert format_csv(rows) == reference_csv(rows)
 
 
+def _onto_a_border_line(scenario, key, lo, hi):
+    """A one-point grid at a value of key between lo and hi, whose points
+    reference_rows classifies into two subregions, bisected until
+    reference_rows finds the point on a border line."""
+    below = reference_rows(scenario, {key: [lo]})[0]["subregion"]
+    while True:
+        mid = (lo + hi) / 2
+        (row,) = reference_rows(scenario, {key: [mid]})
+        if row["status"] == "rejected (on a border line)":
+            return {key: [mid]}
+        assert lo < mid < hi and row["status"] == "ok"
+        lo, hi = (mid, hi) if row["subregion"] == below else (lo, mid)
+
+
+def test_status_codes_give_each_status_and_its_csv_row(reference_scenario):
+    # Between them the three sweeps hold every kind of status: ok, three
+    # Allen-tensor rejections, a degenerate ratio and a point on a border
+    # line (between P2 at land_capital_1 = 3.5 and P3 at 4).
+    table = reference_scenario.table
+    aes = sample_valid_aes(table, 0)  # its zero-t point has a valid tensor
+    perfbench_grid = "land_capital_1=-2:2:20,land_labor_1=-2:2:20,capital_labor_2=-2:2:10"
+    cases = [
+        (reference_scenario, parse_grid(perfbench_grid)),
+        (Scenario("t-zero", table, aes), {"land_labor_1": [_zero_t(table, aes)]}),
+        (reference_scenario, _onto_a_border_line(reference_scenario, "land_capital_1", 3.5, 4.0)),
+    ]
+    seen = set()
+    for scenario, grid in cases:
+        rows = sweep(scenario, grid)
+        statuses = [row["status"] for row in reference_rows(scenario, grid)]
+        assert rows.status.tolist() == [row["status"] for row in rows] == statuses
+        assert format_csv(rows) == reference_csv(rows)
+        seen.update(statuses)
+    valid = {"ok", "rejected (degenerate ratio)", "rejected (on a border line)"}
+    assert valid <= seen
+    assert len(seen - valid) >= 2
+
+
 def test_sweep_rows_protocol(reference_scenario):
     rows = sweep(reference_scenario, parse_grid("land_capital_1=-3:3:7,capital_labor_2=0.5:1.5:2"))
     assert isinstance(rows, Sequence)
@@ -526,18 +564,22 @@ def test_sweep_names_a_scalar_error_the_stacked_stage_does_not_stand_for(
     )
 
 
-def test_sweep_reports_degenerate_ratio(reference_scenario):
-    # t = g[labor, land] sums lam[labor, j] * theta[land, j] * sigma[j, labor, land]
-    # over sectors j; choose sector 1's land-labor elasticity to zero it.
-    table = reference_scenario.table
+def _zero_t(table, aes):
+    """The land_labor_1 that zeroes t with the rest of aes: t = g[labor,
+    land] sums lam[labor, j] * theta[land, j] * sigma[j, labor, land] over
+    sectors j."""
     lam, theta = table.lam, table.theta
+    return -lam[LABOR, 1] * theta[LAND, 1] * aes.sigma[1, LAND, LABOR] / (
+        lam[LABOR, 0] * theta[LAND, 0]
+    )
+
+
+def test_sweep_reports_degenerate_ratio(reference_scenario):
+    table = reference_scenario.table
     statuses = []
     for seed in range(10):
         aes = sample_valid_aes(table, seed)
-        x = -lam[LABOR, 1] * theta[LAND, 1] * aes.sigma[1, LAND, LABOR] / (
-            lam[LABOR, 0] * theta[LAND, 0]
-        )
-        (row,) = sweep(Scenario("t-zero", table, aes), {"land_labor_1": [x]})
+        (row,) = sweep(Scenario("t-zero", table, aes), {"land_labor_1": [_zero_t(table, aes)]})
         assert row["status"].startswith("rejected (")
         statuses.append(row["status"])
     assert "rejected (degenerate ratio)" in statuses
