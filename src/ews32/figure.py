@@ -74,9 +74,78 @@ def _line(p0, p1, attrs: str) -> str:
 
 def _polyline(xy: np.ndarray, attrs: str) -> str:
     """A polyline through the pixel points xy[k] = (px, py)."""
-    # "%.3f" formats a float exactly as _fmt does.
-    coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
+    coords = _points_text(xy)
+    if coords is None:
+        # "%.3f" formats a float exactly as _fmt does.
+        coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
     return f'<polyline fill="none" {attrs} points="{coords}" />'
+
+
+# _points_text writes each coordinate as 12 bytes: three little-endian
+# uint32 words taken from tables indexed by its digit groups. Leading
+# zeros and an absent sign are NUL bytes, deleted from the joined text.
+_WORD = np.dtype("<u4")
+_GROUP = np.arange(1000)
+_DIGITS = _GROUP[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+
+
+def _digit_words(*columns) -> np.ndarray:
+    """The uint32 words whose four bytes are the columns' entries, in order."""
+    return np.column_stack(columns).astype(np.uint8).view(_WORD).ravel()
+
+
+def _significant(units: int) -> np.ndarray:
+    """_DIGITS with each leading zero NUL; the units digit stays from `units` up."""
+    return np.where(_GROUP[:, None] >= np.array([100, 10, units]), _DIGITS, 0)
+
+
+_NUL = np.zeros(1000, dtype=int)
+# Sign and digits of the integer part's thousands group, indexed by the
+# group plus 1000 for a negative coordinate. A group of 0 writes only the sign.
+_HIGH = np.concatenate(
+    [_digit_words(_NUL, _significant(1)), _digit_words(_NUL + ord("-"), _significant(1))]
+)
+# The integer part's last three digits and the point, indexed by the group
+# plus 1000 when a thousands group precedes it, so that its zeros are kept.
+_MIDDLE = np.concatenate(
+    [_digit_words(_significant(0), _NUL + ord(".")), _digit_words(_DIGITS, _NUL + ord("."))]
+)
+# The three decimals; the separator that follows is added as the fourth byte.
+_LOW = _digit_words(_DIGITS, _NUL)
+_SEPARATORS = np.array([ord(","), ord(" ")], dtype=_WORD) << 24
+
+
+def _points_text(xy: np.ndarray) -> str | None:
+    """The text "%.3f,%.3f" % (px, py) of each point of xy (n >= 1 rows),
+    joined by spaces; None unless every coordinate is certified.
+
+    With p = |v| * 1000 rounded to a float and n = rint(p), a coordinate
+    is certified when n < 10**9 and p is not a half-integer. Every
+    half-integer below 10**9 is a float and rounding to the nearest float
+    is monotone, so the exact product lies on p's side of each of them: it
+    is no tie and rounds to n, as "%.3f" rounds it. The sign comes from the
+    sign bit, so -0.0 writes "-0.000". Non-finite values and |v| that
+    rounds to 10**6 or more are not certified.
+    """
+    a = np.abs(xy)
+    # rint(p) < 10**9 exactly when p < 999999999.5, which nan and inf fail.
+    if not float(a.max()) * 1000.0 < 999_999_999.5:
+        return None
+    p = a * 1000.0
+    n = np.rint(p)
+    # p - n is exact, and 0.5 in size only where p is a half-integer.
+    if not np.abs(p - n).max() < 0.5:
+        return None
+    whole, frac = np.divmod(n.astype(np.int64), 1000)
+    high, middle = np.divmod(whole, 1000)
+    np.add(high, 1000, out=high, where=np.signbit(xy))
+    words = np.empty(xy.shape + (3,), dtype=_WORD)
+    words[..., 0] = _HIGH[high]
+    # whole < 1000 is its own last group; past it, the group plus 1000.
+    words[..., 1] = _MIDDLE[np.minimum(whole, middle + 1000)]
+    np.add(_LOW[frac], _SEPARATORS, out=words[..., 2])
+    # The last coordinate's separator is dropped.
+    return words.tobytes()[:-1].translate(None, b"\0").decode("ascii")
 
 
 def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:

@@ -5,7 +5,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ews32 import (
@@ -18,7 +18,16 @@ from ews32 import (
     sample_valid_aes,
     scenario_from_mapping,
 )
-from ews32.figure import BOUNDARY_SAMPLES, DEFAULT_SIZE, DEFAULT_WINDOW, MARGIN, _transform
+from ews32 import figure
+from ews32.figure import (
+    BOUNDARY_SAMPLES,
+    DEFAULT_SIZE,
+    DEFAULT_WINDOW,
+    MARGIN,
+    _points_text,
+    _polyline,
+    _transform,
+)
 from ews32.geometry import ON_LINE_TOL
 
 from conftest import random_ranked_table
@@ -114,6 +123,16 @@ def test_reversed_window_renders(reference_scenario):
     assert "nan" not in svg and "inf" not in svg
 
 
+@st.composite
+def tiny_span_windows(draw):
+    """A window with one span of 10**-k, 250 <= k <= 320, at a random
+    offset and in either order; the other axis spans the default range."""
+    offset = draw(st.one_of(st.just(0.0), st.floats(-12.0, 12.0)))
+    span = (offset, offset + 10.0 ** -draw(st.integers(250, 320)))
+    tiny = span[:: draw(st.sampled_from([1, -1]))]
+    return (tiny, DEFAULT_WINDOW[1]) if draw(st.booleans()) else (DEFAULT_WINDOW[0], tiny)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("window", [((-4.0, 4.0), (0.0, 1e-300)), ((-4.0, 4.0), (0.0, 1e-303))])
 def test_tiny_span_maps_only_drawn_samples(reference_scenario, window):
@@ -121,6 +140,105 @@ def test_tiny_span_maps_only_drawn_samples(reference_scenario, window):
     # transform, and the RuntimeWarning filter turns that into a failure.
     svg = render_figure(reference_scenario, window=window)
     assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(tiny_span_windows())
+@example(((0.0, 1e-300), (-10.0, 4.0)))
+def test_tiny_span_windows_map_only_drawn_samples(window):
+    # The same check over drawn windows: either axis, either order, any offset.
+    # The pixel coordinates of a tiny abscissa span have hundreds of
+    # digits, so its polylines are written through "%.3f".
+    scenario = scenario_from_mapping(dict(REFERENCE_DOC))
+    try:
+        svg = render_figure(scenario, window=window)
+    except ValidationError as refused:
+        assert repr(window) in str(refused)
+    else:
+        assert "nan" not in svg and "inf" not in svg
+
+
+def percent_polyline(xy: np.ndarray, attrs: str) -> str:
+    """A polyline written point by point with "%.3f"."""
+    coords = " ".join("%.3f,%.3f" % (px, py) for px, py in xy.tolist())
+    return f'<polyline fill="none" {attrs} points="{coords}" />'
+
+
+def near_half(m: int, step: int) -> float:
+    """m / 1000 + 0.0005, or the float one ulp below (-1) or above (+1) it."""
+    half = (m + 0.5) / 1000
+    return math.nextafter(half, step * math.inf) if step else half
+
+
+_COORDINATES = (
+    # Random bit patterns: subnormals, +-0.0, inf and nan among them.
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e6, 1e6),
+    # k / 16 for odd k: the third decimal is followed by an exact 5.
+    st.integers(-(2**23), 2**23).map(lambda k: (2 * k + 1) / 16),
+    st.builds(near_half, st.integers(-(10**9), 10**9), st.sampled_from([-1, 0, 1])),
+    st.floats(-0.0005, 0.0),  # negatives that round to zero
+    st.sampled_from([999999.9994, 999999.9996, -999999.9994, -999999.9996, 999999.9995]),
+    st.one_of(st.floats(1e6, 1e308), st.sampled_from([math.inf, -math.inf, math.nan])),
+)
+
+
+@st.composite
+def coordinate_arrays(draw):
+    """(n, 2) float64 points from one family of coordinates, or mixed."""
+    family = draw(st.sampled_from(_COORDINATES + (st.one_of(*_COORDINATES),)))
+    values = draw(st.lists(family, min_size=2, max_size=80).filter(lambda v: len(v) % 2 == 0))
+    return np.array(values, dtype=np.float64).reshape(-1, 2)
+
+
+@settings(max_examples=300)
+@given(coordinate_arrays())
+def test_points_text_is_exactly_percent_format(xy):
+    attrs = 'stroke="#000000"'
+    want = percent_polyline(xy, attrs)
+    text = _points_text(xy)
+    if text is not None:
+        assert f'<polyline fill="none" {attrs} points="{text}" />' == want
+    assert _polyline(xy, attrs) == want
+
+
+def test_points_text_certifies_only_what_it_can_round():
+    assert _points_text(np.array([[0.0, -0.0], [-0.0004, 1.2344]])) == (
+        "0.000,-0.000 -0.000,1.234"
+    )
+    assert _points_text(np.array([[999999.9994, -999999.9994]])) == "999999.999,-999999.999"
+    # 0.0005 is a little over its decimal, but 1000 times it rounds to 0.5.
+    for value in (0.0625, 12.0625, 0.0005, 999999.9996, 1e6, 1e300, math.inf, math.nan):
+        assert _points_text(np.array([[1.0, value]])) is None
+        assert _points_text(np.array([[value, 1.0]])) is None
+    below, above = math.nextafter(0.0005, 0.0), math.nextafter(0.0005, 1.0)
+    assert _points_text(np.array([[below, -above]])) == "0.000,-0.001"
+
+
+def test_figures_take_the_exact_formatter(reference_scenario, monkeypatch):
+    """Each polyline of the default-window figures is written by
+    _points_text; only a tiny span's polyline falls back to "%.3f"."""
+    texts = []
+
+    def spy(xy):
+        texts.append(_points_text(xy))
+        return texts[-1]
+
+    monkeypatch.setattr(figure, "_points_text", spy)
+    rng = np.random.default_rng(21)
+    scenarios = [reference_scenario]
+    for seed in range(50):
+        table = random_ranked_table(rng)
+        scenarios.append(Scenario(name="drawn", table=table, aes=sample_valid_aes(table, seed)))
+    for scenario in scenarios:
+        texts.clear()
+        polylines = render_figure(scenario).count("<polyline ")
+        assert len(texts) == polylines > 0
+        assert None not in texts
+    texts.clear()
+    render_figure(reference_scenario, window=((0.0, 1e-300), (-10.0, 4.0)))
+    assert texts == [None]
 
 
 def reference_boundary(table, window) -> list[str]:

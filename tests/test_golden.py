@@ -109,6 +109,9 @@ WINDOWS = {
     "upper-band": (((-3.0, 3.0), (1.0, 3.0)), 1),
     # The window starts right of the pole, so the left branch is skipped.
     "right-of-pole": (((-0.5, 6.0), (-3.0, 2.0)), 1),
+    # A tiny abscissa span maps the right branch to pixel abscissas with
+    # hundreds of digits, which the polyline writes through "%.3f".
+    "tiny-span": (((0.0, 1e-300), (-10.0, 4.0)), 1),
 }
 GOLDEN_WINDOWS = {
     "reference": {
@@ -116,18 +119,21 @@ GOLDEN_WINDOWS = {
         "near-pole": "10e907b83ff2acd7d382d1336a47914e726d8050d68155cd32a03a8b26d41efe",
         "upper-band": "f3adf4bc1077cd568ee5733491b6b9fe8aa773adda86e3c3742f5e743986e4d6",
         "right-of-pole": "1c287da286c77ab9e1fc23f2b7a9e0eaecf326f9b26162a33bd9468cf9a69eb3",
+        "tiny-span": "821a20f79a505f715951a65da93cd30c0f0c698872fa9aee773e3ea83f4cda70",
     },
     "sampled-1": {
         "wide": "314c95e8a645696049b9745dedf02c0ea13c31226c0fe80b2a4a26257c8a6db0",
         "near-pole": "146cb2ea8ee2abf995fcbf2c4496b1d459bf2232a22b9e3468f85981cc3b31f0",
         "upper-band": "c668de07a1ddfb0e84e729355cac880a84fd1d90e664d78f43e39132b865fb56",
         "right-of-pole": "31fa758daac01cb2c4bcbad45bb51add77293b755cbeaa560673407dbf5e55bc",
+        "tiny-span": "d74160e78850515aee4f4d3bac86e93ac4aeea4e8262c2015c4db84c0f2de246",
     },
     "sampled-2": {
         "wide": "2ddd8e1c0dc576e4c7670d13875b80a7693e5709ac25fc4c13f14d6a57b29c9d",
         "near-pole": "f7a7d90eb9d8f7f8dac1d4dff50ff945e6d52d983c4003494ec2582d97addf04",
         "upper-band": "b32d3b785023bf15dadfb56c3832d7106f59743ad0c53a919629d2a929decc94",
         "right-of-pole": "2a5a70c829524c44f60ea4e1f6c5649c481ba7832ede72eb907d82f468caa73d",
+        "tiny-span": "8041170fe27d1b636b7f1ccefb2442de78f56d1e2e920d3337ea56936c360e92",
     },
 }
 
