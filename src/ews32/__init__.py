@@ -66,6 +66,7 @@ from .statics import (
     determinant_delta,
     sign_pattern_lookup,
     solve_responses,
+    solve_shocks,
     strong_rybczynski,
 )
 from .substitution import (

@@ -200,11 +200,14 @@ def _document(scenario: Scenario, window) -> str:
         step = (hi - lo) / (BOUNDARY_SAMPLES - 1)
         s = lo + np.arange(BOUNDARY_SAMPLES) * step
         u = boundary_value(s, table)
-        inside = (uy0 - pad <= u) & (u <= uy1 + pad)
+        # The in-window mask between two False pads, so that each run
+        # starts and ends at a change of value.
+        inside = np.zeros(BOUNDARY_SAMPLES + 2, dtype=bool)
+        np.logical_and(uy0 - pad <= u, u <= uy1 + pad, out=inside[1:-1])
         # Alternating first and one-past-last indices of the runs. Only
         # the drawn samples are mapped: under a tiny span the pixel
         # coordinates of far-off samples would overflow.
-        edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+        edges = np.flatnonzero(inside[1:] != inside[:-1])
         for start, end in edges.reshape(-1, 2):
             if end - start > 1:
                 xy = np.stack(to_svg(s[start:end], u[start:end]), axis=-1)

@@ -29,7 +29,7 @@ from .statics import (
     _signs,
     comparative_statics,
     sign_pattern_lookup,
-    solve_responses,
+    solve_shocks,
     strong_rybczynski,
 )
 from .substitution import (
@@ -157,9 +157,7 @@ def run_report(scenario: Scenario) -> Report:
     if disagree:
         raise _sign_mismatch(region, signs, tabled)
 
-    responses = tuple(
-        (shock, solve_responses(statics.system, shock)) for shock in scenario.shocks
-    )
+    responses = tuple(zip(scenario.shocks, solve_shocks(statics.system, scenario.shocks)))
     # np.max propagates a NaN residual; the builtin max can drop it.
     max_residual = float(np.max([r.residual for _, r in responses], initial=0.0))
 
@@ -180,48 +178,61 @@ def run_report(scenario: Scenario) -> Report:
     )
 
 
-def _sign_row(row) -> str:
-    return " ".join("+" if v > 0 else "-" for v in row)
-
-
-def _matrix_rows(arr: np.ndarray) -> list[str]:
-    return ["  ".join(f"{v:+.6f}" for v in row) for row in np.asarray(arr).tolist()]
+_ROW = "  %+.6f  %+.6f  %+.6f\n"
+_SIGNS = "  %s %s %s\n"
+# Every ShareTable is ranked, a built Scenario's tensor is valid, and
+# run_report raises unless the signs agree.
+_REPORT = (
+    "scenario: %s\n"
+    "ranking checks: intensity pass, middle factor pass\n"
+    "allen tensor valid: yes\n"
+    "economy-wide substitution (rows/cols land, capital, labor):\n"
+    + _ROW * 3
+    + "ratio vector: s'=%.6f u'=%.6f denominator sign %s (quadrant %s)\n"
+    "subregion: %s\n"
+    "strong output response: %s\n"
+    "output-response signs (sectors x factors):\n"
+    + _SIGNS * 2
+    + "real-reward signs (deflators x factors):\n"
+    + _SIGNS * 2
+    + "output elasticities:\n"
+    + _ROW * 2
+    + "real-reward elasticities:\n"
+    + _ROW * 2
+    + "system determinant: %.9g\n"
+    "numeric and tabled signs agree: yes\n"
+)
+_RESPONSE = (
+    "shock price=%+.4f endowments=(%+.4f, %+.4f, %+.4f)\n"
+    "  rewards (%+.6f, %+.6f, %+.6f)  outputs (%+.6f, %+.6f)\n"
+)
 
 
 def format_report(report: Report) -> str:
     """Plain-text rendering of a report."""
-    lines = [f"scenario: {report.scenario_name}"]
-    # Every ShareTable is ranked, and a built Scenario's tensor is valid.
-    lines.append("ranking checks: intensity pass, middle factor pass")
-    lines.append("allen tensor valid: yes")
-    lines.append("economy-wide substitution (rows/cols land, capital, labor):")
-    lines += ["  " + row for row in _matrix_rows(report.ews.g)]
     v = report.vector
-    lines.append(
-        f"ratio vector: s'={v.s_prime:.6f} u'={v.u_prime:.6f} "
-        f"denominator sign {'+' if v.sign_t > 0 else '-'} (quadrant {v.quadrant})"
+    signs = report.output_signs.entries + report.reward_signs.entries
+    text = _REPORT % (
+        report.scenario_name,
+        *report.ews.g.ravel().tolist(),
+        v.s_prime,
+        v.u_prime,
+        "+" if v.sign_t > 0 else "-",
+        v.quadrant,
+        report.subregion.value,
+        "yes" if report.strong_result else "no",
+        *["+" if s > 0 else "-" for row in signs for s in row],
+        *report.rybczynski.ravel().tolist(),
+        *report.stolper_samuelson.ravel().tolist(),
+        report.delta.value,
     )
-    lines.append(f"subregion: {report.subregion.value}")
-    lines.append(f"strong output response: {'yes' if report.strong_result else 'no'}")
-    lines.append("output-response signs (sectors x factors):")
-    lines += ["  " + _sign_row(r) for r in report.output_signs.entries]
-    lines.append("real-reward signs (deflators x factors):")
-    lines += ["  " + _sign_row(r) for r in report.reward_signs.entries]
-    lines.append("output elasticities:")
-    lines += ["  " + row for row in _matrix_rows(report.rybczynski)]
-    lines.append("real-reward elasticities:")
-    lines += ["  " + row for row in _matrix_rows(report.stolper_samuelson)]
-    lines.append(f"system determinant: {report.delta.value:.9g}")
-    # run_report raises unless the signs agree.
-    lines.append("numeric and tabled signs agree: yes")
-    if report.responses:
-        lines.append(f"worst solve residual: {report.max_residual:.3e}")
-        for shock, response in report.responses:
-            lines.append(
-                f"shock price={shock.price_shock:+.4f} "
-                f"endowments=({', '.join(f'{e:+.4f}' for e in shock.endowment_shocks)})"
-            )
-            w = ", ".join(f"{x:+.6f}" for x in response.w_hat)
-            x = ", ".join(f"{x:+.6f}" for x in response.x_hat)
-            lines.append(f"  rewards ({w})  outputs ({x})")
-    return "\n".join(lines) + "\n"
+    if not report.responses:
+        return text
+    values = []
+    for shock, response in report.responses:
+        values += (shock.price_shock, *shock.endowment_shocks, *response.w_hat, *response.x_hat)
+    return (
+        text
+        + "worst solve residual: %.3e\n" % report.max_residual
+        + _RESPONSE * len(report.responses) % tuple(values)
+    )

@@ -103,24 +103,25 @@ def build_share_table(theta, theta_sector) -> ShareTable:
     """
     th = _read(theta, (3, 2), "theta")
     ts = _read(theta_sector, (2,), "theta_sector")
-    if not np.all((th > 0.0) & (th < 1.0)):
+    # The checks read Python floats, whose sums, ratios and differences
+    # have the bits of numpy's.
+    (land_0, land_1), (capital_0, capital_1), (labor_0, labor_1) = rows = th.tolist()
+    sector_0, sector_1 = ts.tolist()
+    if not all(0.0 < v < 1.0 for row in rows for v in row):
         raise OutOfRangeShare("every distributive share must lie strictly between 0 and 1")
-    if not np.all((ts > 0.0) & (ts < 1.0)):
+    if not (0.0 < sector_0 < 1.0 and 0.0 < sector_1 < 1.0):
         raise OutOfRangeShare("every sector share must lie strictly between 0 and 1")
-    colsums = th.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > STOCHASTIC_TOL):
-        raise NonStochasticColumns(
-            f"distributive-share columns must each sum to 1, got {colsums.tolist()}"
-        )
-    if abs(ts.sum() - 1.0) > STOCHASTIC_TOL:
+    colsums = [land_0 + capital_0 + labor_0, land_1 + capital_1 + labor_1]
+    if any(abs(total - 1.0) > STOCHASTIC_TOL for total in colsums):
+        raise NonStochasticColumns(f"distributive-share columns must each sum to 1, got {colsums}")
+    if abs(sector_0 + sector_1 - 1.0) > STOCHASTIC_TOL:
         raise NonStochasticColumns(f"sector shares must sum to 1, got {ts.sum()!r}")
-    r = th[:, 0] / th[:, 1]
-    if not r[LAND] > r[LABOR] > r[CAPITAL]:
+    if not land_0 / land_1 > labor_0 / labor_1 > capital_0 / capital_1:
         raise RankingViolation(
             "factor-intensity ranking violated: need strict "
             "land-share ratio > labor-share ratio > capital-share ratio across sectors"
         )
-    if not th[LABOR, 0] > th[LABOR, 1]:
+    if not labor_0 > labor_1:
         raise RankingViolation(
             "middle-factor ranking violated: need labor's distributive share "
             "strictly larger in the land-intensive sector"
@@ -128,7 +129,7 @@ def build_share_table(theta, theta_sector) -> ShareTable:
 
     tf = th @ ts
     lam = (ts[np.newaxis, :] / tf[:, np.newaxis]) * th
-    diff = tuple(float(d) for d in th[:, 0] - th[:, 1])
+    diff = (land_0 - land_1, capital_0 - capital_1, labor_0 - labor_1)
     return ShareTable(
         theta=th,
         theta_sector=ts,

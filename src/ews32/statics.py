@@ -11,6 +11,7 @@ through a dense pivoted solve. The two routes must agree or we raise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,20 +307,38 @@ def _require_residual(residual) -> None:
         raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
 
 
-def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
-    """Dense pivoted solve of the system for one shock. The response is
-    linear in the shock, so a finite shock whose response or residual
-    bound overflows is an input fault: ValidationError."""
+def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[ResponseVector, ...]:
+    """Dense pivoted solve of the system for each shock, in one call: the
+    system broadcasts against one single-column right-hand side per
+    shock, so each response has the bits of its own one-shock solve. The
+    response is linear in the shock, so a finite shock whose response or
+    residual bound overflows is an input fault: ValidationError. The
+    first shock that fails, in order, names the error, an overflow
+    before a residual past its bound."""
+    if not shocks:
+        return ()
+    rhs = np.array([shock.right_hand_side() for shock in shocks])[..., np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
-        x, residual = _dense_solve(system, shock.right_hand_side()[:, np.newaxis])
+        x, residual = _dense_solve(system, rhs)
         # The bound's sums |a| @ |x| must be finite too; a singular
         # system's NaN solution is left to the bound.
-        overflow = np.isinf(x).any() or np.isinf(np.abs(system) @ np.abs(x)).any()
-    if overflow:
-        raise ValidationError(f"the response to {shock!r} overflows floating point")
-    _require_residual(residual)
-    x = x[:, 0].tolist()
-    return ResponseVector(w_hat=tuple(x[:3]), x_hat=tuple(x[3:]), residual=float(residual))
+        bound = np.abs(system) @ np.abs(x)
+        overflow = (np.isinf(x) | np.isinf(bound)).any(axis=(-2, -1))
+    failed = overflow | ~(residual <= RESIDUAL_TOL)
+    if failed.any():
+        first = int(failed.argmax())
+        if overflow[first]:
+            raise ValidationError(f"the response to {shocks[first]!r} overflows floating point")
+        _require_residual(residual[first])
+    return tuple(
+        ResponseVector(w_hat=tuple(row[:3]), x_hat=tuple(row[3:]), residual=r)
+        for row, r in zip(x[..., 0].tolist(), residual.tolist())
+    )
+
+
+def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
+    """Dense pivoted solve of the system for one shock, as solve_shocks."""
+    return solve_shocks(system, (shock,))[0]
 
 
 # Right-hand sides of the dense checks, one column each: the three unit

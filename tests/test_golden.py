@@ -138,6 +138,34 @@ GOLDEN_WINDOWS = {
 }
 
 
+# sha256 of the report text with the first k of SHOCKS, for k in
+# SHOCK_COUNTS, on the reference document and on one sampled tensor over
+# a random ranked table: the responses and the worst residual of several
+# shocks, price and endowment ones mixed, solved for one system.
+SHOCKS = [
+    {"price": 1.0},
+    {"endowments": [0.5, -0.25, 0.125]},
+    {"price": -0.3, "endowments": [0.0, 1.0, -2.0]},
+    {"price": 2.5e-3},
+    {"endowments": [-1e3, 0.0, 7.0]},
+    {"price": -12.0, "endowments": [0.2, 0.2, 0.2]},
+]
+GOLDEN_SHOCKS = {
+    "reference": {
+        0: "0f6c254b0793aea0b87b11180fdd3fcea206b58f00ca4e46827ad60974682cf3",
+        1: "ef37a847d44264fead5726ff31d5e6fa1ad94b5e519dcdad288516ee8aaf8d0c",
+        3: "431a761a3ca595341296581b5cd59781d7d99b67efec5a1a7d531d22b4ebac58",
+        6: "dc60a48892f145585e442d365c8b3ffe87b885c41a3c902c69b18ab849348772",
+    },
+    "random": {
+        0: "7a3aa3a4feb8d3b7a697c5e806ca5cd7654c96a75eadd922d4bf36737e4bf773",
+        1: "2f547f09f41d81c3abcdb49ef06c2505a45dedd1a589df0ef1112271550dbdcc",
+        3: "7614293b211bd41c47019329a19c966f09e190637fac4bbba7c3732fab2c6e73",
+        6: "1e62ff58259d433fb17326fa22c047c727581c8dcf827cd3f0bb6cc5e7ebe379",
+    },
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -159,6 +187,21 @@ def sampled_doc(index: int) -> dict:
             {"endowments": [0.1 * index, -0.2, 0.3]},
         ],
     }
+
+
+def shocks_doc(base: str, count: int) -> dict:
+    """The reference document, or a sampled tensor on a random ranked
+    table, carrying the first count of SHOCKS."""
+    if base == "reference":
+        doc = dict(REFERENCE_DOC)
+    else:
+        table = random_ranked_table(np.random.default_rng(1700))
+        doc = {
+            "theta": table.theta.tolist(),
+            "theta_sector": table.theta_sector.tolist(),
+            "sigma": sample_valid_aes(table, seed=1701).sigma.tolist(),
+        }
+    return dict(doc, name=f"{base}-{count}-shocks", shocks=SHOCKS[:count])
 
 
 def scenario_doc(name: str) -> dict:
@@ -193,3 +236,10 @@ def test_figure_windows_byte_identical(name, window):
     svg = render_figure(scenario_from_mapping(scenario_doc(name)), window=bounds)
     assert svg.count("<polyline ") == polylines
     assert _sha(svg) == GOLDEN_WINDOWS[name][window]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 6])
+@pytest.mark.parametrize("base", sorted(GOLDEN_SHOCKS))
+def test_multi_shock_report_byte_identical(base, count):
+    report = format_report(run_report(scenario_from_mapping(shocks_doc(base, count))))
+    assert _sha(report) == GOLDEN_SHOCKS[base][count]

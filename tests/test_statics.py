@@ -40,6 +40,7 @@ from ews32 import (
     sign_pattern_lookup,
     sweep,
     solve_responses,
+    solve_shocks,
     strong_rybczynski,
 )
 from ews32 import statics
@@ -303,6 +304,88 @@ def test_overflowing_response_is_refused(reference_table):
             solve_responses(sys, ShockVector(price_shock=price))
     response = solve_responses(sys, ShockVector(price_shock=1e307))
     assert np.all(np.isfinite(response.as_array()))
+
+
+def _uint64(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _one_by_one(system, shocks):
+    """The responses of the shocks, one solve_responses call each, or the
+    error the first failing one raises, as (type, text)."""
+    try:
+        return [solve_responses(system, shock) for shock in shocks]
+    except (ValidationError, SingularSystem) as exc:
+        return type(exc), str(exc)
+
+
+def _stacked(system, shocks):
+    try:
+        return list(solve_shocks(system, shocks))
+    except (ValidationError, SingularSystem) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def shock_stacks(draw):
+    """A system from a random ranked table and a sample_valid_aes tensor,
+    with 1-6 shocks: a price shock, endowment shocks or both, each entry
+    of log-uniform magnitude and either sign."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    system = assemble_system(table, random_valid_ews(table, draw(seeds)))
+    size = st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-8.0, 8.0),
+    )
+    zero = st.just(0.0)
+    shock = st.one_of(
+        st.builds(ShockVector, price_shock=size),
+        st.builds(ShockVector, endowment_shocks=st.tuples(size, size | zero, size | zero)),
+        st.builds(ShockVector, price_shock=size, endowment_shocks=st.tuples(size, size, size)),
+    )
+    return system, draw(st.lists(shock, min_size=1, max_size=6))
+
+
+@given(shock_stacks())
+def test_stacked_shocks_have_the_bits_of_one_shock_solves(case):
+    system, shocks = case
+    stacked = solve_shocks(system, shocks)
+    assert len(stacked) == len(shocks)
+    for shock, got in zip(shocks, stacked):
+        want = solve_responses(system, shock)
+        assert _uint64(got.w_hat) == _uint64(want.w_hat)
+        assert _uint64(got.x_hat) == _uint64(want.x_hat)
+        assert _uint64(got.residual) == _uint64(want.residual)
+        # And the bits of numpy's own solve for that one shock.
+        x = np.linalg.solve(system, shock.right_hand_side())
+        assert _uint64(got.as_array()) == _uint64(x)
+
+
+@given(shock_stacks(), st.integers(0, 6))
+def test_stacked_shocks_name_the_first_overflow(case, position):
+    # A price shock of 1e308 overflows where some real reward moves more
+    # than the price. Wherever it stands, the stacked solve then refuses
+    # it by name, not the one of -1e308 after it, with the text one solve
+    # per shock gives.
+    system, shocks = case
+    huge = ShockVector(price_shock=1e308)
+    alone = _one_by_one(system, [huge])
+    shocks.insert(min(position, len(shocks)), huge)
+    shocks.append(ShockVector(price_shock=-1e308))
+    sequential = _one_by_one(system, shocks)
+    assert _stacked(system, shocks) == sequential
+    if alone[0] is ValidationError:
+        assert sequential == alone
+
+
+def test_stacked_shocks_on_a_singular_system():
+    shocks = [ShockVector(price_shock=1.0), ShockVector(endowment_shocks=(1.0, 0.0, 0.0))]
+    with pytest.raises(SingularSystem, match="solve residual"):
+        solve_shocks(np.zeros((5, 5)), shocks)
+    assert _stacked(np.zeros((5, 5)), shocks) == _one_by_one(np.zeros((5, 5)), shocks)
+    assert solve_shocks(np.zeros((5, 5)), []) == ()
 
 
 def test_dense_signs_on_a_stack(reference_table):
