@@ -115,7 +115,7 @@ def build_share_table(theta, theta_sector) -> ShareTable:
     if any(abs(total - 1.0) > STOCHASTIC_TOL for total in colsums):
         raise NonStochasticColumns(f"distributive-share columns must each sum to 1, got {colsums}")
     if abs(sector_0 + sector_1 - 1.0) > STOCHASTIC_TOL:
-        raise NonStochasticColumns(f"sector shares must sum to 1, got {ts.sum()!r}")
+        raise NonStochasticColumns(f"sector shares must sum to 1, got {sector_0 + sector_1}")
     if not land_0 / land_1 > labor_0 / labor_1 > capital_0 / capital_1:
         raise RankingViolation(
             "factor-intensity ranking violated: need strict "

@@ -117,15 +117,15 @@ class ValidityReport:
         return tuple(name for field, name in _AES_CHECKS if not all(getattr(self, field)))
 
 
-def _identity_ok(gap, entries, axis):
+def _identity_ok(gap, scale):
     """Whether each identity gap (over leading axes) is within
-    IDENTITY_TOL times the largest |entries| over axis, or times one if
-    that is smaller. A NaN gap fails."""
+    IDENTITY_TOL times scale(), the largest magnitude among the entries
+    each gap compares, or times one if that is smaller. A NaN gap fails."""
     ok = gap <= IDENTITY_TOL
     # The relative bound is never below IDENTITY_TOL, and a NaN entry
     # makes its gap NaN, so the entries matter only past IDENTITY_TOL.
     if not ok.all():
-        ok = gap <= IDENTITY_TOL * np.maximum(1.0, np.abs(entries).max(axis=axis))
+        ok = gap <= IDENTITY_TOL * np.maximum(1.0, scale())
     return ok
 
 
@@ -150,15 +150,22 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     Own-negativity, strict quasi-concavity (scaled land-capital minor
     positive), symmetry, and share-weighted row sums of zero.
     """
-    e = th[..., :, np.newaxis] * th[..., np.newaxis, :] * s
-    weighted = s * th[..., np.newaxis, :]
+
+    def e(i, h):
+        """The scaled entry theta_i * theta_h * sigma_ih of each tensor."""
+        return th[..., i] * th[..., h] * s[..., i, h]
+
     return np.array(
         [
             (s.diagonal(0, -2, -1) < 0.0).all(axis=-1),
-            e[..., LAND, LAND] * e[..., CAPITAL, CAPITAL] - e[..., LAND, CAPITAL] ** 2 > 0.0,
-            _identity_ok(np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)), s, (-2, -1)),
+            e(LAND, LAND) * e(CAPITAL, CAPITAL) - e(LAND, CAPITAL) ** 2 > 0.0,
             _identity_ok(
-                np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1), weighted, (-2, -1)
+                np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)),
+                lambda: np.abs(s).max(axis=(-2, -1)),
+            ),
+            _identity_ok(
+                np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1),
+                lambda: np.abs(s * th[..., np.newaxis, :]).max(axis=(-2, -1)),
             ),
         ]
     )
@@ -195,17 +202,17 @@ def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     return AesTensor(sigma=_complete(np.ones((2, 3, 3)), table.theta.T))
 
 
-def _epsilon(sigma: np.ndarray, table: ShareTable) -> np.ndarray:
-    """Price elasticities of Allen tensors sigma[..., 2, 3, 3]."""
-    return table.theta.T[:, np.newaxis, :] * sigma
+def _epsilon(s: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Price elasticities of sector Allen tensors s[..., 3, 3] with their
+    sectors' shares th[..., 3]: each elasticity scaled by the
+    price-owner's distributive share."""
+    return th[..., np.newaxis, :] * s
 
 
-def _rowsum_gap(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Worst absolute row sum of each epsilon tensor over leading axes,
-    zero up to roundoff by linear homogeneity, and whether it is within
-    the identity tolerance."""
-    gap = np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=(-2, -1))
-    return gap, _identity_ok(gap, eps, (-3, -2, -1))
+def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
+    """Worst absolute row sum of each sector epsilon tensor eps[..., 3, 3],
+    zero up to roundoff by linear homogeneity."""
+    return np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=-1)
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
@@ -215,28 +222,35 @@ def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
     input use eps[j, i, h], the response of factor i's unit requirement in
     sector j to factor h's price. Rows sum to zero by linear homogeneity of cost."""
     require_valid_aes(aes, table)
-    eps = _epsilon(_complete(aes.sigma.copy(), table.theta.T), table)
-    gap, ok = _rowsum_gap(eps)
-    if not ok:
+    th = table.theta.T
+    eps = _epsilon(_complete(aes.sigma.copy(), th), th)
+    gap = _rowsum_gap(eps).max()
+    if not _identity_ok(gap, lambda: np.abs(eps).max()):
         raise ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
     eps.flags.writeable = False
     return eps
 
 
-def _aggregate(eps: np.ndarray, table: ShareTable) -> np.ndarray:
-    """Economy-wide substitution of epsilon tensors eps[..., 2, 3, 3]:
+def _term(eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A sector's term of g from its epsilon tensors eps[..., 3, 3] and
+    its allocation shares lam[..., 3] (column j of the table's lam for
+    sector j): lam[i] * eps[..., i, h]."""
+    return lam[..., :, np.newaxis] * eps
+
+
+def _aggregate(term_1: np.ndarray, term_2: np.ndarray) -> np.ndarray:
+    """Economy-wide substitution from the two sectors' terms (see _term):
     g[..., i, h] = sum over sectors j of lam[i, j] * eps[..., j, i, h].
 
     The sum starts from zero: adding 0.0 leaves every value as it is but
     -0.0, which becomes 0.0, so a zero entry (and a zero s' after it) is
     written as 0, never -0."""
-    lam = table.lam
-    return lam[:, 0, None] * eps[..., 0, :, :] + lam[:, 1, None] * eps[..., 1, :, :] + 0.0
+    return term_1 + term_2 + 0.0
 
 
 def ews_from_epsilon(eps: np.ndarray, table: ShareTable) -> EwsMatrix:
     """Aggregate sector price elasticities eps[j, i, h] with allocation shares."""
-    g = _aggregate(eps, table)
+    g = _aggregate(*_term(eps, table.lam.T))
     _require_ews_invariants(g, table)
     return EwsMatrix(g=g)
 
@@ -267,9 +281,13 @@ def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     )
     weighted = g * tf[:, np.newaxis]
     return [
-        ~_identity_ok(np.abs(g[..., 0] + g[..., 1] + g[..., 2]).max(axis=-1), g, (-2, -1)),
         ~_identity_ok(
-            np.abs(weighted - weighted.swapaxes(-1, -2)).max(axis=(-2, -1)), weighted, (-2, -1)
+            np.abs(g[..., 0] + g[..., 1] + g[..., 2]).max(axis=-1),
+            lambda: np.abs(g).max(axis=(-2, -1)),
+        ),
+        ~_identity_ok(
+            np.abs(weighted - weighted.swapaxes(-1, -2)).max(axis=(-2, -1)),
+            lambda: np.abs(weighted).max(axis=(-2, -1)),
         ),
         ~(g.diagonal(0, -2, -1) < 0.0).all(axis=-1),
         ~(minor > 0.0),
@@ -377,7 +395,7 @@ def aggregate_substitution(g: EwsMatrix, endowments, prices) -> np.ndarray:
     s = g.g * v[:, np.newaxis] / w[np.newaxis, :]
     if np.isinf(s).any():
         raise ValidationError("aggregate substitution in these levels overflows floating point")
-    if not _identity_ok(np.max(np.abs(s - s.T)), s, None):
+    if not _identity_ok(np.max(np.abs(s - s.T)), lambda: np.abs(s).max()):
         raise InconsistentLevels(
             "factor incomes implied by the levels do not match the share table; "
             "aggregate substitution would lose symmetry"

@@ -2,12 +2,16 @@
 
 A grid spec names any subset of the six free elasticities and a range
 for each; the sweep takes the Cartesian product in a fixed key order.
-A sector's tensor depends only on that sector's swept keys, so each
-distinct sector tensor is built, completed from its upper triangle and
-homogeneity, and checked once; a point's checks are those of its two
-sector tensors. The pipeline then runs in one pass over the stack of the
-valid points' tensors: epsilon and g with their invariants, the ratio
-vector, its classification, and a dense solve of every classified
+A sector's tensor depends only on that sector's swept keys, and so does
+its term of g, the allocation-weighted price elasticities of that
+sector. So the sweep runs in sector space up to g: both sectors'
+distinct tensors are built as one stack, completed from their upper
+triangles and homogeneity, and checked once; a point's checks are those
+of its two sector tensors. Each sector tensor that a valid point uses
+gets its epsilon, its epsilon row-sum gap and its term of g once, and a
+valid point's g is the sum of its two tensors' terms. The rest of the
+pipeline runs in one pass over the valid points' g: its invariants, the
+ratio vector, its classification, and a dense solve of every classified
 point's system whose signs must match the tabled patterns. Invalid
 points stay in the output with a rejection status instead of being
 dropped.
@@ -48,7 +52,9 @@ from .substitution import (
     _degenerate,
     _epsilon,
     _ews_failures,
+    _identity_ok,
     _rowsum_gap,
+    _term,
 )
 
 GRID_KEYS = tuple(_KEY_SLOTS)
@@ -62,9 +68,9 @@ CSV_COLUMNS = GRID_KEYS + (
     "status",
 )
 
-# The sweep holds every valid grid point's tensor and intermediates, and
-# every point's status, at once, so a grid is refused above this many
-# points.
+# The sweep holds every point's status, and every valid point's g and
+# the intermediates after it, at once, so a grid is refused above this
+# many points.
 MAX_GRID_POINTS = 1_000_000
 
 # Status of a point by the code SweepRows keeps per row: first per bit
@@ -131,20 +137,51 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
     return grid
 
 
-def _sector_tensors(scenario: Scenario, axes: dict) -> list[np.ndarray]:
-    """Each sector's distinct Allen tensors, (n_j, 3, 3) for sector j, in
-    grid order: the template's sector tensor with that sector's swept
-    entries set, over the product of its own axes only, completed."""
-    tensors = []
-    for j in range(2):
-        keys = [key for key in axes if _KEY_SLOTS[key][0] == j]
-        s = np.empty((math.prod(len(axes[key]) for key in keys), 3, 3))
-        s[:] = scenario.aes.sigma[j]
-        for key, values in zip(keys, np.meshgrid(*(axes[key] for key in keys), indexing="ij")):
+def _sector_tensors(scenario: Scenario, axes: dict) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both sectors' distinct Allen tensors as one (n0 + n1, 3, 3) stack,
+    completed, with each tensor's shares (n0 + n1, 3), and n0. Sector
+    1's n0 tensors come first, then sector 2's n1, each sector's in grid
+    order: the template's sector tensor with that sector's swept entries
+    set, over the product of its own axes only."""
+    keys = [[key for key in axes if _KEY_SLOTS[key][0] == j] for j in range(2)]
+    counts = [math.prod(len(axes[key]) for key in sector) for sector in keys]
+    s = np.repeat(scenario.aes.sigma, counts, axis=0)
+    th = np.repeat(scenario.table.theta.T, counts, axis=0)
+    for sector, part in zip(keys, np.split(s, [counts[0]])):
+        # The sector's tensors as a view shaped by its own axes; each swept
+        # entry varies along its key's axis only.
+        part = part.reshape(*(len(axes[key]) for key in sector), 3, 3)
+        for k, key in enumerate(sector):
             _, row, col = _KEY_SLOTS[key]
-            s[:, row, col] = values.ravel()
-        tensors.append(_complete(s, scenario.table.theta[:, j]))
-    return tensors
+            along = [1] * len(sector)
+            along[k] = -1
+            part[..., row, col] = axes[key].reshape(along)
+    return _complete(s, th), th, counts[0]
+
+
+def _sector_space_g(
+    s: np.ndarray, th: np.ndarray, n0: int, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """g and the epsilon row-sum verdict of every point that joins one of
+    the sector tensors s[:n0] (sector 1's) with one of s[n0:] (sector
+    2's), in grid order, for shares th of each tensor and the table's
+    allocation shares lam.
+
+    Each tensor's epsilon, row-sum gap and term of g are formed once. A
+    point's g is _aggregate of its two tensors' terms, the float
+    operations ews_from_epsilon does on the point's own (2, 3, 3)
+    epsilon, in the same order, so it has the bits run_report gives the
+    point. A point's gap and entry scale are the larger of its two
+    tensors'; max is exact, so _identity_ok decides as epsilon_from_aes
+    does on the point's two tensors together."""
+    eps = _epsilon(s, th)
+    terms = _term(eps, np.repeat(lam.T, (n0, len(s) - n0), axis=0))
+    g = _aggregate(terms[:n0, np.newaxis], terms[np.newaxis, n0:]).reshape(-1, 3, 3)
+
+    def pairs(x):
+        return np.maximum.outer(x[:n0], x[n0:]).ravel()
+
+    return g, _identity_ok(pairs(_rowsum_gap(eps)), lambda: pairs(np.abs(eps).max(axis=(-2, -1))))
 
 
 def _point(index: int, sigma: np.ndarray) -> str:
@@ -194,23 +231,25 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     # rejected may hold infinities or NaNs later, which its stage code
     # already accounts for.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sectors = _sector_tensors(scenario, swept)
+        sectors, th, n0 = _sector_tensors(scenario, swept)
         # Bit k of a sector tensor's code is set when _AES_CHECKS[k] fails.
         bits = 1 << np.arange(len(_AES_CHECKS))
-        codes = [np.dot(bits, ~_aes_flags(s, table.theta[:, j])) for j, s in enumerate(sectors)]
+        codes = np.dot(bits, ~_aes_flags(sectors, th))
         # GRID_KEYS lists sector 1's keys before sector 2's, so grid point
-        # p joins sector 1's tensor i0 and sector 2's tensor i1, where
+        # p joins sector 1's tensor i0 and sector 2's tensor n0 + i1, where
         # i0, i1 = divmod(p, n1) for sector 2's n1 tensors; a point fails
-        # each check that either of its sector tensors fails.
-        n1 = len(sectors[1])
-        aes_code = np.bitwise_or.outer(*codes).ravel()
+        # each check that either of its sector tensors fails. So the valid
+        # points, in grid order, join each valid sector 1 tensor with each
+        # valid sector 2 tensor, and those are the tensors they use.
+        n1 = len(sectors) - n0
+        aes_code = np.bitwise_or.outer(codes[:n0], codes[n0:]).ravel()
         valid = np.flatnonzero(aes_code == 0)
-        i0, i1 = divmod(valid, n1)
-        sigma = np.stack((sectors[0][i0], sectors[1][i1]), axis=1)
-
-        eps = _epsilon(sigma, table)
-        _, rowsum_ok = _rowsum_gap(eps)
-        g = _aggregate(eps, table)
+        used = np.flatnonzero(codes == 0) if valid.size else valid
+        k0 = np.count_nonzero(used < n0)
+        g, rowsum_ok = _sector_space_g(sectors[used], th[used], k0, table.lam)
+        # Of the sector intermediates only the stack stays, to name a
+        # failing point.
+        del th, used
         invariant = np.any(_ews_failures(g, table), axis=0)
         s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
         s_prime, u_prime = s / t, u / t
@@ -229,10 +268,12 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     if bad.size:
         k = bad[0]
         refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
+        i0, i1 = divmod(int(valid[k]), n1)
+        sigma = sectors[[i0, n0 + i1]]
         try:
-            _replay(scenario, sigma[k], stage[k], refusal)
+            _replay(scenario, sigma, stage[k], refusal)
         except Ews32Error as exc:
-            raise type(exc)(f"{_point(int(valid[k]), sigma[k])}: {exc}") from exc
+            raise type(exc)(f"{_point(int(valid[k]), sigma)}: {exc}") from exc
 
     # Each point's index into _STATUSES: its Allen-tensor mask, or the
     # rejection of its valid tensor.

@@ -200,10 +200,11 @@ INTENSITY_MESSAGE = (
     "second_fault, message",
     [
         ({"theta_sector": [1.5, -0.5]}, "every sector share must lie strictly between 0 and 1"),
+        ({"theta_sector": [0.6, 0.5]}, "sector shares must sum to 1, got 1.1"),
         ({"sigma": "leontief"}, INTENSITY_MESSAGE),
         ({"sigma": [[[0.0] * 3] * 3] * 2}, INTENSITY_MESSAGE),
     ],
-    ids=["out-of-range-share", "unknown-preset", "invalid-allen-tensor"],
+    ids=["out-of-range-share", "sector-sum", "unknown-preset", "invalid-allen-tensor"],
 )
 def test_share_faults_are_reported_first(tmp_path, capsys, second_fault, message):
     # Range, then column sums, then the ranking, all before sigma is read.

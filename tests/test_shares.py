@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -53,12 +54,16 @@ def test_labor_to_capital_ratio(reference_table):
 
 def test_column_sum_enforced():
     bad = [[0.5, 0.2], [0.15, 0.5], [0.36, 0.30]]
-    with pytest.raises(NonStochasticColumns):
+    message = "distributive-share columns must each sum to 1, got [1.01, 1.0]"
+    with pytest.raises(NonStochasticColumns, match=f"^{re.escape(message)}$"):
         build_share_table(bad, REFERENCE_SECTOR)
 
 
 def test_sector_sum_enforced():
-    with pytest.raises(NonStochasticColumns):
+    # The sum prints as a plain float, as the column sums do, not as a
+    # numpy scalar's repr.
+    message = "sector shares must sum to 1, got 1.1"
+    with pytest.raises(NonStochasticColumns, match=f"^{re.escape(message)}$"):
         build_share_table(REFERENCE_THETA, [0.6, 0.5])
 
 

@@ -30,7 +30,7 @@ from ews32 import (
     sweep,
     validate_aes,
 )
-from ews32.substitution import IDENTITY_TOL, _aggregate, _complete
+from ews32.substitution import IDENTITY_TOL, _aggregate, _complete, _term
 from ews32.sweep import _sector_tensors
 
 from conftest import ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
@@ -316,17 +316,23 @@ def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
     # Every tensor the package completes itself is a fixed point of the
     # completion, so analysing the completion moves no golden byte.
     rng = np.random.default_rng(29)
-    grid = {"land_capital_1": [-2.0, 0.25, 2.0], "capital_labor_2": [-1.0, 1.5]}
+    # Axes as the sweep hands them over: float arrays in grid key order.
+    grid = {"land_capital_1": np.array([-2.0, 0.25, 2.0]), "capital_labor_2": np.array([-1.0, 1.5])}
     for k, table in enumerate([reference_table] + [random_ranked_table(rng) for _ in range(8)]):
         tensors = [cobb_douglas_aes(table).sigma]
         tensors += [sample_valid_aes(table, seed).sigma for seed in range(5 * k, 5 * k + 5)]
         for sigma in tensors:
             assert completed(sigma, table).tobytes() == sigma.tobytes()
-        # The sweep's sector tensors, each completed with its sector's shares.
+        # The sweep's stack of both sectors' tensors, each completed with
+        # its sector's shares: sector 1's three, then sector 2's two.
         scenario = Scenario(name="template", table=table, aes=sample_valid_aes(table, 100 + k))
-        for j, stack in enumerate(_sector_tensors(scenario, grid)):
-            again = _complete(stack.copy(), table.theta[:, j])
-            assert again.tobytes() == stack.tobytes()
+        stack, th, n0 = _sector_tensors(scenario, grid)
+        assert n0 == 3 and stack.shape == (5, 3, 3)
+        assert (th == table.theta.T[[0, 0, 0, 1, 1]]).all()
+        for j, sector in enumerate(np.split(stack, [n0])):
+            again = _complete(sector.copy(), table.theta[:, j])
+            assert again.tobytes() == sector.tobytes()
+        assert _complete(stack.copy(), th).tobytes() == stack.tobytes()
 
 
 def test_aggregate_is_the_einsum_bit_for_bit(reference_table):
@@ -343,7 +349,8 @@ def test_aggregate_is_the_einsum_bit_for_bit(reference_table):
             eps[rng.random(size) < 0.02] = np.nan
             with np.errstate(invalid="ignore"):
                 want = np.einsum("ij,...jih->...ih", table.lam, eps)
-                got = _aggregate(eps, table)
+                terms = _term(eps, table.lam.T)
+                got = _aggregate(terms[..., 0, :, :], terms[..., 1, :, :])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # Negative zeros in both sectors' capital-labor slots give s = 0.0,
     # so the row reads s' = 0.0, never -0.0.

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ews32 import (
@@ -501,6 +501,73 @@ def test_sweep_checks_each_distinct_sector_tensor_once(reference_scenario, monke
     rows = sweep(reference_scenario, grid)
     assert len(rows) == 4000
     assert sum(checked) == 410
+
+
+def gathered_route(sigma, first, second, table):
+    """g and the epsilon row-sum verdict of the points that join sector
+    tensor sigma[first[k]] with sigma[second[k]], on the stack of the
+    points' gathered (2, 3, 3) tensors: each point's epsilon scaled from
+    its tensor, its row sums over both sectors, and g summed over the
+    sectors in one expression."""
+    eps = table.theta.T[:, np.newaxis, :] * np.stack((sigma[first], sigma[second]), axis=1)
+    gap = np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=(-2, -1))
+    ok = substitution._identity_ok(gap, lambda: np.abs(eps).max(axis=(-3, -2, -1)))
+    lam = table.lam
+    return lam[:, 0, None] * eps[..., 0, :, :] + lam[:, 1, None] * eps[..., 1, :, :] + 0.0, ok
+
+
+@st.composite
+def sector_space_cases(draw):
+    """A random ranked table, a sampled valid template on it, and a grid
+    of up to two keys per sector with up to four values each over [-5, 5]:
+    a sector without keys has one tensor, and some grids have no valid
+    point."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    scenario = Scenario("drawn", table, sample_valid_aes(table, draw(seeds)))
+    keys = draw(st.lists(st.sampled_from(GRID_KEYS[:3]), max_size=2, unique=True))
+    keys += draw(st.lists(st.sampled_from(GRID_KEYS[3:]), max_size=2, unique=True))
+    values = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)
+    return scenario, {key: draw(values) for key in keys}
+
+
+REFERENCE = scenario_from_mapping(dict(REFERENCE_DOC))
+
+
+@given(sector_space_cases(), st.integers(0, 2**32 - 1))
+@example((REFERENCE, {}), 0)  # one tensor per sector
+@example((REFERENCE, {"land_capital_1": [-3.0, -2.0], "capital_labor_2": [1.0]}), 0)
+@example((REFERENCE, {"land_capital_1": [1.0, 2.0], "capital_labor_2": [-3.0, -2.0]}), 0)
+def test_sector_space_g_is_the_gathered_route(case, seed):
+    # The sweep forms each sector tensor's epsilon, row-sum gap and term
+    # of g once; g and the verdicts must have the bits of the gathered
+    # route, on the pairs of every sector tensor and on the valid points
+    # the sweep passes. Each tensor is scaled and moved off its
+    # completion by its own relative noise, so that a pair's verdict can
+    # rest on the larger of its two gaps, or pass only relative to the
+    # larger of its two tensors' entries.
+    scenario, grid = case
+    table = scenario.table
+    module = importlib.import_module("ews32.sweep")
+    axes = {key: np.array(grid[key]) for key in GRID_KEYS if key in grid}
+    sectors, th, n0 = module._sector_tensors(scenario, axes)
+    n1 = len(sectors) - n0
+    codes = np.dot(1 << np.arange(4), ~substitution._aes_flags(sectors, th))
+    rng = np.random.default_rng(seed)
+    noise = rng.choice([0.0, 1e-12, 1e-9, 1e-6], size=(len(sectors), 1, 1))
+    scale = rng.choice([1e-3, 1.0, 1e8], size=(len(sectors), 1, 1))
+    moved = scale * sectors * (1.0 + noise * rng.standard_normal(sectors.shape))
+
+    valid = np.flatnonzero(np.bitwise_or.outer(codes[:n0], codes[n0:]).ravel() == 0)
+    used = np.flatnonzero(codes == 0) if valid.size else valid
+    for points, tensors in [(np.arange(n0 * n1), np.arange(len(sectors))), (valid, used)]:
+        first, second = divmod(points, n1)
+        want_g, want_ok = gathered_route(moved, first, n0 + second, table)
+        k0 = np.count_nonzero(tensors < n0)
+        got_g, got_ok = module._sector_space_g(moved[tensors], th[tensors], k0, table.lam)
+        assert got_g.shape == want_g.shape == (len(points), 3, 3)
+        assert np.array_equal(got_g.view(np.uint64), want_g.view(np.uint64))
+        assert np.array_equal(got_ok, want_ok)
 
 
 def _last_flag_set(classified):
