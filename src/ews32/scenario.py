@@ -57,7 +57,9 @@ class Scenario:
     derives the border lines, then g through epsilon_from_aes (which
     checks the Allen tensor and analyses its completion), the ratio
     vector and its subregion, and keeps them; aes stays as given. It
-    raises InvalidAes, DegenerateT, Infeasible or OnLine, in that order.
+    raises ParseError for a name that is not a non-empty string XML 1.0
+    can hold, then InvalidAes, DegenerateT, Infeasible or OnLine, in
+    that order.
     """
 
     name: str
@@ -70,6 +72,11 @@ class Scenario:
     subregion: Subregion = field(init=False)
 
     def __post_init__(self):
+        name = self.name
+        if not isinstance(name, str) or not name or _NOT_XML.search(name):
+            raise ParseError(
+                f"scenario name must be a non-empty string XML 1.0 can hold, got {name!r}"
+            )
         table, keep = self.table, object.__setattr__
         keep(self, "lines", line_coefficients(table))
         keep(self, "ews", ews_from_epsilon(epsilon_from_aes(self.aes, table), table))
@@ -108,10 +115,6 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
         if key not in doc:
             raise ParseError(f"scenario is missing required key {key!r}")
 
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name or _NOT_XML.search(name):
-        raise ParseError(f"scenario name must be a non-empty string XML 1.0 can hold, got {name!r}")
-
     table = build_share_table(doc["theta"], doc["theta_sector"])
 
     sigma = doc["sigma"]
@@ -132,7 +135,7 @@ def scenario_from_mapping(doc: dict, default_name: str = "scenario") -> Scenario
         if not isinstance(raw, dict) or set(raw) - {"price", "endowments"}:
             raise ParseError(f"shock {k} must be an object with keys price/endowments")
         shocks.append(ShockVector(raw.get("price", 0.0), raw.get("endowments", (0.0, 0.0, 0.0))))
-    return Scenario(name=name, table=table, aes=aes, shocks=tuple(shocks))
+    return Scenario(name=doc.get("name", default_name), table=table, aes=aes, shocks=tuple(shocks))
 
 
 def load_scenario(path) -> Scenario:

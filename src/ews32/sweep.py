@@ -4,17 +4,17 @@ A grid spec names any subset of the six free elasticities and a range
 for each; the sweep takes the Cartesian product in a fixed key order.
 A sector's tensor depends only on that sector's swept keys, and so does
 its term of g, the allocation-weighted price elasticities of that
-sector. So the sweep runs in sector space up to g: both sectors'
+sector. So the sweep runs in sector space up to g: each sector's
 distinct tensors are built as one stack, completed from their upper
-triangles and homogeneity, and checked once; a point's checks are those
-of its two sector tensors. Each sector tensor that a valid point uses
-gets its epsilon, its epsilon row-sum gap and its term of g once, and a
-valid point's g is the sum of its two tensors' terms. The rest of the
-pipeline runs in one pass over the valid points' g: its invariants, the
-ratio vector, its classification, and a dense solve of every classified
-point's system whose signs must match the tabled patterns. Invalid
-points stay in the output with a rejection status instead of being
-dropped.
+triangles and homogeneity with that sector's shares, and checked once;
+a point's checks are those of its two sector tensors. Each sector
+tensor that a valid point uses gets its epsilon, its epsilon row-sum
+gap and its term of g once, and a valid point's g is the sum of its two
+tensors' terms. The rest of the pipeline runs in one pass over the
+valid points' g: its invariants, the ratio vector, its classification,
+and a dense solve of every classified point's system whose signs must
+match the tabled patterns. Invalid points stay in the output with a
+rejection status instead of being dropped.
 
 The result keeps the engine's columns (SweepRows), each row's status as
 a code into one list of status labels; a row's dict is built only when
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConsistencyError, Ews32Error, ParseError
 from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
 from .scenario import Scenario, run_report
-from .shares import CAPITAL, LABOR, LAND, _finite_array
+from .shares import CAPITAL, LABOR, LAND, ShareTable, _finite_array
 from .statics import (
     RESIDUAL_TOL,
     _contradicts_tables,
@@ -137,35 +137,32 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
     return grid
 
 
-def _sector_tensors(scenario: Scenario, axes: dict) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both sectors' distinct Allen tensors as one (n0 + n1, 3, 3) stack,
-    completed, with each tensor's shares (n0 + n1, 3), and n0. Sector
-    1's n0 tensors come first, then sector 2's n1, each sector's in grid
-    order: the template's sector tensor with that sector's swept entries
-    set, over the product of its own axes only."""
-    keys = [[key for key in axes if _KEY_SLOTS[key][0] == j] for j in range(2)]
-    counts = [math.prod(len(axes[key]) for key in sector) for sector in keys]
-    s = np.repeat(scenario.aes.sigma, counts, axis=0)
-    th = np.repeat(scenario.table.theta.T, counts, axis=0)
-    for sector, part in zip(keys, np.split(s, [counts[0]])):
-        # The sector's tensors as a view shaped by its own axes; each swept
-        # entry varies along its key's axis only.
-        part = part.reshape(*(len(axes[key]) for key in sector), 3, 3)
-        for k, key in enumerate(sector):
+def _sector_tensors(scenario: Scenario, axes: dict) -> list[np.ndarray]:
+    """Each sector's distinct Allen tensors as one (n_j, 3, 3) stack in
+    grid order, completed with that sector's shares: the template's
+    sector tensor with that sector's swept entries set, over the product
+    of its own axes only."""
+    sectors = []
+    for j, th in enumerate(scenario.table.theta.T):
+        keys = [key for key in axes if _KEY_SLOTS[key][0] == j]
+        # The sector's tensors shaped by its own axes; each swept entry
+        # varies along its key's axis only.
+        s = np.full((*(len(axes[key]) for key in keys), 3, 3), scenario.aes.sigma[j])
+        for k, key in enumerate(keys):
             _, row, col = _KEY_SLOTS[key]
-            along = [1] * len(sector)
+            along = [1] * len(keys)
             along[k] = -1
-            part[..., row, col] = axes[key].reshape(along)
-    return _complete(s, th), th, counts[0]
+            s[..., row, col] = axes[key].reshape(along)
+        sectors.append(_complete(s.reshape(-1, 3, 3), th))
+    return sectors
 
 
 def _sector_space_g(
-    s: np.ndarray, th: np.ndarray, n0: int, lam: np.ndarray
+    sectors: list[np.ndarray], table: ShareTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """g and the epsilon row-sum verdict of every point that joins one of
-    the sector tensors s[:n0] (sector 1's) with one of s[n0:] (sector
-    2's), in grid order, for shares th of each tensor and the table's
-    allocation shares lam.
+    sector 1's tensors sectors[0] with one of sector 2's sectors[1], in
+    grid order, for the table's shares.
 
     Each tensor's epsilon, row-sum gap and term of g are formed once. A
     point's g is _aggregate of its two tensors' terms, the float
@@ -174,14 +171,16 @@ def _sector_space_g(
     point. A point's gap and entry scale are the larger of its two
     tensors'; max is exact, so _identity_ok decides as epsilon_from_aes
     does on the point's two tensors together."""
-    eps = _epsilon(s, th)
-    terms = _term(eps, np.repeat(lam.T, (n0, len(s) - n0), axis=0))
-    g = _aggregate(terms[:n0, np.newaxis], terms[np.newaxis, n0:]).reshape(-1, 3, 3)
+    eps = [_epsilon(s, th) for s, th in zip(sectors, table.theta.T)]
+    term_1, term_2 = (_term(e, lam) for e, lam in zip(eps, table.lam.T))
+    g = _aggregate(term_1[:, np.newaxis], term_2[np.newaxis]).reshape(-1, 3, 3)
 
-    def pairs(x):
-        return np.maximum.outer(x[:n0], x[n0:]).ravel()
+    def pairs(per_tensor):
+        return np.maximum.outer(*map(per_tensor, eps)).ravel()
 
-    return g, _identity_ok(pairs(_rowsum_gap(eps)), lambda: pairs(np.abs(eps).max(axis=(-2, -1))))
+    return g, _identity_ok(
+        pairs(_rowsum_gap), lambda: pairs(lambda e: np.abs(e).max(axis=(-2, -1)))
+    )
 
 
 def _point(index: int, sigma: np.ndarray) -> str:
@@ -227,29 +226,24 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     if points > MAX_GRID_POINTS:
         raise ParseError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
     table = scenario.table
-    # Every point runs through every stage; one that an earlier stage
-    # rejected may hold infinities or NaNs later, which its stage code
+    # Only the points whose two sector tensors pass the Allen-tensor
+    # checks go on to epsilon and g. One that a later stage rejects may
+    # hold infinities or NaNs after that stage, which its stage code
     # already accounts for.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sectors, th, n0 = _sector_tensors(scenario, swept)
+        sectors = _sector_tensors(scenario, swept)
         # Bit k of a sector tensor's code is set when _AES_CHECKS[k] fails.
         bits = 1 << np.arange(len(_AES_CHECKS))
-        codes = np.dot(bits, ~_aes_flags(sectors, th))
+        codes = [np.dot(bits, ~_aes_flags(s, th)) for s, th in zip(sectors, table.theta.T)]
         # GRID_KEYS lists sector 1's keys before sector 2's, so grid point
-        # p joins sector 1's tensor i0 and sector 2's tensor n0 + i1, where
+        # p joins sector 1's tensor i0 and sector 2's tensor i1, where
         # i0, i1 = divmod(p, n1) for sector 2's n1 tensors; a point fails
         # each check that either of its sector tensors fails. So the valid
         # points, in grid order, join each valid sector 1 tensor with each
         # valid sector 2 tensor, and those are the tensors they use.
-        n1 = len(sectors) - n0
-        aes_code = np.bitwise_or.outer(codes[:n0], codes[n0:]).ravel()
+        aes_code = np.bitwise_or.outer(*codes).ravel()
         valid = np.flatnonzero(aes_code == 0)
-        used = np.flatnonzero(codes == 0) if valid.size else valid
-        k0 = np.count_nonzero(used < n0)
-        g, rowsum_ok = _sector_space_g(sectors[used], th[used], k0, table.lam)
-        # Of the sector intermediates only the stack stays, to name a
-        # failing point.
-        del th, used
+        g, rowsum_ok = _sector_space_g([s[c == 0] for s, c in zip(sectors, codes)], table)
         invariant = np.any(_ews_failures(g, table), axis=0)
         s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
         s_prime, u_prime = s / t, u / t
@@ -268,8 +262,8 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     if bad.size:
         k = bad[0]
         refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
-        i0, i1 = divmod(int(valid[k]), n1)
-        sigma = sectors[[i0, n0 + i1]]
+        i0, i1 = divmod(int(valid[k]), len(sectors[1]))
+        sigma = np.stack((sectors[0][i0], sectors[1][i1]))
         try:
             _replay(scenario, sigma, stage[k], refusal)
         except Ews32Error as exc:

@@ -6,13 +6,16 @@ two genuinely separate routes to the same numbers.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from ews32 import (
+    CAPITAL,
     LABOR,
+    LAND,
     Infeasible,
     OnLine,
     RankingViolation,
@@ -206,3 +209,101 @@ def reference_csv(rows):
                 cells.append(str(value))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
+
+
+# The exact oracle: Fraction arithmetic on the model's definitions, with
+# no rounding anywhere, for tests that need the true sign of a quantity
+# floats cannot call.
+_OFF_DIAGONALS = ((LAND, CAPITAL), (LAND, LABOR), (CAPITAL, LABOR))
+
+
+def _exact_aes(theta, sector, off):
+    """One sector's Allen tensor from its three off-diagonals, diagonal
+    completed by homogeneity, and whether it passes the validity checks
+    (own elasticities negative, land-capital minor positive)."""
+    sigma = [[Fraction(0)] * 3 for _ in range(3)]
+    for (i, k), value in zip(_OFF_DIAGONALS, off):
+        sigma[i][k] = sigma[k][i] = value
+    th = [row[sector] for row in theta]
+    for i in range(3):
+        sigma[i][i] = -sum(th[k] * sigma[i][k] for k in range(3)) / th[i]
+    minor = (
+        th[LAND] ** 2 * th[CAPITAL] ** 2
+        * (sigma[LAND][LAND] * sigma[CAPITAL][CAPITAL] - sigma[LAND][CAPITAL] ** 2)
+    )
+    return sigma, all(sigma[i][i] < 0 for i in range(3)) and minor > 0
+
+
+def _exact_g(theta, lam, sigmas):
+    """Economy-wide substitution g[i][h] = sum_j lam[i][j] theta[h][j]
+    sigma_j[i][h]."""
+    return [
+        [sum(lam[i][j] * theta[h][j] * sigmas[j][i][h] for j in range(2)) for h in range(3)]
+        for i in range(3)
+    ]
+
+
+def _exact_system(theta, lam, g):
+    """The 5x5 comparative-statics matrix, rebuilt from its definition."""
+    return [theta_row + [0, 0] for theta_row in map(list, zip(*theta))] + [
+        g[f] + lam[f] for f in range(3)
+    ]
+
+
+def _exact_reduce(m, n):
+    """Gauss-Jordan elimination of the first n columns of the Fraction
+    rows m, in place; returns the determinant of that n x n block."""
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(len(m)):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _exact_det(a) -> Fraction:
+    return _exact_reduce([list(row) for row in a], len(a))
+
+
+def _exact_output_responses(a):
+    """Output responses [sector][factor] to unit endowment shocks and the
+    determinant, by exact elimination of the 5x5 system a."""
+    m = [list(row) + [Fraction(int(r == 2 + f)) for f in range(3)] for r, row in enumerate(a)]
+    det = _exact_reduce(m, 5)
+    return [[m[3 + s][5 + f] / m[3 + s][3 + s] for f in range(3)] for s in range(2)], det
+
+
+def _exact_lines(theta, lam, tf):
+    """Coefficients (a, b, e) [factor][sector] of the line forms
+    e*u - a*s - b*t, read off the output-response cofactors of the 5x5
+    system at the unit (s, t, u) triples. The cofactor of sector s and
+    factor f is minus the minor at row 2 + f, column 3 + s, and it is
+    linear in g, which share-weighted symmetry and zero row sums fix from
+    (s, t, u)."""
+    forms = []
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        g = [[Fraction(0)] * 3 for _ in range(3)]
+        g[LABOR][CAPITAL], g[LABOR][LAND], g[CAPITAL][LAND] = map(Fraction, unit)
+        for i, h in ((LABOR, CAPITAL), (LABOR, LAND), (CAPITAL, LAND)):
+            g[h][i] = tf[i] / tf[h] * g[i][h]
+        for i in range(3):
+            g[i][i] = -sum(g[i])
+        a = _exact_system(theta, lam, g)
+        minor = [
+            [
+                _exact_det([row[: 3 + s] + row[4 + s :] for r, row in enumerate(a) if r != 2 + f])
+                for s in range(2)
+            ]
+            for f in range(3)
+        ]
+        forms.append(minor)
+    by_s, by_t, by_u = forms
+    return [[(by_s[f][s], by_t[f][s], -by_u[f][s]) for s in range(2)] for f in range(3)]

@@ -175,6 +175,19 @@ def test_invalid_sigma_rejected(reference_table):
         epsilon_from_aes(AesTensor(sigma=sigma), reference_table)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["a\x01b", "a\ud800b", "a\uffffb", "", 42],
+    ids=["c0", "surrogate", "ffff", "empty", "int"],
+)
+def test_scenario_refuses_a_name_xml_cannot_hold(reference_table, name):
+    # A Scenario checks its name however it is built, before the figure
+    # could write the name into an SVG that XML 1.0 cannot hold.
+    aes = cobb_douglas_aes(reference_table)
+    with pytest.raises(ParseError, match="^scenario name must be a non-empty string XML 1.0 "):
+        Scenario(name, reference_table, aes)
+
+
 def test_degenerate_vector_is_refused_at_construction(reference_table):
     sigma = np.array(degenerate_t_doc(reference_table)["sigma"])
     with pytest.raises(DegenerateT, match="^labor-land substitution is numerically zero"):

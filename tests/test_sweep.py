@@ -114,6 +114,9 @@ def sweep_cases(draw):
     return scenario, grid
 
 
+REFERENCE = scenario_from_mapping(dict(REFERENCE_DOC))
+
+
 @pytest.fixture
 def reference_scenario():
     return scenario_from_mapping(dict(REFERENCE_DOC))
@@ -239,6 +242,8 @@ def test_sweep_rejects_grid_over_the_cap(reference_scenario):
 
 
 @given(sweep_cases())
+# Valid sector 2 tensors, but no valid point.
+@example((REFERENCE, {"land_capital_1": [-3.0, -2.0], "capital_labor_2": [0.5, 1.0, 1.5]}))
 def test_sweep_matches_per_point_reference(case):
     scenario, grid = case
     try:
@@ -271,8 +276,10 @@ def test_format_csv_matches_the_per_cell_reference(case):
         ({"land_capital_1": [1.0]}, 1),
         ({"land_capital_1": [-3.0, -2.0, -1.0]}, 0),
         ({"land_capital_1": [0.0, 1.0, 2.0, 3.0], "capital_labor_2": [0.5, 1.0, 1.5]}, 12),
+        # Valid sector 2 tensors, but no valid point.
+        ({"land_capital_1": [-3.0, -2.0], "capital_labor_2": [0.5, 1.0, 1.5]}, 0),
     ],
-    ids=["template", "one-point", "none-classified", "all-classified"],
+    ids=["template", "one-point", "none-classified", "all-classified", "no-valid-point"],
 )
 def test_format_csv_edge_grids(reference_scenario, grid, classified):
     rows = sweep(reference_scenario, grid)
@@ -503,13 +510,13 @@ def test_sweep_checks_each_distinct_sector_tensor_once(reference_scenario, monke
     assert sum(checked) == 410
 
 
-def gathered_route(sigma, first, second, table):
-    """g and the epsilon row-sum verdict of the points that join sector
-    tensor sigma[first[k]] with sigma[second[k]], on the stack of the
+def gathered_route(first, second, table):
+    """g and the epsilon row-sum verdict of the points that join sector 1
+    tensor first[k] with sector 2 tensor second[k], on the stack of the
     points' gathered (2, 3, 3) tensors: each point's epsilon scaled from
     its tensor, its row sums over both sectors, and g summed over the
     sectors in one expression."""
-    eps = table.theta.T[:, np.newaxis, :] * np.stack((sigma[first], sigma[second]), axis=1)
+    eps = table.theta.T[:, np.newaxis, :] * np.stack((first, second), axis=1)
     gap = np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=(-2, -1))
     ok = substitution._identity_ok(gap, lambda: np.abs(eps).max(axis=(-3, -2, -1)))
     lam = table.lam
@@ -531,9 +538,6 @@ def sector_space_cases(draw):
     return scenario, {key: draw(values) for key in keys}
 
 
-REFERENCE = scenario_from_mapping(dict(REFERENCE_DOC))
-
-
 @given(sector_space_cases(), st.integers(0, 2**32 - 1))
 @example((REFERENCE, {}), 0)  # one tensor per sector
 @example((REFERENCE, {"land_capital_1": [-3.0, -2.0], "capital_labor_2": [1.0]}), 0)
@@ -550,21 +554,28 @@ def test_sector_space_g_is_the_gathered_route(case, seed):
     table = scenario.table
     module = importlib.import_module("ews32.sweep")
     axes = {key: np.array(grid[key]) for key in GRID_KEYS if key in grid}
-    sectors, th, n0 = module._sector_tensors(scenario, axes)
-    n1 = len(sectors) - n0
-    codes = np.dot(1 << np.arange(4), ~substitution._aes_flags(sectors, th))
+    sectors = module._sector_tensors(scenario, axes)
+    codes = [
+        np.dot(1 << np.arange(4), ~substitution._aes_flags(s, th))
+        for s, th in zip(sectors, table.theta.T)
+    ]
     rng = np.random.default_rng(seed)
-    noise = rng.choice([0.0, 1e-12, 1e-9, 1e-6], size=(len(sectors), 1, 1))
-    scale = rng.choice([1e-3, 1.0, 1e8], size=(len(sectors), 1, 1))
-    moved = scale * sectors * (1.0 + noise * rng.standard_normal(sectors.shape))
+    moved = []
+    for s in sectors:
+        noise = rng.choice([0.0, 1e-12, 1e-9, 1e-6], size=(len(s), 1, 1))
+        scale = rng.choice([1e-3, 1.0, 1e8], size=(len(s), 1, 1))
+        moved.append(scale * s * (1.0 + noise * rng.standard_normal(s.shape)))
 
-    valid = np.flatnonzero(np.bitwise_or.outer(codes[:n0], codes[n0:]).ravel() == 0)
-    used = np.flatnonzero(codes == 0) if valid.size else valid
-    for points, tensors in [(np.arange(n0 * n1), np.arange(len(sectors))), (valid, used)]:
+    n1 = len(sectors[1])
+    valid = np.flatnonzero(np.bitwise_or.outer(*codes).ravel() == 0)
+    # Every pair of sector tensors, then the valid points on the tensors
+    # they use.
+    every = [np.ones(len(s), dtype=bool) for s in sectors]
+    cases = [(np.arange(len(sectors[0]) * n1), every), (valid, [c == 0 for c in codes])]
+    for points, used in cases:
         first, second = divmod(points, n1)
-        want_g, want_ok = gathered_route(moved, first, n0 + second, table)
-        k0 = np.count_nonzero(tensors < n0)
-        got_g, got_ok = module._sector_space_g(moved[tensors], th[tensors], k0, table.lam)
+        want_g, want_ok = gathered_route(moved[0][first], moved[1][second], table)
+        got_g, got_ok = module._sector_space_g([m[k] for m, k in zip(moved, used)], table)
         assert got_g.shape == want_g.shape == (len(points), 3, 3)
         assert np.array_equal(got_g.view(np.uint64), want_g.view(np.uint64))
         assert np.array_equal(got_ok, want_ok)
