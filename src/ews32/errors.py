@@ -27,9 +27,10 @@ class RankingViolation(ValidationError):
 
 
 class InvalidAes(ValidationError):
-    """An Allen-elasticity tensor violates symmetry, own-negativity,
-    homogeneity, or strict quasi-concavity; `report` is the failing
-    ValidityReport. A tensor of the wrong shape is a ParseError."""
+    """An Allen-elasticity tensor, or the completion it is analysed as,
+    violates symmetry, own-negativity, homogeneity, or strict
+    quasi-concavity; `report` is the failing ValidityReport. A tensor of
+    the wrong shape is a ParseError."""
 
     def __init__(self, message: str, report):
         super().__init__(message)

@@ -55,11 +55,11 @@ class Scenario:
 
     Its ShareTable is ranked by construction. Building the Scenario
     derives the border lines, then g through epsilon_from_aes (which
-    checks the Allen tensor and analyses its completion), the ratio
-    vector and its subregion, and keeps them; aes stays as given. It
-    raises ParseError for a name that is not a non-empty string XML 1.0
-    can hold, then InvalidAes, DegenerateT, Infeasible or OnLine, in
-    that order.
+    checks the Allen tensor and its completion, then analyses the
+    completion), the ratio vector and its subregion, and keeps them;
+    aes stays as given. It raises ParseError for a name that is not a
+    non-empty string XML 1.0 can hold, then InvalidAes, DegenerateT,
+    Infeasible or OnLine, in that order.
     """
 
     name: str

@@ -200,29 +200,17 @@ def _expanded_cofactors(a: float, b: float, gg, lc) -> list[float]:
 _OTHER_FACTORS = tuple(tuple(f for f in _FACTOR_ROWS if f != factor) for factor in _FACTOR_ROWS)
 
 
-def _magnitude(rows, floor: float) -> float:
-    """Largest |entry| of nested rows of floats, at least floor; NaN if
-    any entry is NaN, which the builtin max can drop."""
-    scale = floor
-    for row in rows:
-        for v in row:
-            if abs(v) > scale or v != v:
-                scale = abs(v)
-    return scale
-
-
 def _cofactor_routes(
     table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs
 ) -> tuple[list, list, list]:
     """The six cofactors [sector][factor] as a literal 3x3 determinant, by
-    the expanded four-term form and through the border-line factorization
-    e * t * offset, on Python floats; raise unless the three agree."""
+    the expanded four-term form, and through the border-line factorization
+    e * t * offset, on the classifier's own LineCoeffs.offsets; lists of
+    Python floats. Raise unless the three agree."""
     a, b, _ = table.diff
     gg = g.g.tolist()
     lam = table.lam.tolist()
-    abe = lines.abe.tolist()
-    t, s_prime, u_prime = vector.t, vector.s_prime, vector.u_prime
-    direct, expanded, factored = [], [], []
+    direct, expanded = [], []
     for sector in range(2):
         # The cofactor for sector 0 carries the other sector's allocation
         # column, and vice versa.
@@ -240,14 +228,11 @@ def _cofactor_routes(
             ]
         )
         expanded.append(_expanded_cofactors(a, b, gg, lc))
-        factored.append(
-            [
-                e * t * (u_prime - (la * s_prime + lb) / e)
-                for la, lb, e in (abe[factor][sector] for factor in _FACTOR_ROWS)
-            ]
-        )
+    offsets = lines.offsets(vector.s_prime, vector.u_prime)
+    factored = (lines.abe[..., 2].T * vector.t * offsets).tolist()
 
-    scale = _magnitude(direct, 1e-300)
+    # A NaN entry drops out of the scale and fails its own comparison.
+    scale = max(1e-300, *map(abs, direct[0] + direct[1]))
     for route, values in (("expanded", expanded), ("factored", factored)):
         for sector in range(2):
             for factor in _FACTOR_ROWS:

@@ -100,7 +100,8 @@ class EwsRatioVector:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Itemized outcome of the Allen-tensor checks, per sector."""
+    """Itemized outcome of the Allen-tensor checks, per sector: a sector
+    passes a check when the tensor as given and its completion both do."""
 
     symmetry_ok: tuple[bool, bool]
     own_negativity_ok: tuple[bool, bool]
@@ -171,29 +172,44 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     )
 
 
+def _validity(aes: AesTensor, table: ShareTable) -> tuple[ValidityReport, np.ndarray]:
+    """validate_aes's report and the completion (see _complete) it checks
+    beside the tensor as given."""
+    th = table.theta.T
+    stack = np.array((aes.sigma, aes.sigma))
+    completion = _complete(stack[1], th)
+    flags = _aes_flags(stack, th).all(axis=1).tolist()
+    report = ValidityReport(**{field: tuple(flag) for (field, _), flag in zip(_AES_CHECKS, flags)})
+    return report, completion
+
+
 def validate_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
     """Check symmetry, negative own elasticities, share-weighted row sums
     of zero, and strict quasi-concavity (scaled 2x2 minor positive) for
-    each sector."""
-    flags = _aes_flags(aes.sigma, table.theta.T)
-    return ValidityReport(
-        **{field: tuple(bool(f) for f in flag) for (field, _), flag in zip(_AES_CHECKS, flags)}
-    )
+    each sector, on the tensor as given and on its completion, the tensor
+    that epsilon_from_aes analyses: a sector passes a check only if both
+    do."""
+    return _validity(aes, table)[0]
 
 
-def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
-    """Raise InvalidAes, carrying the report, unless every Allen-tensor
-    invariant holds; return the report."""
-    report = validate_aes(aes, table)
-    if report.ok:
-        return report
+def _invalid(report: ValidityReport) -> InvalidAes:
+    """The error, carrying the report, for a report that fails."""
     failures = [
         f"{name} (sector {j + 1})"
         for field, name in _AES_CHECKS
         for j, flag in enumerate(getattr(report, field))
         if not flag
     ]
-    raise InvalidAes("Allen tensor invalid: " + "; ".join(failures), report)
+    return InvalidAes("Allen tensor invalid: " + "; ".join(failures), report)
+
+
+def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
+    """Raise InvalidAes, carrying the report, unless every Allen-tensor
+    invariant holds; return the report."""
+    report = validate_aes(aes, table)
+    if not report.ok:
+        raise _invalid(report)
+    return report
 
 
 def cobb_douglas_aes(table: ShareTable) -> AesTensor:
@@ -216,14 +232,17 @@ def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
-    """Validate the Allen tensor, then scale each elasticity of the tensor
-    its upper triangle fixes (see _complete) by the price-owner's
-    distributive share: the read-only price elasticities of cost-minimizing
-    input use eps[j, i, h], the response of factor i's unit requirement in
-    sector j to factor h's price. Rows sum to zero by linear homogeneity of cost."""
-    require_valid_aes(aes, table)
-    th = table.theta.T
-    eps = _epsilon(_complete(aes.sigma.copy(), th), th)
+    """Complete the Allen tensor once (see _complete), raise InvalidAes as
+    require_valid_aes does unless the tensor and that completion pass
+    validate_aes, then scale each elasticity of the completion by the
+    price-owner's distributive share: the read-only price elasticities of
+    cost-minimizing input use eps[j, i, h], the response of factor i's
+    unit requirement in sector j to factor h's price. Rows sum to zero by
+    linear homogeneity of cost."""
+    report, completion = _validity(aes, table)
+    if not report.ok:
+        raise _invalid(report)
+    eps = _epsilon(completion, table.theta.T)
     gap = _rowsum_gap(eps).max()
     if not _identity_ok(gap, lambda: np.abs(eps).max()):
         raise ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")

@@ -72,6 +72,24 @@ ROUNDED_SIGMAS = {
     ],
 }
 
+# An Allen tensor for the reference shares that passes all four checks
+# as stated, sector 2 the Cobb-Douglas completion. Sector 1's own
+# elasticities sit within the identity tolerance of its completion's,
+# and that completion, the tensor analysed, has a scaled land-capital
+# minor of about -1.3e-18: it fails quasi-concavity.
+QC_EDGE_SIGMA = [
+    [
+        [-0.5384615384625384, -0.5384615384615385, 1.0],
+        [-0.5384615384615385, -0.5384615384615381, 1.0],
+        [1.0, 1.0, -1.8571428571428574],
+    ],
+    [
+        [-4.0, 1.0, 1.0],
+        [1.0, -1.0, 1.0],
+        [1.0, 1.0, -2.3333333333333335],
+    ],
+]
+
 
 @pytest.fixture
 def reference_table():

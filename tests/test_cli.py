@@ -26,7 +26,13 @@ from ews32.cli import main
 from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL
 
-from conftest import REFERENCE_SECTOR, REFERENCE_THETA, ROUNDED_SIGMAS, random_ranked_table
+from conftest import (
+    QC_EDGE_SIGMA,
+    REFERENCE_SECTOR,
+    REFERENCE_THETA,
+    ROUNDED_SIGMAS,
+    random_ranked_table,
+)
 from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
 
 
@@ -185,6 +191,23 @@ def test_every_verb_refuses_a_degenerate_vector(tmp_path, capsys, reference_tabl
         "",
         "invalid input: labor-land substitution is numerically zero; "
         "the ratio vector is undefined\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "report", "figure", "sweep"])
+def test_every_verb_refuses_a_tensor_whose_completion_fails(tmp_path, capsys, verb):
+    # The tensor as stated passes every check; the completion that every
+    # verb would analyse fails quasi-concavity, as the sweep finds at the
+    # template's own point.
+    path = write_scenario(tmp_path, dict(REFERENCE_DOC, name="qc-edge", sigma=QC_EDGE_SIGMA))
+    out = tmp_path / "out"
+    point = "land_capital_1=-0.5384615384615385:-0.5384615384615385:1"
+    options = {"figure": ["-o", str(out)], "sweep": ["--grid", point, "-o", str(out)]}
+    assert main([verb, str(path), *options.get(verb, [])]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "invalid input: Allen tensor invalid: quasi-concavity (sector 1)\n",
     )
     assert not out.exists()
 

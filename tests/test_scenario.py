@@ -195,7 +195,9 @@ def test_degenerate_vector_is_refused_at_construction(reference_table):
 
 
 def test_scenario_validates_and_derives_g_once(monkeypatch):
-    calls = {"validate_aes": 0, "ews_from_epsilon": 0}
+    # _validity checks the tensor and completes it, once for both the
+    # check and the analysis.
+    calls = {"_validity": 0, "ews_from_epsilon": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -206,13 +208,13 @@ def test_scenario_validates_and_derives_g_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(substitution, "validate_aes")
+    counted(substitution, "_validity")
     counted(scenario_module, "ews_from_epsilon")
     scenario = scenario_from_mapping(dict(REFERENCE_DOC))
     first = run_report(scenario)
     render_figure(scenario)
     second = run_report(scenario)
-    assert calls == {"validate_aes": 1, "ews_from_epsilon": 1}
+    assert calls == {"_validity": 1, "ews_from_epsilon": 1}
     assert first.ews is second.ews is scenario.ews
 
 

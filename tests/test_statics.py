@@ -43,7 +43,7 @@ from ews32 import (
     solve_shocks,
     strong_rybczynski,
 )
-from ews32 import statics
+from ews32 import geometry, statics
 from ews32.geometry import SIGNATURES
 from ews32.statics import H, RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_signs
 from ews32.sweep import parse_grid
@@ -804,6 +804,34 @@ def test_cofactor_check_catches_a_wrong_factored_route(monkeypatch, reference_ta
     monkeypatch.setattr(statics, "ews_ratio_vector", corrupted)
     with pytest.raises(ClosedFormMismatch, match="cofactor route"):
         cofactors(reference_table, reference_g())
+
+
+def test_cofactor_check_reads_the_classifier_offsets(monkeypatch):
+    # The factored route multiplies e * t by the offsets that classified
+    # the vector, so a fault in LineCoeffs.offsets cannot pass the check.
+    scenario = reference_scenario()
+    real = geometry.LineCoeffs.offsets
+    monkeypatch.setattr(geometry.LineCoeffs, "offsets", lambda *args: real(*args) + 1e-3)
+    with pytest.raises(ClosedFormMismatch, match="factored cofactor route disagrees"):
+        run_report(scenario)
+    with pytest.raises(ClosedFormMismatch, match="factored cofactor route disagrees"):
+        cofactors(scenario.table, scenario.ews)
+
+
+def test_cofactor_check_names_a_nan_determinant(monkeypatch):
+    # A NaN cofactor drops out of the check's scale and fails its own
+    # comparison: the sixth, sector 2's labor cofactor, is named.
+    scenario = reference_scenario()
+    real, calls = statics._det3, []
+
+    def nan_sixth(m):
+        calls.append(m)
+        return math.nan if len(calls) == 6 else real(m)
+
+    monkeypatch.setattr(statics, "_det3", nan_sixth)
+    where = "at sector 2, factor 2: nan vs "
+    with pytest.raises(ClosedFormMismatch, match=f"^expanded cofactor route disagrees .* {where}"):
+        run_report(scenario)
 
 
 @BAD_FACTORS

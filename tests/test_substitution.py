@@ -30,10 +30,10 @@ from ews32 import (
     sweep,
     validate_aes,
 )
-from ews32.substitution import IDENTITY_TOL, _aggregate, _complete, _term
+from ews32.substitution import IDENTITY_TOL, _aes_flags, _aggregate, _complete, _term
 from ews32.sweep import _sector_tensors
 
-from conftest import ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
+from conftest import QC_EDGE_SIGMA, ROUNDED_SIGMAS, random_ranked_table, random_valid_ews
 
 # Cobb-Douglas EWS matrix for the reference table, frozen from an
 # independent by-hand evaluation of g_ih = sum_j lam_ij * theta_hj * sigma.
@@ -187,6 +187,24 @@ def test_validate_rejects_indefinite_curvature(reference_table):
     assert all(report.own_negativity_ok)
     assert all(report.homogeneity_ok)
     assert not any(report.quasi_concavity_ok)
+
+
+def test_a_tensor_is_valid_only_with_its_completion(reference_table):
+    # The tensor passes every check as stated; its completion, the tensor
+    # that epsilon_from_aes analyses, fails sector 1's quasi-concavity.
+    sigma = np.array(QC_EDGE_SIGMA)
+    th = reference_table.theta.T
+    assert _aes_flags(sigma, th).all()
+    assert not _aes_flags(_complete(sigma.copy(), th), th)[1, 0]
+    aes = AesTensor(sigma=sigma)
+    report = validate_aes(aes, reference_table)
+    assert report.quasi_concavity_ok == (False, True)
+    assert report.failed_checks == ("quasi-concavity",)
+    message = r"^Allen tensor invalid: quasi-concavity \(sector 1\)$"
+    for analyse in (require_valid_aes, epsilon_from_aes):
+        with pytest.raises(InvalidAes, match=message) as info:
+            analyse(aes, reference_table)
+        assert info.value.report == report
 
 
 def test_sampler_is_deterministic_and_valid(reference_table):

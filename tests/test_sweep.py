@@ -6,10 +6,11 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from ews32 import (
+    CAPITAL,
     LABOR,
     LAND,
     AesTensor,
@@ -24,6 +25,7 @@ from ews32 import (
     Scenario,
     Subregion,
     UnmatchedSignature,
+    ValidationError,
     classify_subregion,
     epsilon_from_aes,
     ews_from_epsilon,
@@ -39,10 +41,10 @@ from ews32 import (
 )
 from ews32 import geometry, substitution
 from ews32.statics import RYBCZYNSKI_SIGNS
-from ews32.substitution import SAMPLE_SPREAD
+from ews32.substitution import IDENTITY_TOL, SAMPLE_SPREAD
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
-from conftest import random_ranked_table, reference_csv
+from conftest import QC_EDGE_SIGMA, random_ranked_table, reference_csv
 from test_scenario import REFERENCE_DOC
 
 # (sector, row, column) of each grid key, written out independently of
@@ -678,3 +680,54 @@ def test_large_elasticity_passes_the_identity_checks(reference_scenario):
     report = run_report(scenario_from_mapping(dict(REFERENCE_DOC, sigma=sigma.tolist())))
     assert report.signs_agree
     assert report.subregion.value == row["subregion"] == "P1"
+
+
+@st.composite
+def quasi_concavity_edge_docs(draw):
+    """A ranked table and a sampled valid tensor whose land-capital
+    elasticity in one sector is a few ulps from the root of its
+    completion's scaled land-capital minor, then each own elasticity
+    moved by up to the identity tolerance. With x that elasticity and
+    theta, sigma the sector's shares and elasticities, the minor is
+    theta_land * theta_capital * theta_labor times
+    x * (theta_capital * sigma_capital_labor + theta_land * sigma_land_labor)
+    + theta_labor * sigma_land_labor * sigma_capital_labor."""
+    seeds = st.integers(0, 2**32 - 1)
+    table = random_ranked_table(np.random.default_rng(draw(seeds)))
+    sigma = sample_valid_aes(table, draw(seeds)).sigma.copy()
+    j = draw(st.integers(0, 1))
+    th, s = table.theta[:, j], sigma[j]
+    ll, cl = s[LAND, LABOR], s[CAPITAL, LABOR]
+    root = -th[LABOR] * ll * cl / (th[CAPITAL] * cl + th[LAND] * ll)
+    s[LAND, CAPITAL] = s[CAPITAL, LAND] = root + draw(st.integers(-4, 4)) * math.ulp(root)
+    for i in range(3):
+        s[i, i] = 0.0
+        s[i, i] = -(s[i] @ th) / th[i]
+    for sector in sigma:
+        for i in range(3):
+            sector[i, i] += draw(st.floats(-IDENTITY_TOL, IDENTITY_TOL))
+    return {
+        "theta": table.theta.tolist(),
+        "theta_sector": table.theta_sector.tolist(),
+        "sigma": sigma.tolist(),
+    }
+
+
+@given(quasi_concavity_edge_docs())
+@example(dict(REFERENCE_DOC, sigma=QC_EDGE_SIGMA))
+def test_an_accepted_document_is_accepted_at_its_own_sweep_point(doc):
+    # A document is valid only if the completion it is analysed as is,
+    # and that completion is the tensor of a one-point sweep at the
+    # document's own values.
+    try:
+        scenario = scenario_from_mapping(doc)
+    except ValidationError:
+        return
+    value = doc["sigma"][0][0][1]
+    try:
+        (row,) = sweep(scenario, parse_grid(f"land_capital_1={value!r}:{value!r}:1"))
+    except ConsistencyError:
+        # The exit-1 band of a vector within roundoff of a border line
+        # (ROADMAP item 3).
+        reject()
+    assert row["status"] == "ok"
