@@ -31,10 +31,11 @@ class _NonFiniteCoordinate(Exception):
     """A coordinate the figure would write is not finite."""
 
 
-def _fmt(v: float) -> str:
-    if not math.isfinite(v):
+def _require_finite(values: list) -> list:
+    """values, unless one of them is not finite."""
+    if not all(map(math.isfinite, values)):
         raise _NonFiniteCoordinate
-    return f"{v:.3f}"
+    return values
 
 
 def _require_window(window) -> list[list[float]]:
@@ -64,21 +65,6 @@ def _transform(window):
         return px, py
 
     return to_svg
-
-
-def _line(p0, p1, attrs: str) -> str:
-    """A line between the pixel points p0 and p1."""
-    (x1, y1), (x2, y2) = p0, p1
-    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs} />'
-
-
-def _polyline(xy: np.ndarray, attrs: str) -> str:
-    """A polyline through the pixel points xy[k] = (px, py)."""
-    coords = _points_text(xy)
-    if coords is None:
-        # "%.3f" formats a float exactly as _fmt does.
-        coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
-    return f'<polyline fill="none" {attrs} points="{coords}" />'
 
 
 # _points_text writes each coordinate as 12 bytes: three little-endian
@@ -113,11 +99,15 @@ _MIDDLE = np.concatenate(
 # The three decimals; the separator that follows is added as the fourth byte.
 _LOW = _digit_words(_DIGITS, _NUL)
 _SEPARATORS = np.array([ord(","), ord(" ")], dtype=_WORD) << 24
+# The separator after the last coordinate of a run.
+_RUN_END = np.array(ord("\n"), dtype=_WORD) << 24
 
 
-def _points_text(xy: np.ndarray) -> str | None:
+def _points_text(xy: np.ndarray, ends) -> str | None:
     """The text "%.3f,%.3f" % (px, py) of each point of xy (n >= 1 rows),
-    joined by spaces; None unless every coordinate is certified.
+    joined by spaces within each run xy[ends[i - 1]:ends[i]] and by
+    newlines between runs (ends increasing, the last one n); None unless
+    every coordinate is certified.
 
     With p = |v| * 1000 rounded to a float and n = rint(p), a coordinate
     is certified when n < 10**9 and p is not a half-integer. Every
@@ -136,16 +126,101 @@ def _points_text(xy: np.ndarray) -> str | None:
     # p - n is exact, and 0.5 in size only where p is a half-integer.
     if not np.abs(p - n).max() < 0.5:
         return None
-    whole, frac = np.divmod(n.astype(np.int64), 1000)
-    high, middle = np.divmod(whole, 1000)
+    # Floor division and a product, which numpy runs faster than divmod.
+    n = n.astype(np.intp)
+    whole = n // 1000
+    frac = n - whole * 1000
+    high = whole // 1000
+    middle = whole - high * 1000
     np.add(high, 1000, out=high, where=np.signbit(xy))
     words = np.empty(xy.shape + (3,), dtype=_WORD)
     words[..., 0] = _HIGH[high]
     # whole < 1000 is its own last group; past it, the group plus 1000.
     words[..., 1] = _MIDDLE[np.minimum(whole, middle + 1000)]
     np.add(_LOW[frac], _SEPARATORS, out=words[..., 2])
+    last = np.asarray(ends) - 1
+    words[last, 1, 2] = _LOW[frac[last, 1]] + _RUN_END
     # The last coordinate's separator is dropped.
     return words.tobytes()[:-1].translate(None, b"\0").decode("ascii")
+
+
+_POLYLINE = '<polyline fill="none" stroke="#000000" stroke-width="1.8" points="'
+_POLYLINE_END = '" />\n'
+
+
+def _polylines(xy: np.ndarray, ends) -> str:
+    """One boundary polyline, and a newline, per run of the pixel points
+    xy as _points_text splits them."""
+    points = _points_text(xy, ends)
+    if points is None:
+        # "%.3f" formats each run as _points_text would.
+        runs = np.diff(ends, prepend=0).tolist()
+        points = "\n".join([" ".join(["%.3f,%.3f"] * n) for n in runs])
+        points %= tuple(xy.ravel().tolist())
+    return _POLYLINE + points.replace("\n", _POLYLINE_END + _POLYLINE) + _POLYLINE_END
+
+
+def _template() -> str:
+    """The document as one %-format. Its arguments are the name, the 16
+    coordinates of the axes and asymptotes, the boundary's polylines, the
+    56 coordinates of the border lines and of the marks and their labels,
+    and the name again."""
+    width, height = DEFAULT_SIZE
+    box = (
+        f'x="{MARGIN:.3f}" y="{MARGIN:.3f}" '
+        f'width="{width - 2 * MARGIN:.3f}" height="{height - 2 * MARGIN:.3f}"'
+    )
+    line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" {} />'.format
+    label = '<text x="%.3f" y="%.3f" font-size="{}" font-family="sans-serif">{}</text>'.format
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        "<title>%s</title>",
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff" />',
+        f'<clipPath id="plot"><rect {box} /></clipPath>',
+        f'<rect {box} fill="none" stroke="#444444" />',
+        '<g clip-path="url(#plot)">',
+        # Axes through the origin, then the asymptotes of the boundary.
+        line('stroke="#bbbbbb"'),
+        line('stroke="#bbbbbb"'),
+        line('stroke="#888888" stroke-dasharray="4 4"'),
+        line('stroke="#888888" stroke-dasharray="4 4"'),
+    ]
+    # The six border lines: color by factor, dash by sector. The
+    # boundary's polylines come first.
+    borders = [
+        line(f'stroke="{color}" stroke-width="1.2"{dash}')
+        for color in _FACTOR_COLORS
+        for dash in ("", ' stroke-dasharray="7 3"')
+    ]
+    borders[0] = "%s" + borders[0]
+    # Anchors: the common point and the six per-line boundary crossings.
+    marks = [
+        '<circle class="anchor" cx="%.3f" cy="%.3f" r="4.5" fill="#000000" />',
+        label(12, "Q"),
+    ]
+    for name, color in zip(FACTOR_NAMES, _FACTOR_COLORS):
+        for sector in (1, 2):
+            marks += [
+                f'<circle class="anchor" cx="%.3f" cy="%.3f" r="3.5" fill="{color}" '
+                'stroke="#000000" stroke-width="0.7" />',
+                label(10, f"R {name} {sector}"),
+            ]
+    # The scenario's own vector.
+    marks += [
+        '<circle class="vector" cx="%.3f" cy="%.3f" r="5.0" fill="#7b2d8e" '
+        'stroke="#000000" stroke-width="1.0" />',
+        label(12, "%s"),
+    ]
+    return "\n".join(head + borders + ["</g>"] + marks + ["</svg>", ""])
+
+
+_TEMPLATE = _template()
+# Pixel offsets of the labels of Q, the six anchors R and the vector
+# from their marks.
+_LABEL_OFFSETS = ((7.0, -6.0),) + ((6.0, -5.0),) * 6 + ((8.0, 4.0),)
+# Sample indices of a branch between two pads that repeat its end samples.
+_PADDED = np.arange(-1, BOUNDARY_SAMPLES + 1).clip(0, BOUNDARY_SAMPLES - 1)
 
 
 def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
@@ -157,101 +232,66 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
 
 
 # A point far outside a tiny window maps past what a float holds, which
-# _fmt refuses.
+# _require_finite refuses.
 @np.errstate(over="ignore", invalid="ignore")
 def _document(scenario: Scenario, window) -> str:
-    """The SVG text of render_figure."""
+    """The SVG text of render_figure. The axes and asymptotes are checked
+    first, then the boundary is sampled, then the rest is checked."""
     table, vector, lines = scenario.table, scenario.vector, scenario.lines
-    anchors = anchor_points(table)
-    ratio = table.labor_to_capital
-
     (sx0, sx1), (uy0, uy1) = window
-    width, height = DEFAULT_SIZE
     to_svg = _transform(window)
-    pad = 0.5 * (uy1 - uy0)
-    name = html.escape(scenario.name, quote=False)
+    ratio = float(table.labor_to_capital)
+    # The ends of the axes and of the asymptotes.
+    points = [(0.0, uy0), (0.0, uy1), (sx0, 0.0), (sx1, 0.0)]
+    points += [(-1.0, uy0), (-1.0, uy1), (sx0, -ratio), (sx1, -ratio)]
+    head = _require_finite([c for x, y in points for c in to_svg(x, y)])
+    boundary = _boundary(table, window, to_svg)
 
-    doc = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f"<title>{name}</title>",
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff" />',
-        '<clipPath id="plot">'
-        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" '
-        f'width="{_fmt(width - 2 * MARGIN)}" height="{_fmt(height - 2 * MARGIN)}" />'
-        "</clipPath>",
-        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(width - 2 * MARGIN)}" '
-        f'height="{_fmt(height - 2 * MARGIN)}" fill="none" stroke="#444444" />',
-        '<g clip-path="url(#plot)">',
+    # heights[edge][sector][factor] of the border lines at both window edges.
+    edges = [sx0, sx1]
+    heights = lines.value(slice(None), slice(None), np.array(edges)[:, None, None]).tolist()
+    rest = [
+        c
+        for factor in range(3)
+        for sector in range(2)
+        for s, u in zip(edges, heights)
+        for c in to_svg(s, u[sector][factor])
     ]
+    # Q, the six anchors R and the vector, each with its label.
+    anchors = anchor_points(table)
+    marks = [anchors.q, *anchors.r.reshape(6, 2).tolist(), (vector.s_prime, vector.u_prime)]
+    for (x, y), (dx, dy) in zip(marks, _LABEL_OFFSETS):
+        px, py = to_svg(x, y)
+        rest += (px, py, px + dx, py + dy)
+    name = html.escape(scenario.name, quote=False)
+    return _TEMPLATE % (name, *head, boundary, *_require_finite(rest), name)
 
-    # Axes through the origin.
-    for x0, y0, x1, y1 in ((0.0, uy0, 0.0, uy1), (sx0, 0.0, sx1, 0.0)):
-        doc.append(_line(to_svg(x0, y0), to_svg(x1, y1), 'stroke="#bbbbbb"'))
-    # Asymptotes of the boundary.
-    for x0, y0, x1, y1 in ((-1.0, uy0, -1.0, uy1), (sx0, -ratio, sx1, -ratio)):
-        doc.append(_line(to_svg(x0, y0), to_svg(x1, y1), 'stroke="#888888" stroke-dasharray="4 4"'))
 
-    # Boundary hyperbola: one polyline per maximal run of two or more
-    # samples of a branch that stay inside the (padded) window.
-    for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)):
-        if hi <= lo:
-            continue
-        step = (hi - lo) / (BOUNDARY_SAMPLES - 1)
-        s = lo + np.arange(BOUNDARY_SAMPLES) * step
-        u = boundary_value(s, table)
-        # The in-window mask between two False pads, so that each run
-        # starts and ends at a change of value.
-        inside = np.zeros(BOUNDARY_SAMPLES + 2, dtype=bool)
-        np.logical_and(uy0 - pad <= u, u <= uy1 + pad, out=inside[1:-1])
-        # Alternating first and one-past-last indices of the runs. Only
-        # the drawn samples are mapped: under a tiny span the pixel
-        # coordinates of far-off samples would overflow.
-        edges = np.flatnonzero(inside[1:] != inside[:-1])
-        for start, end in edges.reshape(-1, 2):
-            if end - start > 1:
-                xy = np.stack(to_svg(s[start:end], u[start:end]), axis=-1)
-                doc.append(_polyline(xy, 'stroke="#000000" stroke-width="1.8"'))
-
-    # The six border lines: color by factor, dash by sector.
-    for factor in range(3):
-        for sector in range(2):
-            p0 = to_svg(sx0, lines.value(factor, sector, sx0))
-            p1 = to_svg(sx1, lines.value(factor, sector, sx1))
-            dash = "" if sector == 0 else ' stroke-dasharray="7 3"'
-            doc.append(_line(p0, p1, f'stroke="{_FACTOR_COLORS[factor]}" stroke-width="1.2"{dash}'))
-    doc.append("</g>")
-
-    # Anchors: the common point and the six per-line boundary crossings.
-    qx, qy = to_svg(*anchors.q)
-    doc.append(
-        f'<circle class="anchor" cx="{_fmt(qx)}" cy="{_fmt(qy)}" r="4.5" fill="#000000" />'
-    )
-    doc.append(
-        f'<text x="{_fmt(qx + 7)}" y="{_fmt(qy - 6)}" font-size="12" '
-        f'font-family="sans-serif">Q</text>'
-    )
-    for factor in range(3):
-        for sector in range(2):
-            rx, ry = to_svg(*anchors.r[factor, sector])
-            doc.append(
-                f'<circle class="anchor" cx="{_fmt(rx)}" cy="{_fmt(ry)}" r="3.5" '
-                f'fill="{_FACTOR_COLORS[factor]}" stroke="#000000" stroke-width="0.7" />'
-            )
-            doc.append(
-                f'<text x="{_fmt(rx + 6)}" y="{_fmt(ry - 5)}" font-size="10" '
-                f'font-family="sans-serif">R {FACTOR_NAMES[factor]} {sector + 1}</text>'
-            )
-
-    # The scenario's own vector.
-    vx, vy = to_svg(vector.s_prime, vector.u_prime)
-    doc.append(
-        f'<circle class="vector" cx="{_fmt(vx)}" cy="{_fmt(vy)}" r="5.0" '
-        f'fill="#7b2d8e" stroke="#000000" stroke-width="1.0" />'
-    )
-    doc.append(
-        f'<text x="{_fmt(vx + 8)}" y="{_fmt(vy + 4)}" font-size="12" '
-        f'font-family="sans-serif">{name}</text>'
-    )
-    doc.append("</svg>")
-    return "\n".join(doc) + "\n"
+def _boundary(table, window, to_svg) -> str:
+    """The polylines of the boundary hyperbola: one per maximal run of two
+    or more samples of a branch that stay inside the (padded) window."""
+    (sx0, sx1), (uy0, uy1) = window
+    branches = [(lo, hi) for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)) if lo < hi]
+    if not branches:
+        return ""
+    # One row of samples per branch. Its pads, the first and last columns,
+    # are never inside, so that no run crosses from one branch to the next.
+    lo, hi = np.array(branches).T[:, :, np.newaxis]
+    s = lo + _PADDED * ((hi - lo) / (BOUNDARY_SAMPLES - 1))
+    u = boundary_value(s, table)
+    pad = 0.5 * (uy1 - uy0)
+    inside = (uy0 - pad <= u) & (u <= uy1 + pad)
+    inside[:, :: BOUNDARY_SAMPLES + 1] = False
+    inside = inside.ravel()
+    # A sample is drawn when a neighbour is inside with it.
+    drawn = np.zeros_like(inside)
+    drawn[1:-1] = inside[1:-1] & (inside[:-2] | inside[2:])
+    at = np.flatnonzero(drawn)
+    if not at.size:
+        return ""
+    # Only the drawn samples are mapped: under a tiny span the pixel
+    # coordinates of far-off samples would overflow.
+    xy = np.array(to_svg(s.ravel()[at], u.ravel()[at])).T
+    # A run ends at a drawn sample whose successor is not drawn.
+    ends = np.flatnonzero(~drawn[at + 1]) + 1
+    return _polylines(xy, ends)

@@ -144,6 +144,7 @@ def _complete(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     return s
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Pass flags of the Allen-tensor checks, in _AES_CHECKS order, for
     sector tensors s[..., 3, 3] with shares th[..., 3]; shaped (4, ...).
@@ -285,6 +286,7 @@ _EWS_INVARIANTS = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     """Failure flags of the invariants, in _EWS_INVARIANTS order, for each
     matrix over leading axes of g."""

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,6 +20,7 @@ from ews32 import (
     ConsistencyError,
     Subregion,
     build_share_table,
+    cobb_douglas_aes,
     load_scenario,
     render_figure,
     sample_valid_aes,
@@ -210,6 +213,27 @@ def test_every_verb_refuses_a_tensor_whose_completion_fails(tmp_path, capsys, ve
         "invalid input: Allen tensor invalid: quasi-concavity (sector 1)\n",
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e158])
+def test_an_overflowing_tensor_writes_one_line_to_stderr(tmp_path, reference_table, scale):
+    # The Cobb-Douglas reference with every elasticity scaled: past about
+    # 1e154 the Allen and g minors overflow (ROADMAP item 11). Each verb,
+    # as a user runs it, writes its one message and no numpy warning.
+    sigma = (np.asarray(cobb_douglas_aes(reference_table).sigma) * scale).tolist()
+    path = write_scenario(tmp_path, dict(REFERENCE_DOC, sigma=sigma))
+    out = str(tmp_path / "out")
+    options = {"figure": ["-o", out], "sweep": ["--grid", "land_capital_1=1:1:1", "-o", out]}
+    env = {"PYTHONPATH": str(Path(ews32.cli.__file__).parents[1])}
+    for verb in ("validate", "report", "sweep", "figure"):
+        done = subprocess.run(
+            [sys.executable, "-m", "ews32.cli", verb, str(path), *options.get(verb, [])],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        prefix = {1: "internal error: ", 2: "invalid input: "}[done.returncode]
+        assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr
 
 
 SWAPPED_DOC = dict(REFERENCE_DOC, theta=[row[::-1] for row in REFERENCE_DOC["theta"]])

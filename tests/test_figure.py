@@ -25,7 +25,7 @@ from ews32.figure import (
     DEFAULT_WINDOW,
     MARGIN,
     _points_text,
-    _polyline,
+    _polylines,
     _transform,
 )
 from ews32.geometry import ON_LINE_TOL
@@ -117,6 +117,28 @@ def test_window_must_have_finite_nonzero_spans(reference_scenario, window):
         render_figure(reference_scenario, window=window)
 
 
+@pytest.mark.parametrize("window", [((1e308, 1.6e308), (-1.0, 1.0)), ((-1.6e308, -1e308), (-1.0, 1.0))])
+def test_a_boundary_that_overflows_is_refused_as_such(reference_scenario, window):
+    # The axes and asymptotes map into float range; the boundary's
+    # heights at these abscissas do not.
+    with pytest.raises(ValidationError) as caught:
+        render_figure(reference_scenario, window=window)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == "a boundary height overflows floating point"
+
+
+def test_the_head_lines_are_checked_before_the_boundary(reference_scenario):
+    # Both faults at once: the asymptote u' = -ratio maps out of float
+    # range under the tiny ordinate span, and the boundary overflows at
+    # the window's far edge. The head lines are checked first.
+    window = ((1e308, 1.6e308), (0.0, 1e-310))
+    with pytest.raises(ValidationError, match="overflows floating point"):
+        boundary_value(1.6e308, reference_scenario.table)
+    with pytest.raises(ValidationError) as caught:
+        render_figure(reference_scenario, window=window)
+    assert str(caught.value) == f"figure window {window!r} maps a point out of float range"
+
+
 def test_reversed_window_renders(reference_scenario):
     svg = render_figure(reference_scenario, window=((4.0, -4.0), (4.0, -10.0)))
     assert svg.count('class="anchor"') == 7
@@ -158,10 +180,22 @@ def test_tiny_span_windows_map_only_drawn_samples(window):
         assert "nan" not in svg and "inf" not in svg
 
 
-def percent_polyline(xy: np.ndarray, attrs: str) -> str:
-    """A polyline written point by point with "%.3f"."""
-    coords = " ".join("%.3f,%.3f" % (px, py) for px, py in xy.tolist())
-    return f'<polyline fill="none" {attrs} points="{coords}" />'
+def percent_text(xy: np.ndarray, ends) -> str:
+    """The runs xy[ends[i - 1]:ends[i]] written point by point with
+    "%.3f", spaces within a run and newlines between runs."""
+    return "\n".join(
+        " ".join("%.3f,%.3f" % (px, py) for px, py in run.tolist())
+        for run in np.split(xy, ends[:-1])
+    )
+
+
+def percent_polylines(xy: np.ndarray, ends) -> str:
+    """One boundary polyline per run of percent_text, each followed by a
+    newline."""
+    return "".join(
+        f'<polyline fill="none" stroke="#000000" stroke-width="1.8" points="{run}" />\n'
+        for run in percent_text(xy, ends).split("\n")
+    )
 
 
 def near_half(m: int, step: int) -> float:
@@ -186,59 +220,99 @@ _COORDINATES = (
 
 @st.composite
 def coordinate_arrays(draw):
-    """(n, 2) float64 points from one family of coordinates, or mixed."""
+    """(n, 2) float64 points from one family of coordinates, or mixed, and
+    the ends of the runs that split them."""
     family = draw(st.sampled_from(_COORDINATES + (st.one_of(*_COORDINATES),)))
     values = draw(st.lists(family, min_size=2, max_size=80).filter(lambda v: len(v) % 2 == 0))
-    return np.array(values, dtype=np.float64).reshape(-1, 2)
+    xy = np.array(values, dtype=np.float64).reshape(-1, 2)
+    cuts = draw(st.sets(st.integers(1, len(xy) - 1))) if len(xy) > 1 else set()
+    return xy, np.array(sorted(cuts) + [len(xy)])
 
 
 @settings(max_examples=300)
 @given(coordinate_arrays())
-def test_points_text_is_exactly_percent_format(xy):
-    attrs = 'stroke="#000000"'
-    want = percent_polyline(xy, attrs)
-    text = _points_text(xy)
+def test_points_text_is_exactly_percent_format(case):
+    xy, ends = case
+    text = _points_text(xy, ends)
     if text is not None:
-        assert f'<polyline fill="none" {attrs} points="{text}" />' == want
-    assert _polyline(xy, attrs) == want
+        assert text == percent_text(xy, ends)
+    assert _polylines(xy, ends) == percent_polylines(xy, ends)
+
+
+def one_run(xy: np.ndarray) -> str | None:
+    return _points_text(xy, [len(xy)])
 
 
 def test_points_text_certifies_only_what_it_can_round():
-    assert _points_text(np.array([[0.0, -0.0], [-0.0004, 1.2344]])) == (
-        "0.000,-0.000 -0.000,1.234"
-    )
-    assert _points_text(np.array([[999999.9994, -999999.9994]])) == "999999.999,-999999.999"
+    assert one_run(np.array([[0.0, -0.0], [-0.0004, 1.2344]])) == "0.000,-0.000 -0.000,1.234"
+    assert one_run(np.array([[999999.9994, -999999.9994]])) == "999999.999,-999999.999"
     # 0.0005 is a little over its decimal, but 1000 times it rounds to 0.5.
     for value in (0.0625, 12.0625, 0.0005, 999999.9996, 1e6, 1e300, math.inf, math.nan):
-        assert _points_text(np.array([[1.0, value]])) is None
-        assert _points_text(np.array([[value, 1.0]])) is None
+        assert one_run(np.array([[1.0, value]])) is None
+        assert one_run(np.array([[value, 1.0]])) is None
     below, above = math.nextafter(0.0005, 0.0), math.nextafter(0.0005, 1.0)
-    assert _points_text(np.array([[below, -above]])) == "0.000,-0.001"
+    assert one_run(np.array([[below, -above]])) == "0.000,-0.001"
+
+
+def test_points_text_ends_each_run_with_a_newline():
+    xy = np.array([[0.0, 1.0], [2.5, -3.25], [10.0, 20.0], [-0.0, 7.0], [1e3, 2e3], [4.0, 5.0]])
+    assert _points_text(xy, [2, 4, 6]) == (
+        "0.000,1.000 2.500,-3.250\n10.000,20.000 -0.000,7.000\n1000.000,2000.000 4.000,5.000"
+    )
+    assert _points_text(xy, [3, 6]) == (
+        "0.000,1.000 2.500,-3.250 10.000,20.000\n-0.000,7.000 1000.000,2000.000 4.000,5.000"
+    )
+    assert _points_text(xy, [6]) == percent_text(xy, [6])
+    # One coordinate it cannot certify refuses the whole text, and
+    # _polylines writes every run with "%.3f" instead.
+    xy[4, 1] = 0.0625
+    assert _points_text(xy, [2, 4, 6]) is None
+    assert _polylines(xy, [2, 4, 6]) == percent_polylines(xy, [2, 4, 6])
+
+
+def spy_points_text(monkeypatch) -> list:
+    """The (xy, ends, text) of each _points_text call the figure makes."""
+    calls = []
+
+    def spy(xy, ends):
+        calls.append((xy, np.asarray(ends), _points_text(xy, ends)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(figure, "_points_text", spy)
+    return calls
 
 
 def test_figures_take_the_exact_formatter(reference_scenario, monkeypatch):
-    """Each polyline of the default-window figures is written by
-    _points_text; only a tiny span's polyline falls back to "%.3f"."""
-    texts = []
-
-    def spy(xy):
-        texts.append(_points_text(xy))
-        return texts[-1]
-
-    monkeypatch.setattr(figure, "_points_text", spy)
+    """All polylines of a default-window figure are written by one
+    certified _points_text call, a run per polyline; only a tiny span's
+    polyline falls back to "%.3f"."""
+    calls = spy_points_text(monkeypatch)
     rng = np.random.default_rng(21)
     scenarios = [reference_scenario]
     for seed in range(50):
         table = random_ranked_table(rng)
         scenarios.append(Scenario(name="drawn", table=table, aes=sample_valid_aes(table, seed)))
     for scenario in scenarios:
-        texts.clear()
+        calls.clear()
         polylines = render_figure(scenario).count("<polyline ")
-        assert len(texts) == polylines > 0
-        assert None not in texts
-    texts.clear()
+        [(_, ends, text)] = calls
+        assert len(ends) == polylines > 0
+        assert text is not None
+    calls.clear()
     render_figure(reference_scenario, window=((0.0, 1e-300), (-10.0, 4.0)))
-    assert texts == [None]
+    assert [text for _, _, text in calls] == [None]
+
+
+def test_one_points_text_call_holds_both_branches(reference_scenario, monkeypatch):
+    calls = spy_points_text(monkeypatch)
+    svg = render_figure(reference_scenario)
+    [(xy, ends, text)] = calls
+    # One run left of the pole's pixel column, one right of it.
+    pole = _transform(DEFAULT_WINDOW)(-1.0, 0.0)[0]
+    left, right = np.split(xy[:, 0], ends[:-1])
+    assert len(ends) == 2 and left.max() < pole < right.min()
+    assert svg.count("<polyline ") == 2 and percent_polylines(xy, ends) in svg
+    assert text == percent_text(xy, ends)
 
 
 def reference_boundary(table, window) -> list[str]:
