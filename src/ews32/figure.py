@@ -247,15 +247,15 @@ def _document(scenario: Scenario, window) -> str:
     head = _require_finite([c for x, y in points for c in to_svg(x, y)])
     boundary = _boundary(table, window, to_svg)
 
-    # heights[edge][sector][factor] of the border lines at both window edges.
+    # heights[sector][factor][edge] of the border lines at both window edges.
     edges = [sx0, sx1]
-    heights = lines.value(slice(None), slice(None), np.array(edges)[:, None, None]).tolist()
+    heights = lines.value(slice(None), slice(None), edges).tolist()
     rest = [
         c
         for factor in range(3)
         for sector in range(2)
-        for s, u in zip(edges, heights)
-        for c in to_svg(s, u[sector][factor])
+        for s, u in zip(edges, heights[sector][factor])
+        for c in to_svg(s, u)
     ]
     # Q, the six anchors R and the vector, each with its label.
     anchors = anchor_points(table)
@@ -269,8 +269,10 @@ def _document(scenario: Scenario, window) -> str:
 
 def _boundary(table, window, to_svg) -> str:
     """The polylines of the boundary hyperbola: one per maximal run of two
-    or more samples of a branch that stay inside the (padded) window."""
-    (sx0, sx1), (uy0, uy1) = window
+    or more samples of a branch that stay inside the (padded) window. The
+    samples and the mask take each range of the window low to high, in
+    whichever order it is given; to_svg maps the window as given."""
+    (sx0, sx1), (uy0, uy1) = map(sorted, window)
     branches = [(lo, hi) for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)) if lo < hi]
     if not branches:
         return ""

@@ -74,10 +74,10 @@ _POSITIVE_T_BIT = 1 << 6
 
 
 def _signature_code(offsets: np.ndarray, sign_t) -> np.ndarray:
-    """Signature codes of offsets[..., sector, factor] and denominator
-    signs over the same leading axes."""
+    """Signature codes of offsets[sector, factor, ...] and denominator
+    signs over the same trailing axes."""
     positive = np.greater(sign_t, 0)
-    bits = (offsets > 0.0).reshape(*offsets.shape[:-2], 6) @ _OFFSET_BITS
+    bits = _OFFSET_BITS @ (offsets > 0.0).reshape(6, *offsets.shape[2:])
     return bits + _POSITIVE_T_BIT * positive
 
 
@@ -100,16 +100,17 @@ class LineCoeffs:
 
     def value(self, factor, sector, s_prime):
         """Height of line (factor, sector) at s_prime; with slices for
-        both factor and sector, heights shaped [..., sector, factor]."""
-        a, b, e = self.abe[factor, sector].T
-        return (a * s_prime + b) / e
+        both factor and sector, heights shaped [sector, factor, ...] over
+        the axes of s_prime."""
+        s = np.asarray(s_prime, dtype=float)
+        # Each coefficient with one more axis per axis of s_prime.
+        a, b, e = self.abe[factor, sector].T[(..., *(np.newaxis,) * s.ndim)]
+        return (a * s + b) / e
 
     def offsets(self, s_prime, u_prime) -> np.ndarray:
-        """Vertical offsets of points over leading axes to all six lines,
-        shaped (..., sector, factor)."""
-        s = np.asarray(s_prime, dtype=float)[..., np.newaxis, np.newaxis]
-        u = np.asarray(u_prime, dtype=float)[..., np.newaxis, np.newaxis]
-        return u - self.value(_ALL, _ALL, s)
+        """Vertical offsets of points to all six lines, shaped
+        (sector, factor, ...) over the axes of s_prime and u_prime."""
+        return np.asarray(u_prime, dtype=float) - self.value(_ALL, _ALL, s_prime)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ class OrderingReport:
 
 
 def _boundary_height(s_prime, table: ShareTable):
-    """Height of the boundary hyperbola at s_prime over leading axes, with
+    """Height of the boundary hyperbola at each s_prime, with
     no test for the pole at s_prime = -1."""
     return -table.labor_to_capital * s_prime / (s_prime + 1.0)
 
@@ -261,7 +262,7 @@ _ON_LINE_FAULT = 1 + [cls for cls, _ in _CLASSIFY_FAULTS].index(OnLine)
 
 def _infeasible(s_prime, u_prime, sign_t, table: ShareTable) -> list:
     """Failure flags of the feasibility checks, in _CLASSIFY_FAULTS
-    order, for ratio vectors over leading axes: a vector must lie
+    order, for ratio vectors per point: a vector must lie
     strictly inside its side of the boundary."""
     positive = np.greater(sign_t, 0)
     # The pole test comes first, so the division by zero there is moot.
@@ -273,17 +274,17 @@ def _infeasible(s_prime, u_prime, sign_t, table: ShareTable) -> list:
 
 
 def _classify(s_prime, u_prime, sign_t, lines: LineCoeffs, table: ShareTable):
-    """Classify ratio vectors (s', u', sign of t) over leading axes.
+    """Classify ratio vectors (s', u', sign of t) per point.
 
     Returns the index into REGIONS of each vector's subregion (-1 where
     none matches), the failure flags of the classification checks in
     _CLASSIFY_FAULTS order (feasibility, then border lines, then the
-    signature lookup), and the line offsets [..., sector, factor].
+    signature lookup), and the line offsets [sector, factor, ...].
     """
     offsets = lines.offsets(s_prime, u_prime)
     region = _REGION_BY_CODE[_signature_code(offsets, sign_t)]
     failed = _infeasible(s_prime, u_prime, sign_t, table) + [
-        np.abs(offsets).min(axis=(-2, -1)) <= ON_LINE_TOL,
+        np.abs(offsets).min(axis=(0, 1)) <= ON_LINE_TOL,
         region < 0,
     ]
     return region, failed, offsets

@@ -345,12 +345,16 @@ def _dense_elasticities(x: np.ndarray) -> np.ndarray:
 
 
 def dense_signs(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign grids [..., 4, 3] of every system over leading axes, rows as
-    in _dense_elasticities, from one pivoted solve for the columns of
-    _CHECK_SHOCKS, and each system's _dense_solve residual: NaN for a
-    singular system."""
+    """Sign grids [4, 3, ...] of the systems system[..., 5, 5], rows as in
+    _dense_elasticities and the system axes last, from one pivoted solve
+    for the columns of _CHECK_SHOCKS, and each system's _dense_solve
+    residual: NaN for a singular system."""
     x, residual = _dense_solve(system, _CHECK_SHOCKS)
-    return _signs(_dense_elasticities(x)), residual
+    elasticities = _dense_elasticities(x)
+    # A contiguous copy with the system axes last, so that the table check
+    # reduces each grid along contiguous rows of the stack.
+    axes = range(elasticities.ndim - 2)
+    return _signs(np.ascontiguousarray(elasticities.transpose(-2, -1, *axes))), residual
 
 
 def comparative_statics(
@@ -447,12 +451,13 @@ def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
 
 
 def _contradicts_tables(signs: np.ndarray, regions, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each sign grid signs[..., 4, 3] (output over real-reward
+    """Whether each sign grid signs[4, 3, ...] (output over real-reward
     rows) differs from the tabled rows of its subregion regions[codes],
-    over leading axes, and those rows as the tables now stand. A sign too
-    close to call is 0, which no table holds."""
-    tabled = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in regions])[codes]
-    return (signs != tabled).any(axis=(-2, -1)), tabled
+    per point, and those rows as the tables now stand. A sign too close
+    to call is 0, which no table holds."""
+    tables = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in regions])
+    tabled = tables.transpose(1, 2, 0).take(codes, axis=-1)
+    return (signs != tabled).any(axis=(0, 1)), tabled
 
 
 def _sign_mismatch(region: Subregion, signs: np.ndarray, tabled: np.ndarray) -> ClosedFormMismatch:
@@ -466,7 +471,7 @@ def _sign_mismatch(region: Subregion, signs: np.ndarray, tabled: np.ndarray) -> 
 
 
 def _signs(values) -> np.ndarray:
-    """Signs of values over leading axes: 0 where too close to zero to
+    """Signs of values, entry by entry: 0 where too close to zero to
     call (NaN included), else +1 or -1."""
     arr = np.asarray(values, dtype=float)
     return (arr > SIGN_ZERO_TOL).astype(int) - (arr < -SIGN_ZERO_TOL)

@@ -119,9 +119,9 @@ class ValidityReport:
 
 
 def _identity_ok(gap, scale):
-    """Whether each identity gap (over leading axes) is within
-    IDENTITY_TOL times scale(), the largest magnitude among the entries
-    each gap compares, or times one if that is smaller. A NaN gap fails."""
+    """Whether each identity gap (per point) is within IDENTITY_TOL times
+    scale(), the largest magnitude among the entries each gap compares,
+    or times one if that is smaller. A NaN gap fails."""
     ok = gap <= IDENTITY_TOL
     # The relative bound is never below IDENTITY_TOL, and a NaN entry
     # makes its gap NaN, so the entries matter only past IDENTITY_TOL.
@@ -130,24 +130,29 @@ def _identity_ok(gap, scale):
     return ok
 
 
+def _weighted_rows(s: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Share-weighted row sums sum_h s[i, h, ...] * th[h, ...], shaped
+    [i, ...]. vecdot reduces with the BLAS dot that `row @ th` uses, so
+    each tensor of a stack gets the bits of that tensor on its own."""
+    return np.vecdot(s, th[np.newaxis], axis=1)
+
+
 def _complete(s: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Complete sector tensors s[..., 3, 3] with shares th[..., 3] in place
+    """Complete sector tensors s[3, 3, ...] with shares th[3, ...] in place
     and return s: mirror the upper triangle, which holds the free
     elasticities, and set the own ones so share-weighted rows sum to zero."""
     i, h = _UPPER
-    s[..., h, i] = s[..., i, h]
+    s[h, i] = s[i, h]
     own = np.arange(3)
-    s[..., own, own] = 0.0
-    # vecdot reduces with the BLAS dot that `row @ th` uses, so a stack of
-    # tensors gets the same bits as each tensor on its own.
-    s[..., own, own] = -np.vecdot(s, th[..., np.newaxis, :]) / th
+    s[own, own] = 0.0
+    s[own, own] = -_weighted_rows(s, th) / th
     return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Pass flags of the Allen-tensor checks, in _AES_CHECKS order, for
-    sector tensors s[..., 3, 3] with shares th[..., 3]; shaped (4, ...).
+    sector tensors s[3, 3, ...] with shares th[3, ...]; shaped (4, ...).
 
     Own-negativity, strict quasi-concavity (scaled land-capital minor
     positive), symmetry, and share-weighted row sums of zero.
@@ -155,19 +160,19 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
 
     def e(i, h):
         """The scaled entry theta_i * theta_h * sigma_ih of each tensor."""
-        return th[..., i] * th[..., h] * s[..., i, h]
+        return th[i] * th[h] * s[i, h]
 
     return np.array(
         [
-            (s.diagonal(0, -2, -1) < 0.0).all(axis=-1),
+            (s.diagonal(0, 0, 1) < 0.0).all(axis=-1),
             e(LAND, LAND) * e(CAPITAL, CAPITAL) - e(LAND, CAPITAL) ** 2 > 0.0,
             _identity_ok(
-                np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)),
-                lambda: np.abs(s).max(axis=(-2, -1)),
+                np.abs(s - s.swapaxes(0, 1)).max(axis=(0, 1)),
+                lambda: np.abs(s).max(axis=(0, 1)),
             ),
             _identity_ok(
-                np.abs(np.vecdot(s, th[..., np.newaxis, :])).max(axis=-1),
-                lambda: np.abs(s * th[..., np.newaxis, :]).max(axis=(-2, -1)),
+                np.abs(_weighted_rows(s, th)).max(axis=0),
+                lambda: np.abs(s * th[np.newaxis]).max(axis=(0, 1)),
             ),
         ]
     )
@@ -175,11 +180,11 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
 
 def _validity(aes: AesTensor, table: ShareTable) -> tuple[ValidityReport, np.ndarray]:
     """validate_aes's report and the completion (see _complete) it checks
-    beside the tensor as given."""
-    th = table.theta.T
-    stack = np.array((aes.sigma, aes.sigma))
-    completion = _complete(stack[1], th)
-    flags = _aes_flags(stack, th).all(axis=1).tolist()
+    beside the tensor as given, as completion[i, h, sector]."""
+    # The tensor as given and its completion, stack[i, h, copy, sector].
+    stack = np.array((aes.sigma, aes.sigma)).transpose(2, 3, 0, 1).copy()
+    completion = _complete(stack[:, :, 1], table.theta)
+    flags = _aes_flags(stack, table.theta[:, np.newaxis]).all(axis=1).tolist()
     report = ValidityReport(**{field: tuple(flag) for (field, _), flag in zip(_AES_CHECKS, flags)})
     return report, completion
 
@@ -216,20 +221,20 @@ def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
 def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     """Unit elasticities between distinct factors; diagonals follow from
     homogeneity as -(1 - theta_ij)/theta_ij."""
-    return AesTensor(sigma=_complete(np.ones((2, 3, 3)), table.theta.T))
+    return AesTensor(sigma=_complete(np.ones((3, 3, 2)), table.theta).transpose(2, 0, 1))
 
 
 def _epsilon(s: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Price elasticities of sector Allen tensors s[..., 3, 3] with their
-    sectors' shares th[..., 3]: each elasticity scaled by the
+    """Price elasticities of sector Allen tensors s[3, 3, ...] with their
+    sectors' shares th[3, ...]: each elasticity scaled by the
     price-owner's distributive share."""
-    return th[..., np.newaxis, :] * s
+    return th[np.newaxis] * s
 
 
 def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
-    """Worst absolute row sum of each sector epsilon tensor eps[..., 3, 3],
+    """Worst absolute row sum of each sector epsilon tensor eps[3, 3, ...],
     zero up to roundoff by linear homogeneity."""
-    return np.abs(eps[..., 0] + eps[..., 1] + eps[..., 2]).max(axis=-1)
+    return np.abs(eps[:, 0] + eps[:, 1] + eps[:, 2]).max(axis=0)
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
@@ -243,24 +248,24 @@ def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
     report, completion = _validity(aes, table)
     if not report.ok:
         raise _invalid(report)
-    eps = _epsilon(completion, table.theta.T)
+    eps = _epsilon(completion, table.theta)
     gap = _rowsum_gap(eps).max()
     if not _identity_ok(gap, lambda: np.abs(eps).max()):
         raise ConsistencyError(f"epsilon rows must sum to zero, worst residual {gap:e}")
     eps.flags.writeable = False
-    return eps
+    return eps.transpose(2, 0, 1)
 
 
 def _term(eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """A sector's term of g from its epsilon tensors eps[..., 3, 3] and
-    its allocation shares lam[..., 3] (column j of the table's lam for
-    sector j): lam[i] * eps[..., i, h]."""
-    return lam[..., :, np.newaxis] * eps
+    """A sector's term of g from its epsilon tensors eps[3, 3, ...] and
+    its allocation shares lam[3, ...] (column j of the table's lam for
+    sector j): lam[i] * eps[i, h, ...]."""
+    return lam[:, np.newaxis] * eps
 
 
 def _aggregate(term_1: np.ndarray, term_2: np.ndarray) -> np.ndarray:
     """Economy-wide substitution from the two sectors' terms (see _term):
-    g[..., i, h] = sum over sectors j of lam[i, j] * eps[..., j, i, h].
+    g[i, h, ...] = sum over sectors j of lam[i, j] * eps[j, i, h, ...].
 
     The sum starts from zero: adding 0.0 leaves every value as it is but
     -0.0, which becomes 0.0, so a zero entry (and a zero s' after it) is
@@ -270,7 +275,8 @@ def _aggregate(term_1: np.ndarray, term_2: np.ndarray) -> np.ndarray:
 
 def ews_from_epsilon(eps: np.ndarray, table: ShareTable) -> EwsMatrix:
     """Aggregate sector price elasticities eps[j, i, h] with allocation shares."""
-    g = _aggregate(*_term(eps, table.lam.T))
+    term = _term(eps.transpose(1, 2, 0), table.lam)
+    g = _aggregate(term[..., 0], term[..., 1])
     _require_ews_invariants(g, table)
     return EwsMatrix(g=g)
 
@@ -289,28 +295,23 @@ _EWS_INVARIANTS = (
 @np.errstate(over="ignore", invalid="ignore")
 def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     """Failure flags of the invariants, in _EWS_INVARIANTS order, for each
-    matrix over leading axes of g."""
-    tf = table.theta_factor
-    minor = (
-        g[..., CAPITAL, CAPITAL] * g[..., LAND, LAND]
-        - g[..., LAND, CAPITAL] * g[..., CAPITAL, LAND]
-    )
+    matrix g[3, 3, ...]."""
+    minor = g[CAPITAL, CAPITAL] * g[LAND, LAND] - g[LAND, CAPITAL] * g[CAPITAL, LAND]
     complements = (
-        (g[..., LABOR, CAPITAL] < 0.0).astype(int)
-        + (g[..., LABOR, LAND] < 0.0)
-        + (g[..., CAPITAL, LAND] < 0.0)
+        (g[LABOR, CAPITAL] < 0.0).astype(int) + (g[LABOR, LAND] < 0.0) + (g[CAPITAL, LAND] < 0.0)
     )
-    weighted = g * tf[:, np.newaxis]
+    # Row i weighted by factor i's share.
+    weighted = g * table.theta_factor.reshape(3, *(1,) * (g.ndim - 1))
     return [
         ~_identity_ok(
-            np.abs(g[..., 0] + g[..., 1] + g[..., 2]).max(axis=-1),
-            lambda: np.abs(g).max(axis=(-2, -1)),
+            np.abs(g[:, 0] + g[:, 1] + g[:, 2]).max(axis=0),
+            lambda: np.abs(g).max(axis=(0, 1)),
         ),
         ~_identity_ok(
-            np.abs(weighted - weighted.swapaxes(-1, -2)).max(axis=(-2, -1)),
-            lambda: np.abs(weighted).max(axis=(-2, -1)),
+            np.abs(weighted - weighted.swapaxes(0, 1)).max(axis=(0, 1)),
+            lambda: np.abs(weighted).max(axis=(0, 1)),
         ),
-        ~(g.diagonal(0, -2, -1) < 0.0).all(axis=-1),
+        ~(g.diagonal(0, 0, 1) < 0.0).all(axis=-1),
         ~(minor > 0.0),
         complements > 1,
     ]
@@ -325,7 +326,7 @@ def _require_ews_invariants(g: np.ndarray, table: ShareTable) -> None:
 
 
 def _degenerate(t):
-    """Whether labor-land substitution t (over leading axes) is too close
+    """Whether labor-land substitution t (per point) is too close
     to zero for the ratio vector to be defined."""
     return np.abs(t) <= DEGENERATE_T_TOL
 

@@ -16,6 +16,12 @@ and a dense solve of every classified point's system whose signs must
 match the tabled patterns. Invalid points stay in the output with a
 rejection status instead of being dropped.
 
+Every stack keeps its tensor or point axis last, s[i, h, tensor] and
+g[i, h, point], so that a check's reduction over a matrix's entries
+runs along contiguous rows of the stack rather than as one short loop
+per point. Only the dense solve takes its systems point-first, as
+LAPACK's stacked solve does.
+
 The result keeps the engine's columns (SweepRows), each row's status as
 a code into one list of status labels; a row's dict is built only when
 it is read, and format_csv joins the CSV once from per-row pieces of the
@@ -96,11 +102,14 @@ _OK, _DEGENERATE, _CLASSIFY, _DENSE = 0, 3, 4, 5
 
 
 def _first_fault(failed) -> np.ndarray:
-    """Fault code per point over leading axes, from a list of check
-    failure flags in checking order: 0 when no check failed, else 1 + the
-    index of the first that did."""
-    flags = np.asarray(failed)
-    return (flags.argmax(axis=0) + 1) * flags.any(axis=0)
+    """Fault code per point, from a list of check failure flags in
+    checking order: 0 when no check failed, else 1 + the index of the
+    first that did."""
+    fault = np.zeros(np.shape(failed[0]), dtype=int)
+    # Written last to first, so the first failure in order is kept.
+    for k in reversed(range(len(failed))):
+        fault[failed[k]] = k + 1
+    return fault
 
 
 def parse_grid(spec: str) -> dict[str, list[float]]:
@@ -138,7 +147,7 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
 
 
 def _sector_tensors(scenario: Scenario, axes: dict) -> list[np.ndarray]:
-    """Each sector's distinct Allen tensors as one (n_j, 3, 3) stack in
+    """Each sector's distinct Allen tensors as one (3, 3, n_j) stack in
     grid order, completed with that sector's shares: the template's
     sector tensor with that sector's swept entries set, over the product
     of its own axes only."""
@@ -147,13 +156,14 @@ def _sector_tensors(scenario: Scenario, axes: dict) -> list[np.ndarray]:
         keys = [key for key in axes if _KEY_SLOTS[key][0] == j]
         # The sector's tensors shaped by its own axes; each swept entry
         # varies along its key's axis only.
-        s = np.full((*(len(axes[key]) for key in keys), 3, 3), scenario.aes.sigma[j])
+        template = scenario.aes.sigma[j].reshape(3, 3, *(1,) * len(keys))
+        s = np.full((3, 3, *(len(axes[key]) for key in keys)), template)
         for k, key in enumerate(keys):
             _, row, col = _KEY_SLOTS[key]
             along = [1] * len(keys)
             along[k] = -1
-            s[..., row, col] = axes[key].reshape(along)
-        sectors.append(_complete(s.reshape(-1, 3, 3), th))
+            s[row, col] = axes[key].reshape(along)
+        sectors.append(_complete(s.reshape(3, 3, -1), th[:, np.newaxis]))
     return sectors
 
 
@@ -171,15 +181,15 @@ def _sector_space_g(
     point. A point's gap and entry scale are the larger of its two
     tensors'; max is exact, so _identity_ok decides as epsilon_from_aes
     does on the point's two tensors together."""
-    eps = [_epsilon(s, th) for s, th in zip(sectors, table.theta.T)]
-    term_1, term_2 = (_term(e, lam) for e, lam in zip(eps, table.lam.T))
-    g = _aggregate(term_1[:, np.newaxis], term_2[np.newaxis]).reshape(-1, 3, 3)
+    eps = [_epsilon(s, th[:, np.newaxis]) for s, th in zip(sectors, table.theta.T)]
+    term_1, term_2 = (_term(e, lam[:, np.newaxis]) for e, lam in zip(eps, table.lam.T))
+    g = _aggregate(term_1[..., np.newaxis], term_2[..., np.newaxis, :]).reshape(3, 3, -1)
 
     def pairs(per_tensor):
         return np.maximum.outer(*map(per_tensor, eps)).ravel()
 
     return g, _identity_ok(
-        pairs(_rowsum_gap), lambda: pairs(lambda e: np.abs(e).max(axis=(-2, -1)))
+        pairs(_rowsum_gap), lambda: pairs(lambda e: np.abs(e).max(axis=(0, 1)))
     )
 
 
@@ -234,7 +244,9 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         sectors = _sector_tensors(scenario, swept)
         # Bit k of a sector tensor's code is set when _AES_CHECKS[k] fails.
         bits = 1 << np.arange(len(_AES_CHECKS))
-        codes = [np.dot(bits, ~_aes_flags(s, th)) for s, th in zip(sectors, table.theta.T)]
+        codes = [
+            np.dot(bits, ~_aes_flags(s, th[:, np.newaxis])) for s, th in zip(sectors, table.theta.T)
+        ]
         # GRID_KEYS lists sector 1's keys before sector 2's, so grid point
         # p joins sector 1's tensor i0 and sector 2's tensor i1, where
         # i0, i1 = divmod(p, n1) for sector 2's n1 tensors; a point fails
@@ -243,9 +255,12 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         # valid sector 2 tensor, and those are the tensors they use.
         aes_code = np.bitwise_or.outer(*codes).ravel()
         valid = np.flatnonzero(aes_code == 0)
-        g, rowsum_ok = _sector_space_g([s[c == 0] for s, c in zip(sectors, codes)], table)
+        # compress keeps the tensor axis last in memory, as masking would not.
+        g, rowsum_ok = _sector_space_g(
+            [s.compress(c == 0, axis=-1) for s, c in zip(sectors, codes)], table
+        )
         invariant = np.any(_ews_failures(g, table), axis=0)
-        s, t, u = g[:, LABOR, CAPITAL], g[:, LABOR, LAND], g[:, CAPITAL, LAND]
+        s, t, u = g[LABOR, CAPITAL], g[LABOR, LAND], g[CAPITAL, LAND]
         s_prime, u_prime = s / t, u / t
         sign_t = np.where(t > 0.0, 1, -1)
         region, failed, _ = _classify(s_prime, u_prime, sign_t, scenario.lines, table)
@@ -253,7 +268,9 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     stage = _first_fault([~rowsum_ok, invariant, _degenerate(t), fault > 0])
 
     classified = np.flatnonzero(stage == _OK)
-    signs, residual = dense_signs(assemble_system(table, EwsMatrix(g=g[classified])))
+    # LAPACK solves a (k, 5, 5) stack, filled from the points' g.
+    system = assemble_system(table, EwsMatrix(g=g[..., classified].transpose(2, 0, 1)))
+    signs, residual = dense_signs(system)
     disagree, _ = _contradicts_tables(signs, REGIONS, region[classified])
     stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 
@@ -262,8 +279,8 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     if bad.size:
         k = bad[0]
         refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
-        i0, i1 = divmod(int(valid[k]), len(sectors[1]))
-        sigma = np.stack((sectors[0][i0], sectors[1][i1]))
+        i0, i1 = divmod(int(valid[k]), sectors[1].shape[-1])
+        sigma = np.stack((sectors[0][..., i0], sectors[1][..., i1]))
         try:
             _replay(scenario, sigma, stage[k], refusal)
         except Ews32Error as exc:

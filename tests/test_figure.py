@@ -145,6 +145,48 @@ def test_reversed_window_renders(reference_scenario):
     assert "nan" not in svg and "inf" not in svg
 
 
+def _polyline_points(svg: str) -> list[np.ndarray]:
+    """The (px, py) points of each boundary polyline of the document."""
+    return [
+        np.array([point.split(",") for point in points.split()], dtype=float)
+        for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+    ]
+
+
+@pytest.mark.parametrize(
+    "window",
+    [DEFAULT_WINDOW, ((-10.0, -2.0), (-10.0, 4.0)), ((-0.5, 3.0), (-3.0, 2.0))],
+    ids=["default", "left-of-pole", "right-of-pole"],
+)
+def test_a_reversed_window_draws_the_boundary_of_its_sorted_twin(reference_scenario, window):
+    # Each range in either order draws the sorted window's polylines,
+    # mirrored where the window is: each point at the same place in the
+    # frame, up to the rounding of the pixel coordinates. The points lie
+    # in the frame padded by half its height up and down, as the mask
+    # pads the window. (A branch is sampled up to the pole, so a point
+    # may lie left or right of the frame, where the clip path hides it.)
+    width, height = DEFAULT_SIZE
+    pad = 0.5 * (height - 2.0 * MARGIN)
+    want = _polyline_points(render_figure(reference_scenario, window=window))
+    assert want
+    (s0, s1), (u0, u1) = window
+    for flip_s, flip_u in [(True, False), (False, True), (True, True)]:
+        reversed_window = ((s1, s0) if flip_s else (s0, s1), (u1, u0) if flip_u else (u0, u1))
+        got = _polyline_points(render_figure(reference_scenario, window=reversed_window))
+        assert len(got) == len(want)
+        for xy, sorted_xy in zip(got, want):
+            mirrored = np.column_stack(
+                (
+                    width - sorted_xy[:, 0] if flip_s else sorted_xy[:, 0],
+                    height - sorted_xy[:, 1] if flip_u else sorted_xy[:, 1],
+                )
+            )
+            assert xy.shape == mirrored.shape
+            assert np.abs(xy - mirrored).max() <= 2e-3
+            assert (MARGIN - pad - 1e-3 <= xy[:, 1]).all()
+            assert (xy[:, 1] <= height - MARGIN + pad + 1e-3).all()
+
+
 @st.composite
 def tiny_span_windows(draw):
     """A window with one span of 10**-k, 250 <= k <= 320, at a random
@@ -318,9 +360,10 @@ def test_one_points_text_call_holds_both_branches(reference_scenario, monkeypatc
 def reference_boundary(table, window) -> list[str]:
     """The boundary polylines of the figure, sample by sample with scalar
     boundary_value calls: a run of in-window samples is cut where the
-    curve leaves the padded window and kept if it has two or more."""
-    (sx0, sx1), (uy0, uy1) = window
+    curve leaves the padded window and kept if it has two or more. Each
+    range is sampled low to high, in whichever order the window gives it."""
     to_svg = _transform(window)
+    (sx0, sx1), (uy0, uy1) = (sorted(bounds) for bounds in window)
     pad = 0.5 * (uy1 - uy0)
     out = []
 

@@ -130,6 +130,8 @@ def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
     assert eps.shape == (2, 3, 3)
+    # Nothing writable behind epsilon either, where it is a view.
+    assert eps.base is None or not eps.base.flags.writeable
 
 
 def test_assemble_system_freezes_its_stack_without_a_copy(reference_table):
@@ -396,12 +398,14 @@ def test_stacked_shocks_on_a_singular_system():
 
 def test_dense_signs_on_a_stack(reference_table):
     # The reference system beside a singular one: the first gets the P2
-    # sign grids, the second a NaN residual rather than an exception.
+    # sign grids, the second a NaN residual rather than an exception. The
+    # grids hold the system axis last.
     good = assemble_system(reference_table, reference_g())
     signs, residual = dense_signs(np.stack([good, np.zeros((5, 5))]))
-    assert signs.shape == (2, 4, 3)
-    assert tuple(map(tuple, signs[0, :2].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
-    assert tuple(map(tuple, signs[0, 2:].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
+    assert signs.shape == (4, 3, 2) and signs.flags.c_contiguous
+    assert tuple(map(tuple, signs[:2, :, 0].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
+    assert tuple(map(tuple, signs[2:, :, 0].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
+    assert dense_signs(good)[0].tolist() == signs[..., 0].tolist()
     assert residual[0] <= 1e-10
     assert np.isnan(residual[1])
 
@@ -735,12 +739,13 @@ def test_table_check_refuses_a_sign_too_close_to_call():
         values[0, 0] = shaky
         signs = statics._signs(values)
         assert signs[0, 0] == 0
+        # The stack of both grids, the grid axis last.
         disagree, tabled = statics._contradicts_tables(
-            np.stack([clean, signs]), (Subregion.P2,), [0, 0]
+            np.stack([clean, signs], axis=-1), (Subregion.P2,), [0, 0]
         )
         assert disagree.tolist() == [False, True]
-        assert tabled[0].tolist() == clean.tolist()
-        message = str(statics._sign_mismatch(Subregion.P2, signs, tabled[1]))
+        assert tabled[..., 0].tolist() == clean.tolist()
+        message = str(statics._sign_mismatch(Subregion.P2, signs, tabled[..., 1]))
         assert message.startswith(
             "computed signs contradict the tabled signs of P2: "
             "output signs [[0, -1, 1], [-1, 1, 1]] vs [[1, -1, 1], [-1, 1, 1]]"

@@ -193,9 +193,10 @@ def test_a_tensor_is_valid_only_with_its_completion(reference_table):
     # The tensor passes every check as stated; its completion, the tensor
     # that epsilon_from_aes analyses, fails sector 1's quasi-concavity.
     sigma = np.array(QC_EDGE_SIGMA)
-    th = reference_table.theta.T
-    assert _aes_flags(sigma, th).all()
-    assert not _aes_flags(_complete(sigma.copy(), th), th)[1, 0]
+    # The checks take both sectors' tensors as stack[i, h, sector].
+    stack, th = np.moveaxis(sigma, 0, -1), reference_table.theta
+    assert _aes_flags(stack, th).all()
+    assert not _aes_flags(_complete(stack.copy(), th), th)[1, 0]
     aes = AesTensor(sigma=sigma)
     report = validate_aes(aes, reference_table)
     assert report.quasi_concavity_ok == (False, True)
@@ -327,7 +328,8 @@ def test_identity_checks_fail_on_nan(reference_table):
 
 
 def completed(sigma, table):
-    return _complete(np.array(sigma), table.theta.T)
+    """The completion of sigma[sector, i, h], completed as sigma[i, h, sector]."""
+    return np.moveaxis(_complete(np.moveaxis(np.array(sigma), 0, -1), table.theta), -1, 0)
 
 
 def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
@@ -345,16 +347,17 @@ def test_completion_keeps_complete_tensors_bit_for_bit(reference_table):
         # sector's shares: sector 1's three and sector 2's two.
         scenario = Scenario(name="template", table=table, aes=sample_valid_aes(table, 100 + k))
         sectors = _sector_tensors(scenario, grid)
-        assert [sector.shape for sector in sectors] == [(3, 3, 3), (2, 3, 3)]
+        assert [sector.shape for sector in sectors] == [(3, 3, 3), (3, 3, 2)]
         for j, sector in enumerate(sectors):
-            again = _complete(sector.copy(), table.theta[:, j])
+            again = _complete(sector.copy(), table.theta[:, j, np.newaxis])
             assert again.tobytes() == sector.tobytes()
 
 
 def test_aggregate_is_the_einsum_bit_for_bit(reference_table):
     # g[..., i, h] = sum over sectors j of lam[i, j] * eps[..., j, i, h],
     # with the bits of np.einsum's sum from zero: zeros of either sign,
-    # infinities and NaNs included.
+    # infinities and NaNs included. The helpers take the stack as
+    # eps[i, h, ..., j] and give g[i, h, ...].
     rng = np.random.default_rng(37)
     for table in [reference_table] + [random_ranked_table(rng) for _ in range(8)]:
         for shape in [(), (1,), (7,), (4, 3), (800,)]:
@@ -365,8 +368,9 @@ def test_aggregate_is_the_einsum_bit_for_bit(reference_table):
             eps[rng.random(size) < 0.02] = np.nan
             with np.errstate(invalid="ignore"):
                 want = np.einsum("ij,...jih->...ih", table.lam, eps)
-                terms = _term(eps, table.lam.T)
-                got = _aggregate(terms[..., 0, :, :], terms[..., 1, :, :])
+                lam = table.lam.reshape(3, *(1,) * len(shape), 2)
+                terms = _term(np.moveaxis(eps, (-2, -1), (0, 1)), lam)
+                got = np.moveaxis(_aggregate(terms[..., 0], terms[..., 1]), (0, 1), (-2, -1))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # Negative zeros in both sectors' capital-labor slots give s = 0.0,
     # so the row reads s' = 0.0, never -0.0.
