@@ -175,29 +175,36 @@ def line_coefficients(table: ShareTable) -> LineCoeffs:
     changes sign.
     """
     a, b, e = table.diff
-    tf = table.theta_factor
-    abe = np.empty((3, 2, 3))
+    tf = table.theta_factor.tolist()
+    theta, lam, sectors = table.theta.tolist(), table.lam.tolist(), table.theta_sector.tolist()
+    # Python floats round each product and ratio as numpy scalars would,
+    # at a fraction of the cost; lines[sector][factor].
+    lines = []
     for sector in range(2):
         other = 1 - sector
-        th = table.theta[:, other]
-        lm = table.lam[:, other]
-        ts = table.theta_sector[other]
-        abe[LAND, sector] = (
-            a * (ts / tf[CAPITAL]) * (1.0 - th[LAND]),
-            -b * lm[CAPITAL],
-            e * lm[LABOR],
+        th = [row[other] for row in theta]
+        lm = [row[other] for row in lam]
+        ts = sectors[other]
+        lines.append(
+            (
+                (
+                    a * (ts / tf[CAPITAL]) * (1.0 - th[LAND]),
+                    -b * lm[CAPITAL],
+                    e * lm[LABOR],
+                ),
+                (
+                    a * lm[LAND],
+                    -b * (ts / tf[LAND]) * (1.0 - th[CAPITAL]),
+                    -e * (tf[CAPITAL] / tf[LAND]) * lm[LABOR],
+                ),
+                (
+                    -a * (tf[LABOR] / tf[CAPITAL]) * lm[LAND],
+                    -b * (tf[LABOR] / tf[LAND]) * lm[CAPITAL],
+                    -e * (ts / tf[LAND]) * (1.0 - th[LABOR]),
+                ),
+            )
         )
-        abe[CAPITAL, sector] = (
-            a * lm[LAND],
-            -b * (ts / tf[LAND]) * (1.0 - th[CAPITAL]),
-            -e * (tf[CAPITAL] / tf[LAND]) * lm[LABOR],
-        )
-        abe[LABOR, sector] = (
-            -a * (tf[LABOR] / tf[CAPITAL]) * lm[LAND],
-            -b * (tf[LABOR] / tf[LAND]) * lm[CAPITAL],
-            -e * (ts / tf[LAND]) * (1.0 - th[LABOR]),
-        )
-    return LineCoeffs(abe=abe)
+    return LineCoeffs(abe=list(zip(*lines)))
 
 
 def anchor_points(table: ShareTable) -> AnchorSet:

@@ -24,12 +24,12 @@ from .statics import (
     ResponseVector,
     ShockVector,
     SignPattern,
+    _checked_statics,
     _contradicts_tables,
+    _responses,
     _sign_mismatch,
     _signs,
-    comparative_statics,
     sign_pattern_lookup,
-    solve_shocks,
     strong_rybczynski,
 )
 from .substitution import (
@@ -152,15 +152,20 @@ def load_scenario(path) -> Scenario:
 
 def run_report(scenario: Scenario) -> Report:
     """Run the full pipeline; ClosedFormMismatch unless the signs of the
-    closed-form elasticities are the tabled signs of the subregion."""
+    closed-form elasticities are the tabled signs of the subregion. One
+    stacked solve serves the dense checks and every shock; a shock that
+    fails is named only once the checks and the signs have passed."""
     region = scenario.subregion
-    statics = comparative_statics(scenario.table, scenario.ews, scenario.vector, scenario.lines)
+    shocks = scenario.shocks
+    statics, x, residual = _checked_statics(
+        scenario.table, scenario.ews, scenario.vector, scenario.lines, shocks
+    )
     signs = _signs(np.concatenate((statics.rybczynski, statics.stolper_samuelson)))
     disagree, tabled = _contradicts_tables(signs, (region,), 0)
     if disagree:
         raise _sign_mismatch(region, signs, tabled)
 
-    responses = tuple(zip(scenario.shocks, solve_shocks(statics.system, scenario.shocks)))
+    responses = tuple(zip(shocks, _responses(statics.system, shocks, x, residual)))
     # np.max propagates a NaN residual; the builtin max can drop it.
     max_residual = float(np.max([r.residual for _, r in responses], initial=0.0))
 

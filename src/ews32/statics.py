@@ -7,6 +7,8 @@ good's price and the two output changes; shocks are the relative goods
 price and the three endowments. Everything here is computed twice: once
 through the closed forms (determinant, cofactors, sign tables) and once
 through a dense pivoted solve. The two routes must agree or we raise.
+A report makes one solve call: a stack of single-column systems for the
+four unit check shocks, then for each of its scenario's shocks.
 """
 
 from __future__ import annotations
@@ -141,7 +143,10 @@ def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
 
 def determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
     """Determinant of the system through three agreeing routes."""
-    dense = float(np.linalg.det(system))
+    # An overflowing determinant is refused below as a disagreement, with
+    # no numpy warning ahead of the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = float(np.linalg.det(system))
     a, b, _ = table.diff
     tf = table.theta_factor.tolist()
     ts = table.theta_sector.tolist()
@@ -292,19 +297,24 @@ def _require_residual(residual) -> None:
         raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
 
 
-def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[ResponseVector, ...]:
-    """Dense pivoted solve of the system for each shock, in one call: the
-    system broadcasts against one single-column right-hand side per
-    shock, so each response has the bits of its own one-shock solve. The
-    response is linear in the shock, so a finite shock whose response or
-    residual bound overflows is an input fault: ValidationError. The
-    first shock that fails, in order, names the error, an overflow
-    before a residual past its bound."""
-    if not shocks:
-        return ()
-    rhs = np.array([shock.right_hand_side() for shock in shocks])[..., np.newaxis]
+def _stacked_solve(system: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """_dense_solve of the system for a stack of single-column right-hand
+    sides rows[k][5], with overflow left to the callers' checks: the
+    solutions x[k, 5, 1] and residuals[k]. Each has the bits of its own
+    one-column solve."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, residual = _dense_solve(system, rhs)
+        return _dense_solve(system, np.array(rows)[..., np.newaxis])
+
+
+def _responses(
+    system: np.ndarray, shocks: Sequence[ShockVector], x: np.ndarray, residual: np.ndarray
+) -> tuple[ResponseVector, ...]:
+    """The responses to shocks from their _stacked_solve solutions x[k, 5, 1]
+    and residuals[k]. The response is linear in the shock, so a finite
+    shock whose response or residual bound overflows is an input fault:
+    ValidationError. The first shock that fails, in order, names the
+    error, an overflow before a residual past its bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
         # The bound's sums |a| @ |x| must be finite too; a singular
         # system's NaN solution is left to the bound.
         bound = np.abs(system) @ np.abs(x)
@@ -321,6 +331,21 @@ def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[Res
     )
 
 
+def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[ResponseVector, ...]:
+    """Dense pivoted solve of the system for each shock, in one call: the
+    system broadcasts against one single-column right-hand side per
+    shock, so each response has the bits of its own one-shock solve. A
+    report makes the same call with its four check shocks ahead of its
+    scenario's shocks (see _checked_statics). A finite shock whose
+    response overflows is a ValidationError; the first shock that fails,
+    in order, names the error, an overflow before a residual past its
+    bound."""
+    if not shocks:
+        return ()
+    x, residual = _stacked_solve(system, [shock.right_hand_side() for shock in shocks])
+    return _responses(system, shocks, x, residual)
+
+
 def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
     """Dense pivoted solve of the system for one shock, as solve_shocks."""
     return solve_shocks(system, (shock,))[0]
@@ -333,6 +358,8 @@ _CHECK_SHOCKS = np.column_stack(
     + [ShockVector(price_shock=1.0).right_hand_side()]
 )
 _PRICE_COLUMN = 3
+# The same checks as the leading rows of a report's _stacked_solve.
+_CHECK_ROWS = tuple(_CHECK_SHOCKS.T)
 
 
 def _dense_elasticities(x: np.ndarray) -> np.ndarray:
@@ -368,8 +395,23 @@ def comparative_statics(
     determinant and are verified entry by entry against unit-endowment
     dense solves; the real-reward elasticities follow from them by
     reciprocity and are verified against a dense pure-price-shock solve.
-    One pivoted solve with the four right-hand sides serves both checks.
+    One stacked solve of four single-column systems, one per check
+    shock, serves both checks; a report stacks its scenario's shocks
+    after them in the same call, so it solves the system once.
     """
+    return _checked_statics(table, g, vector, lines, ())[0]
+
+
+def _checked_statics(
+    table: ShareTable,
+    g: EwsMatrix,
+    vector: EwsRatioVector,
+    lines: LineCoeffs,
+    shocks: Sequence[ShockVector],
+) -> tuple[ComparativeStatics, np.ndarray, np.ndarray]:
+    """comparative_statics, whose one _stacked_solve also solves the
+    system for each shock after the four checks; with the shocks'
+    solutions x[k, 5, 1] and residuals[k], which _responses checks."""
     system = assemble_system(table, g)
     delta = determinant_delta(system, table, g)
     cof, _, _ = _cofactor_routes(table, g, vector, lines)
@@ -386,9 +428,13 @@ def comparative_statics(
         [-(ts[1] / tf[factor]) * ryb[1][factor] for factor in _FACTOR_ROWS],
         [(ts[0] / tf[factor]) * ryb[0][factor] for factor in _FACTOR_ROWS],
     ]
-    x, residual = _dense_solve(system, _CHECK_SHOCKS)
-    _require_residual(residual)
-    dense = _dense_elasticities(x).tolist()
+    checks = len(_CHECK_ROWS)
+    x, residual = _stacked_solve(
+        system, [*_CHECK_ROWS, *(shock.right_hand_side() for shock in shocks)]
+    )
+    # np.max propagates a NaN residual.
+    _require_residual(residual[:checks].max())
+    dense = _dense_elasticities(x[:checks, :, 0].T).tolist()
     for row, (closed_row, solved_row) in enumerate(zip(ryb + ss, dense)):
         for factor, closed, solved in zip(_FACTOR_ROWS, closed_row, solved_row):
             if not _relative_gap(closed, solved) <= CROSS_CHECK_TOL:
@@ -400,12 +446,10 @@ def comparative_statics(
                 raise ClosedFormMismatch(
                     f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
-    return ComparativeStatics(
-        system=system,
-        delta=delta,
-        rybczynski=_readonly(ryb),
-        stolper_samuelson=_readonly(ss),
+    statics = ComparativeStatics(
+        system=system, delta=delta, rybczynski=_readonly(ryb), stolper_samuelson=_readonly(ss)
     )
+    return statics, x[checks:], residual[checks:]
 
 
 # Sign tables, one pattern per subregion. Rows are sectors for the output

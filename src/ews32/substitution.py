@@ -157,15 +157,13 @@ def _aes_flags(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     Own-negativity, strict quasi-concavity (scaled land-capital minor
     positive), symmetry, and share-weighted row sums of zero.
     """
-
-    def e(i, h):
-        """The scaled entry theta_i * theta_h * sigma_ih of each tensor."""
-        return th[i] * th[h] * s[i, h]
-
+    # The scaled entries theta_i * theta_h * sigma_ih of each tensor, in
+    # that product order: the minor is decided at its sign.
+    e = th[:, np.newaxis] * th[np.newaxis] * s
     return np.array(
         [
             (s.diagonal(0, 0, 1) < 0.0).all(axis=-1),
-            e(LAND, LAND) * e(CAPITAL, CAPITAL) - e(LAND, CAPITAL) ** 2 > 0.0,
+            e[LAND, LAND] * e[CAPITAL, CAPITAL] - e[LAND, CAPITAL] ** 2 > 0.0,
             _identity_ok(
                 np.abs(s - s.swapaxes(0, 1)).max(axis=(0, 1)),
                 lambda: np.abs(s).max(axis=(0, 1)),

@@ -90,6 +90,32 @@ QC_EDGE_SIGMA = [
     ],
 ]
 
+# A document whose 5x5 system has a dense determinant past the float
+# range while both closed forms stay finite (sector 1's capital-labor
+# elasticity is 5e299, the own elasticities complete it): a report
+# refuses it as a disagreement of the determinant routes, exit 1.
+DET_OVERFLOW_DOC = {
+    "name": "det-overflow",
+    "theta": [
+        [0.6065998769699089, 0.13592646962112662],
+        [0.055020170144398896, 0.5576560342973809],
+        [0.3383799528856921, 0.3064174960814926],
+    ],
+    "theta_sector": [0.2984986329921522, 0.7015013670078478],
+    "sigma": [
+        [
+            [-0.30348999222250583, 2.125869620234462, 0.19839025084426165],
+            [2.125869620234462, -3.0750536757485794e300, 5e299],
+            [0.19839025084426165, 5e299, -8.1299393884284305e298],
+        ],
+        [
+            [-11.442018660329582, 0.5910511089994142, 4.0],
+            [0.5910511089994142, -0.26972749787791567, 0.22869345612358494],
+            [4.0, 0.22869345612358494, -2.1905999914496697],
+        ],
+    ],
+}
+
 
 @pytest.fixture
 def reference_table():

@@ -30,6 +30,7 @@ from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL
 
 from conftest import (
+    DET_OVERFLOW_DOC,
     QC_EDGE_SIGMA,
     REFERENCE_SECTOR,
     REFERENCE_THETA,
@@ -235,6 +236,22 @@ def test_an_overflowing_tensor_writes_one_line_to_stderr(tmp_path, reference_tab
         prefix = {1: "internal error: ", 2: "invalid input: "}[done.returncode]
         assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr
 
+
+
+def test_an_overflowing_determinant_writes_one_line_to_stderr(tmp_path):
+    # The dense determinant overflows where the closed forms do not: the
+    # report exits 1 with its one message and no numpy warning ahead of it.
+    path = write_scenario(tmp_path, DET_OVERFLOW_DOC)
+    env = {"PYTHONPATH": str(Path(ews32.cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ews32.cli", "report", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("internal error: determinant routes disagree: dense -inf, ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 SWAPPED_DOC = dict(REFERENCE_DOC, theta=[row[::-1] for row in REFERENCE_DOC["theta"]])
 INTENSITY_MESSAGE = (

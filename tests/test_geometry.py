@@ -57,6 +57,41 @@ def test_line_coefficients_reference(reference_table):
     assert lines.abe[CAPITAL, 0, 2] < 0 and lines.abe[CAPITAL, 1, 2] < 0
 
 
+def numpy_scalar_lines(table):
+    """The six lines' (a, b, e) [factor, sector] in numpy float64 scalar
+    arithmetic, the expressions of line_coefficients in its order."""
+    a, b, e = table.diff
+    tf = table.theta_factor
+    abe = np.empty((3, 2, 3))
+    for sector in range(2):
+        other = 1 - sector
+        th, lm, ts = table.theta[:, other], table.lam[:, other], table.theta_sector[other]
+        abe[LAND, sector] = (
+            a * (ts / tf[CAPITAL]) * (1.0 - th[LAND]),
+            -b * lm[CAPITAL],
+            e * lm[LABOR],
+        )
+        abe[CAPITAL, sector] = (
+            a * lm[LAND],
+            -b * (ts / tf[LAND]) * (1.0 - th[CAPITAL]),
+            -e * (tf[CAPITAL] / tf[LAND]) * lm[LABOR],
+        )
+        abe[LABOR, sector] = (
+            -a * (tf[LABOR] / tf[CAPITAL]) * lm[LAND],
+            -b * (tf[LABOR] / tf[LAND]) * lm[CAPITAL],
+            -e * (ts / tf[LAND]) * (1.0 - th[LABOR]),
+        )
+    return abe
+
+
+def test_line_coefficients_have_the_bits_of_numpy_scalars(reference_table):
+    rng = np.random.default_rng(71)
+    for table in [reference_table, *(random_ranked_table(rng) for _ in range(200))]:
+        got = line_coefficients(table).abe
+        assert got.shape == (3, 2, 3)
+        assert got.view(np.uint64).tolist() == numpy_scalar_lines(table).view(np.uint64).tolist()
+
+
 def test_anchor_points_reference(reference_table):
     anchors = anchor_points(reference_table)
     # q = (B/A, (B/E) * theta_L/theta_K), frozen by hand

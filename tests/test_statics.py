@@ -49,6 +49,7 @@ from ews32.statics import H, RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS, dense_si
 from ews32.sweep import parse_grid
 
 from conftest import (
+    ROUNDED_SIGMAS,
     _OFF_DIAGONALS,
     _exact_aes,
     _exact_g,
@@ -394,6 +395,61 @@ def test_stacked_shocks_on_a_singular_system():
         solve_shocks(np.zeros((5, 5)), shocks)
     assert _stacked(np.zeros((5, 5)), shocks) == _one_by_one(np.zeros((5, 5)), shocks)
     assert solve_shocks(np.zeros((5, 5)), []) == ()
+
+
+def _shock_list(count, seed):
+    """count shocks with entries of log-uniform magnitude and either sign."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([-1.0, 1.0], size=(count, 4)) * 10.0 ** rng.uniform(-8, 8, size=(count, 4))
+    return [ShockVector(price, tuple(endowments)) for price, *endowments in sizes.tolist()]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 6])
+@pytest.mark.parametrize("sigma", ["cobb-douglas", ROUNDED_SIGMAS[201]], ids=["cd", "seed-201"])
+def test_report_responses_have_the_bits_of_solve_shocks(count, sigma):
+    # A report solves its checks and its shocks in one stacked solve; each
+    # response and the worst residual keep the bits of solve_shocks.
+    shocks = _shock_list(count, count)
+    scenario = dataclasses.replace(
+        scenario_from_mapping({**REFERENCE_DOC, "sigma": sigma}), shocks=tuple(shocks)
+    )
+    report = run_report(scenario)
+    want = solve_shocks(assemble_system(scenario.table, scenario.ews), shocks)
+    assert [shock for shock, _ in report.responses] == shocks
+    got = [response for _, response in report.responses]
+    assert [_uint64(r.as_array()) for r in got] == [_uint64(r.as_array()) for r in want]
+    assert [_uint64(r.residual) for r in got] == [_uint64(r.residual) for r in want]
+    assert _uint64(report.max_residual) == _uint64(max([r.residual for r in want], default=0.0))
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_report_makes_one_solve_and_one_determinant(monkeypatch, count):
+    scenario = dataclasses.replace(reference_scenario(), shocks=tuple(_shock_list(count, 5)))
+    calls = []
+    for name in ("solve", "det"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    run_report(scenario)
+    assert sorted(calls) == ["det", "solve"]
+
+
+def test_a_wrong_table_is_named_before_an_overflowing_shock(monkeypatch):
+    # The shock's overflow is found in the report's one solve, but the
+    # tabled-sign check still decides the error.
+    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped(RYBCZYNSKI_SIGNS, Subregion.P2))
+    scenario = dataclasses.replace(
+        reference_scenario(), shocks=(ShockVector(price_shock=1.0), ShockVector(price_shock=1e308))
+    )
+    with pytest.raises(ClosedFormMismatch, match=r"tabled signs of P2: "):
+        run_report(scenario)
+    monkeypatch.undo()
+    with pytest.raises(ValidationError, match=re.escape("ShockVector(price_shock=1e+308,")):
+        run_report(scenario)
 
 
 def test_dense_signs_on_a_stack(reference_table):
@@ -854,15 +910,21 @@ def test_output_check_catches_a_wrong_closed_form(monkeypatch, bad):
         run_report(reference_scenario())
 
 
+def is_report_stack(rhs):
+    """Whether rhs is a report's stacked right-hand sides [4 + k, 5, 1],
+    the four check shocks first."""
+    return rhs.ndim == 3 and np.array_equal(rhs[:4, :, 0].T, statics._CHECK_SHOCKS)
+
+
 def corrupt_price_column(monkeypatch, bad):
-    """Scale the capital reward of the check solve's price-shock column by
+    """Scale the capital reward of the check solve's price-shock system by
     bad, after the solve's own residual check."""
     real = statics._dense_solve
 
     def corrupted(a, rhs):
         x, residual = real(a, rhs)
-        if rhs is statics._CHECK_SHOCKS:
-            x[CAPITAL, -1] *= bad
+        if is_report_stack(rhs):
+            x[statics._PRICE_COLUMN, CAPITAL] *= bad
         return x, residual
 
     monkeypatch.setattr(statics, "_dense_solve", corrupted)
@@ -898,9 +960,13 @@ def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
 
     def corrupted(a, rhs):
         x = real(a, rhs)
+        # a @ x - rhs gains 2e-10 in row 0 of check 2: column 2 of the
+        # sweep's solve, system 2 of the report's stack.
+        unit = 2e-10 * real(a, np.eye(5)[:, :1])[..., 0]
         if rhs.shape[-1] == 4:
-            # a @ x - rhs gains 2e-10 in row 0 of column 2.
-            x[..., :, 2] += 2e-10 * real(a, np.eye(5)[:, :1])[..., 0]
+            x[..., :, 2] += unit
+        elif is_report_stack(rhs):
+            x[2, :, 0] += unit
         return x
 
     monkeypatch.setattr(np.linalg, "solve", corrupted)

@@ -189,6 +189,38 @@ def test_validate_rejects_indefinite_curvature(reference_table):
     assert not any(report.quasi_concavity_ok)
 
 
+def test_quasi_concavity_flag_is_the_three_entry_minor(reference_table):
+    # _aes_flags scales the whole tensor once; its verdict must be that of
+    # the minor built from three separately scaled entries, bit for bit,
+    # over magnitudes from 1e-300 to 1e300 and with inf and NaN entries.
+    # In the second half the minor is zero but for roundoff, so the
+    # product order decides its sign.
+    rng = np.random.default_rng(29)
+    n = 4000
+    s = rng.choice([-1.0, 1.0], size=(3, 3, n)) * 10.0 ** rng.uniform(-300, 300, size=(3, 3, n))
+    s[rng.random(size=s.shape) < 0.02] = np.inf
+    s[rng.random(size=s.shape) < 0.02] = -np.inf
+    s[rng.random(size=s.shape) < 0.02] = np.nan
+    edges = slice(n // 2, None)
+    s[LAND, LAND, edges] = -(10.0 ** rng.uniform(-140, 140, size=n // 2))
+    s[CAPITAL, CAPITAL, edges] = -(10.0 ** rng.uniform(-140, 140, size=n // 2))
+    s[LAND, CAPITAL, edges] = np.sqrt(s[LAND, LAND, edges] * s[CAPITAL, CAPITAL, edges])
+    th = rng.dirichlet(np.ones(3), size=n).T
+    edge = _complete(np.moveaxis(np.array(QC_EDGE_SIGMA), 0, -1), reference_table.theta)
+    s = np.concatenate((s, edge), axis=-1)
+    th = np.concatenate((th, reference_table.theta), axis=-1)
+
+    def e(i, h):
+        return th[i] * th[h] * s[i, h]
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = e(LAND, LAND) * e(CAPITAL, CAPITAL) - e(LAND, CAPITAL) ** 2 > 0.0
+    got = _aes_flags(s, th)[1]
+    assert got.tolist() == want.tolist()
+    # Both verdicts occur, and the edge tensor's sector 1 fails.
+    assert want.any() and not want.all() and not got[-2]
+
+
 def test_a_tensor_is_valid_only_with_its_completion(reference_table):
     # The tensor passes every check as stated; its completion, the tensor
     # that epsilon_from_aes analyses, fails sector 1's quasi-concavity.
