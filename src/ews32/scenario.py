@@ -25,10 +25,6 @@ from .statics import (
     ShockVector,
     SignPattern,
     _checked_statics,
-    _contradicts_tables,
-    _responses,
-    _sign_mismatch,
-    _signs,
     sign_pattern_lookup,
     strong_rybczynski,
 )
@@ -151,23 +147,16 @@ def load_scenario(path) -> Scenario:
 
 
 def run_report(scenario: Scenario) -> Report:
-    """Run the full pipeline; ClosedFormMismatch unless the signs of the
-    closed-form elasticities are the tabled signs of the subregion. One
-    stacked solve serves the dense checks and every shock; a shock that
-    fails is named only once the checks and the signs have passed."""
+    """Run the full pipeline: _checked_statics holds the closed-form
+    elasticities against the dense checks and their signs against the
+    tabled signs of the subregion, then solves every shock, all in one
+    solve call; its first failing check names the error."""
     region = scenario.subregion
-    shocks = scenario.shocks
-    statics, x, residual = _checked_statics(
-        scenario.table, scenario.ews, scenario.vector, scenario.lines, shocks
+    statics, responses = _checked_statics(
+        scenario.table, scenario.ews, scenario.vector, scenario.lines, region, scenario.shocks
     )
-    signs = _signs(np.concatenate((statics.rybczynski, statics.stolper_samuelson)))
-    disagree, tabled = _contradicts_tables(signs, (region,), 0)
-    if disagree:
-        raise _sign_mismatch(region, signs, tabled)
-
-    responses = tuple(zip(shocks, _responses(statics.system, shocks, x, residual)))
     # np.max propagates a NaN residual; the builtin max can drop it.
-    max_residual = float(np.max([r.residual for _, r in responses], initial=0.0))
+    max_residual = float(np.max([r.residual for r in responses], initial=0.0))
 
     return Report(
         scenario_name=scenario.name,
@@ -182,7 +171,7 @@ def run_report(scenario: Scenario) -> Report:
         delta=statics.delta,
         signs_agree=True,
         max_residual=max_residual,
-        responses=responses,
+        responses=tuple(zip(scenario.shocks, responses)),
     )
 
 

@@ -7,8 +7,8 @@ good's price and the two output changes; shocks are the relative goods
 price and the three endowments. Everything here is computed twice: once
 through the closed forms (determinant, cofactors, sign tables) and once
 through a dense pivoted solve. The two routes must agree or we raise.
-A report makes one solve call: a stack of single-column systems for the
-four unit check shocks, then for each of its scenario's shocks.
+_checked_statics runs a report's checks in order and makes its one solve
+call, for the four unit check shocks and then each scenario shock.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
-from .geometry import SIGNATURES, LineCoeffs, Subregion, line_coefficients
+from .geometry import SIGNATURES, LineCoeffs, Subregion, classify_subregion, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
@@ -266,28 +266,29 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
 
 def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense pivoted solve of every system a[..., 5, 5] over leading axes
-    for each column of rhs[5, k]: the solutions x[..., 5, k], NaN for an
-    exactly singular system, and each system's worst column residual. A
-    column's residual is roundoff on the sums |a| @ |x|, so past
-    RESIDUAL_TOL it is divided by that column's largest sum, when above
-    one; a system passes when the result is at most RESIDUAL_TOL, and NaN
-    fails."""
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.det(a) == 0.0
-        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), rhs)
-        x[singular] = np.nan
-    gap = a @ x
-    gap -= rhs
-    np.abs(gap, out=gap)
-    residual = gap.max(axis=(-2, -1))
-    # The scale is at least one, so it can decide only past RESIDUAL_TOL,
-    # and NaN fails either way.
-    if not (residual <= RESIDUAL_TOL).all():
-        column = gap.max(axis=-2)
-        scale = np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=-2))
-        residual = np.where(column > RESIDUAL_TOL, column / scale, column).max(axis=-1)
+    for each column of rhs[..., 5, k], with no warning on overflow: the
+    solutions x[..., 5, k], NaN for an exactly singular system, and each
+    system's worst column residual. A column's residual is roundoff on the
+    sums |a| @ |x|, so past RESIDUAL_TOL it is divided by that column's
+    largest sum, when above one; a system passes when the result is at
+    most RESIDUAL_TOL, and NaN or overflow fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(a) == 0.0
+            x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), rhs)
+            x[singular] = np.nan
+        gap = a @ x
+        gap -= rhs
+        np.abs(gap, out=gap)
+        residual = gap.max(axis=(-2, -1))
+        # The scale is at least one, so it can decide only past RESIDUAL_TOL,
+        # and NaN fails either way.
+        if not (residual <= RESIDUAL_TOL).all():
+            column = gap.max(axis=-2)
+            scale = np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=-2))
+            residual = np.where(column > RESIDUAL_TOL, column / scale, column).max(axis=-1)
     return x, residual
 
 
@@ -297,23 +298,15 @@ def _require_residual(residual) -> None:
         raise SingularSystem(f"solve residual {residual:e} exceeds {RESIDUAL_TOL:e}")
 
 
-def _stacked_solve(system: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """_dense_solve of the system for a stack of single-column right-hand
-    sides rows[k][5], with overflow left to the callers' checks: the
-    solutions x[k, 5, 1] and residuals[k]. Each has the bits of its own
-    one-column solve."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _dense_solve(system, np.array(rows)[..., np.newaxis])
-
-
 def _responses(
     system: np.ndarray, shocks: Sequence[ShockVector], x: np.ndarray, residual: np.ndarray
 ) -> tuple[ResponseVector, ...]:
-    """The responses to shocks from their _stacked_solve solutions x[k, 5, 1]
-    and residuals[k]. The response is linear in the shock, so a finite
-    shock whose response or residual bound overflows is an input fault:
-    ValidationError. The first shock that fails, in order, names the
-    error, an overflow before a residual past its bound."""
+    """The responses to shocks from the _dense_solve solutions x[k, 5, 1]
+    and residuals[k] of one single-column system per shock. The response
+    is linear in the shock, so a finite shock whose response or residual
+    bound overflows is an input fault: ValidationError. The first shock
+    that fails, in order, names the error, an overflow before a residual
+    past its bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         # The bound's sums |a| @ |x| must be finite too; a singular
         # system's NaN solution is left to the bound.
@@ -342,7 +335,9 @@ def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[Res
     bound."""
     if not shocks:
         return ()
-    x, residual = _stacked_solve(system, [shock.right_hand_side() for shock in shocks])
+    x, residual = _dense_solve(
+        system, np.array([shock.right_hand_side() for shock in shocks])[..., np.newaxis]
+    )
     return _responses(system, shocks, x, residual)
 
 
@@ -358,8 +353,6 @@ _CHECK_SHOCKS = np.column_stack(
     + [ShockVector(price_shock=1.0).right_hand_side()]
 )
 _PRICE_COLUMN = 3
-# The same checks as the leading rows of a report's _stacked_solve.
-_CHECK_ROWS = tuple(_CHECK_SHOCKS.T)
 
 
 def _dense_elasticities(x: np.ndarray) -> np.ndarray:
@@ -389,17 +382,17 @@ def comparative_statics(
 ) -> ComparativeStatics:
     """Assemble the system once and derive both elasticity matrices; the
     caller passes the ratio vector of g and the border lines of table,
-    which the factored cofactors read.
+    which classify the vector and which the factored cofactors read.
 
     The output elasticities come from the cofactor closed forms over the
     determinant and are verified entry by entry against unit-endowment
     dense solves; the real-reward elasticities follow from them by
     reciprocity and are verified against a dense pure-price-shock solve.
-    One stacked solve of four single-column systems, one per check
-    shock, serves both checks; a report stacks its scenario's shocks
-    after them in the same call, so it solves the system once.
+    Their signs must be the tabled signs of the vector's subregion, and a
+    vector classify_subregion refuses is refused: a report's checks.
     """
-    return _checked_statics(table, g, vector, lines, ())[0]
+    region = classify_subregion(vector, lines, table)
+    return _checked_statics(table, g, vector, lines, region, ())[0]
 
 
 def _checked_statics(
@@ -407,11 +400,14 @@ def _checked_statics(
     g: EwsMatrix,
     vector: EwsRatioVector,
     lines: LineCoeffs,
+    region: Subregion,
     shocks: Sequence[ShockVector],
-) -> tuple[ComparativeStatics, np.ndarray, np.ndarray]:
-    """comparative_statics, whose one _stacked_solve also solves the
-    system for each shock after the four checks; with the shocks'
-    solutions x[k, 5, 1] and residuals[k], which _responses checks."""
+) -> tuple[ComparativeStatics, tuple[ResponseVector, ...]]:
+    """comparative_statics of a vector in region, and the responses to
+    shocks, from one solve of single-column systems: the four check
+    shocks, then the shocks. The first failing check names the error, in
+    order: the closed forms, the check residual, the closed forms against
+    the dense checks, the tabled signs of region, then _responses."""
     system = assemble_system(table, g)
     delta = determinant_delta(system, table, g)
     cof, _, _ = _cofactor_routes(table, g, vector, lines)
@@ -428,10 +424,9 @@ def _checked_statics(
         [-(ts[1] / tf[factor]) * ryb[1][factor] for factor in _FACTOR_ROWS],
         [(ts[0] / tf[factor]) * ryb[0][factor] for factor in _FACTOR_ROWS],
     ]
-    checks = len(_CHECK_ROWS)
-    x, residual = _stacked_solve(
-        system, [*_CHECK_ROWS, *(shock.right_hand_side() for shock in shocks)]
-    )
+    checks = _CHECK_SHOCKS.shape[1]
+    rows = [*_CHECK_SHOCKS.T, *(shock.right_hand_side() for shock in shocks)]
+    x, residual = _dense_solve(system, np.array(rows)[..., np.newaxis])
     # np.max propagates a NaN residual.
     _require_residual(residual[:checks].max())
     dense = _dense_elasticities(x[:checks, :, 0].T).tolist()
@@ -446,10 +441,14 @@ def _checked_statics(
                 raise ClosedFormMismatch(
                     f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
+    signs = _signs(ryb + ss)
+    disagree, tabled = _contradicts_tables(signs, (region,), 0)
+    if disagree:
+        raise _sign_mismatch(region, signs, tabled)
     statics = ComparativeStatics(
         system=system, delta=delta, rybczynski=_readonly(ryb), stolper_samuelson=_readonly(ss)
     )
-    return statics, x[checks:], residual[checks:]
+    return statics, _responses(system, shocks, x[checks:], residual[checks:])
 
 
 # Sign tables, one pattern per subregion. Rows are sectors for the output

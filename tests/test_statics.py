@@ -221,6 +221,10 @@ def test_cofactor_vanishes_on_its_line(reference_table):
     report = cofactors(reference_table, g)
     assert abs(report.direct[0, LABOR]) < 1e-10
     assert abs(report.direct[1, LABOR]) > 1e-3  # the other sector's is not
+    # Its sector 1 labor elasticity would be -0.0, a sign no table holds:
+    # comparative_statics refuses the vector, as the classifier does.
+    with pytest.raises(OnLine):
+        statics_of(reference_table, g)
 
 
 def test_solve_zero_shock(reference_table):
@@ -827,6 +831,11 @@ def test_report_and_sweep_refuse_a_wrong_table_alike(monkeypatch, table):
     prefix, _, message = str(sweep_error.value).partition("): ")
     assert prefix.startswith("grid point 0 (land_capital_1=1.0,")
     assert message == str(report_error.value)
+    # The library step runs the report's checks too.
+    scenario = reference_scenario()
+    with pytest.raises(ClosedFormMismatch) as statics_error:
+        comparative_statics(scenario.table, scenario.ews, scenario.vector, scenario.lines)
+    assert str(statics_error.value) == str(report_error.value)
 
 
 # Each cross-check, fed one corrupted route: a value off by half, or a
@@ -934,6 +943,19 @@ def corrupt_price_column(monkeypatch, bad):
 def test_reciprocity_check_catches_a_wrong_price_response(monkeypatch, bad):
     corrupt_price_column(monkeypatch, bad)
     with pytest.raises(ClosedFormMismatch, match="reciprocity form disagrees"):
+        run_report(reference_scenario())
+
+
+def test_reciprocity_is_checked_before_the_tabled_signs(monkeypatch):
+    # A wrong table and a wrong price response: the dense check names the
+    # error. The wrong table alone is named by the tabled-sign check.
+    real = statics._dense_solve
+    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped(RYBCZYNSKI_SIGNS, Subregion.P2))
+    corrupt_price_column(monkeypatch, 1.5)
+    with pytest.raises(ClosedFormMismatch, match="reciprocity form disagrees"):
+        run_report(reference_scenario())
+    monkeypatch.setattr(statics, "_dense_solve", real)
+    with pytest.raises(ClosedFormMismatch, match=r"tabled signs of P2: "):
         run_report(reference_scenario())
 
 
