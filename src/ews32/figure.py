@@ -27,17 +27,6 @@ BOUNDARY_SAMPLES = 400
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
 
 
-class _NonFiniteCoordinate(Exception):
-    """A coordinate the figure would write is not finite."""
-
-
-def _require_finite(values: list) -> list:
-    """values, unless one of them is not finite."""
-    if not all(map(math.isfinite, values)):
-        raise _NonFiniteCoordinate
-    return values
-
-
 def _require_window(window) -> list[list[float]]:
     """The window's two (lo, hi) ranges as floats; ValidationError unless
     both hold finite numbers with a finite nonzero span, in either order."""
@@ -223,29 +212,29 @@ _LABEL_OFFSETS = ((7.0, -6.0),) + ((6.0, -5.0),) * 6 + ((8.0, 4.0),)
 _PADDED = np.arange(-1, BOUNDARY_SAMPLES + 1).clip(0, BOUNDARY_SAMPLES - 1)
 
 
-def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
-    """The SVG document of the scenario's plane."""
-    try:
-        return _document(scenario, _require_window(window))
-    except _NonFiniteCoordinate:
-        raise ValidationError(f"figure window {window!r} maps a point out of float range") from None
-
-
 # A point far outside a tiny window maps past what a float holds, which
-# _require_finite refuses.
+# render_figure refuses.
 @np.errstate(over="ignore", invalid="ignore")
-def _document(scenario: Scenario, window) -> str:
-    """The SVG text of render_figure. The axes and asymptotes are checked
-    first, then the boundary is sampled, then the rest is checked."""
+def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
+    """The SVG document of the scenario's plane. The window is checked
+    first, then the axes and asymptotes, then the boundary is sampled,
+    then the rest is checked."""
+    bounds = _require_window(window)
+
+    def finite(values: list) -> list:
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"figure window {window!r} maps a point out of float range")
+        return values
+
     table, vector, lines = scenario.table, scenario.vector, scenario.lines
-    (sx0, sx1), (uy0, uy1) = window
-    to_svg = _transform(window)
+    (sx0, sx1), (uy0, uy1) = bounds
+    to_svg = _transform(bounds)
     ratio = float(table.labor_to_capital)
     # The ends of the axes and of the asymptotes.
     points = [(0.0, uy0), (0.0, uy1), (sx0, 0.0), (sx1, 0.0)]
     points += [(-1.0, uy0), (-1.0, uy1), (sx0, -ratio), (sx1, -ratio)]
-    head = _require_finite([c for x, y in points for c in to_svg(x, y)])
-    boundary = _boundary(table, window, to_svg)
+    head = finite([c for x, y in points for c in to_svg(x, y)])
+    boundary = _boundary(table, bounds, to_svg)
 
     # heights[sector][factor][edge] of the border lines at both window edges.
     edges = [sx0, sx1]
@@ -264,7 +253,7 @@ def _document(scenario: Scenario, window) -> str:
         px, py = to_svg(x, y)
         rest += (px, py, px + dx, py + dy)
     name = html.escape(scenario.name, quote=False)
-    return _TEMPLATE % (name, *head, boundary, *_require_finite(rest), name)
+    return _TEMPLATE % (name, *head, boundary, *finite(rest), name)
 
 
 def _boundary(table, window, to_svg) -> str:

@@ -53,9 +53,11 @@ class Scenario:
     derives the border lines, then g through epsilon_from_aes (which
     checks the Allen tensor and its completion, then analyses the
     completion), the ratio vector and its subregion, and keeps them;
-    aes stays as given. It raises ParseError for a name that is not a
-    non-empty string XML 1.0 can hold, then InvalidAes, DegenerateT,
-    Infeasible or OnLine, in that order.
+    aes stays as given, and shocks as a tuple. It raises ParseError for
+    a name that is not a non-empty string XML 1.0 can hold, then
+    ParseError for a table that is not a ShareTable, an aes that is not
+    an AesTensor or shocks that are not a tuple or list of ShockVectors,
+    then InvalidAes, DegenerateT, Infeasible or OnLine, in that order.
     """
 
     name: str
@@ -73,9 +75,18 @@ class Scenario:
             raise ParseError(
                 f"scenario name must be a non-empty string XML 1.0 can hold, got {name!r}"
             )
-        table, keep = self.table, object.__setattr__
+        table, aes, shocks, keep = self.table, self.aes, self.shocks, object.__setattr__
+        if not isinstance(table, ShareTable):
+            raise ParseError(f"scenario table must be a ShareTable, got {type(table).__name__}")
+        if not isinstance(aes, AesTensor):
+            raise ParseError(f"scenario aes must be an AesTensor, got {type(aes).__name__}")
+        if not isinstance(shocks, (tuple, list)) or not all(
+            isinstance(shock, ShockVector) for shock in shocks
+        ):
+            raise ParseError(f"scenario shocks must be a tuple or list of ShockVectors: {shocks!r}")
+        keep(self, "shocks", tuple(shocks))
         keep(self, "lines", line_coefficients(table))
-        keep(self, "ews", ews_from_epsilon(epsilon_from_aes(self.aes, table), table))
+        keep(self, "ews", ews_from_epsilon(epsilon_from_aes(aes, table), table))
         keep(self, "vector", ews_ratio_vector(self.ews))
         keep(self, "subregion", classify_subregion(self.vector, self.lines, table))
 

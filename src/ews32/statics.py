@@ -255,9 +255,8 @@ def _cofactor_routes(
 def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     """The six cofactors driving output responses, each computed three
     ways: as a literal 3x3 determinant, by its expanded four-term form,
-    and through the border-line factorization. Derives the ratio vector
-    and the line coefficients that comparative_statics takes from its
-    caller."""
+    and through the border-line factorization, which reads the ratio
+    vector of g and the border lines of table."""
     direct, expanded, factored = _cofactor_routes(
         table, g, ews_ratio_vector(g), line_coefficients(table)
     )
@@ -377,12 +376,11 @@ def dense_signs(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _signs(np.ascontiguousarray(elasticities.transpose(-2, -1, *axes))), residual
 
 
-def comparative_statics(
-    table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs
-) -> ComparativeStatics:
-    """Assemble the system once and derive both elasticity matrices; the
-    caller passes the ratio vector of g and the border lines of table,
-    which classify the vector and which the factored cofactors read.
+def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
+    """Assemble the system once and derive both elasticity matrices. It
+    derives the ratio vector of g (DegenerateT if g has none) and the
+    border lines of table, which classify the vector and which the
+    factored cofactors read.
 
     The output elasticities come from the cofactor closed forms over the
     determinant and are verified entry by entry against unit-endowment
@@ -391,6 +389,7 @@ def comparative_statics(
     Their signs must be the tabled signs of the vector's subregion, and a
     vector classify_subregion refuses is refused: a report's checks.
     """
+    vector, lines = ews_ratio_vector(g), line_coefficients(table)
     region = classify_subregion(vector, lines, table)
     return _checked_statics(table, g, vector, lines, region, ())[0]
 

@@ -229,10 +229,11 @@ def _epsilon(s: np.ndarray, th: np.ndarray) -> np.ndarray:
     return th[np.newaxis] * s
 
 
-def _rowsum_gap(eps: np.ndarray) -> np.ndarray:
-    """Worst absolute row sum of each sector epsilon tensor eps[3, 3, ...],
-    zero up to roundoff by linear homogeneity."""
-    return np.abs(eps[:, 0] + eps[:, 1] + eps[:, 2]).max(axis=0)
+def _rowsum_gap(m: np.ndarray) -> np.ndarray:
+    """Worst absolute row sum of each matrix m[3, 3, ...]: zero up to
+    roundoff for a sector's epsilon tensors and for g, by linear
+    homogeneity."""
+    return np.abs(m[:, 0] + m[:, 1] + m[:, 2]).max(axis=0)
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
@@ -301,10 +302,7 @@ def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     # Row i weighted by factor i's share.
     weighted = g * table.theta_factor.reshape(3, *(1,) * (g.ndim - 1))
     return [
-        ~_identity_ok(
-            np.abs(g[:, 0] + g[:, 1] + g[:, 2]).max(axis=0),
-            lambda: np.abs(g).max(axis=(0, 1)),
-        ),
+        ~_identity_ok(_rowsum_gap(g), lambda: np.abs(g).max(axis=(0, 1))),
         ~_identity_ok(
             np.abs(weighted - weighted.swapaxes(0, 1)).max(axis=(0, 1)),
             lambda: np.abs(weighted).max(axis=(0, 1)),

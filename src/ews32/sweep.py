@@ -193,22 +193,20 @@ def _sector_space_g(
     )
 
 
-def _point(index: int, sigma: np.ndarray) -> str:
-    """The grid point's name in messages, from its index and its tensor."""
+def _replay(scenario: Scenario, index: int, sigma: np.ndarray, stage: int, refusal: type) -> None:
+    """Run run_report on grid point index, whose completed tensor sigma
+    the stacked pipeline refused at _STAGES[stage], and raise the
+    report's error if it is a refusal, the error class that stage stands
+    for. Any other outcome is a disagreement of the two pipelines:
+    ConsistencyError. Either error's message starts with the point's
+    name: its index and its elasticities."""
     values = ", ".join(f"{key}={float(sigma[slot])!r}" for key, slot in _KEY_SLOTS.items())
-    return f"grid point {index} ({values})"
-
-
-def _replay(scenario: Scenario, sigma: np.ndarray, stage: int, refusal: type) -> None:
-    """Run run_report on one completed tensor that the stacked pipeline
-    refused at _STAGES[stage], and raise the report's error if it is a
-    refusal, the error class that stage stands for. Any other outcome is
-    a disagreement of the two pipelines: ConsistencyError."""
-    disagree = f"stacked stage {_STAGES[stage]!r} refused a point the scalar steps"
+    point = f"grid point {index} ({values})"
+    disagree = f"{point}: stacked stage {_STAGES[stage]!r} refused a point the scalar steps"
     try:
         run_report(Scenario(scenario.name, scenario.table, AesTensor(sigma=sigma)))
-    except refusal:
-        raise
+    except refusal as exc:
+        raise type(exc)(f"{point}: {exc}") from exc
     except Ews32Error as exc:
         raise ConsistencyError(f"{disagree} raise {type(exc).__name__}: {exc}") from exc
     raise ConsistencyError(f"{disagree} accept")
@@ -219,11 +217,12 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     SweepRows.
 
     Every classified point's tabled sign patterns are checked against a
-    dense solve of its system. When a check fails, run_report runs on
-    the first failing grid point in grid order, and the sweep raises the
-    report's error when it is the refusal the failed stage stands for: a
-    ConsistencyError, or for a classification fault the class
-    _CLASSIFY_FAULTS gives it. Any other outcome is ConsistencyError.
+    dense solve of its system. When a check fails, _replay runs
+    run_report on the first failing grid point in grid order and raises
+    the report's error, prefixed with the point's name, when it is the
+    refusal the failed stage stands for: a ConsistencyError, or for a
+    classification fault the class _CLASSIFY_FAULTS gives it. Any other
+    outcome is ConsistencyError, prefixed alike.
     """
     axes = {key: _finite_array(values) for key, values in grid.items()}
     for key, axis in axes.items():
@@ -281,10 +280,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
         refusal = _CLASSIFY_FAULTS[fault[k] - 1][0] if stage[k] == _CLASSIFY else ConsistencyError
         i0, i1 = divmod(int(valid[k]), sectors[1].shape[-1])
         sigma = np.stack((sectors[0][..., i0], sectors[1][..., i1]))
-        try:
-            _replay(scenario, sigma, stage[k], refusal)
-        except Ews32Error as exc:
-            raise type(exc)(f"{_point(int(valid[k]), sigma)}: {exc}") from exc
+        _replay(scenario, int(valid[k]), sigma, stage[k], refusal)
 
     # Each point's index into _STATUSES: its Allen-tensor mask, or the
     # rejection of its valid tensor.

@@ -145,6 +145,20 @@ def test_reversed_window_renders(reference_scenario):
     assert "nan" not in svg and "inf" not in svg
 
 
+@pytest.mark.parametrize(
+    "window",
+    [((-1.0000005, -0.9999995), (-10.0, 4.0)), ((-0.9999995, -1.0000005), (-10.0, 4.0))],
+    ids=["sorted", "reversed"],
+)
+def test_a_window_inside_the_pole_gap_draws_no_boundary(reference_scenario, window):
+    # Each branch is sampled up to 1e-6 short of the pole at s' = -1, so
+    # a window whose abscissas lie inside that gap samples neither branch.
+    svg = render_figure(reference_scenario, window=window)
+    ElementTree.fromstring(svg)
+    assert svg.count("<polyline") == 0
+    assert svg.count('class="anchor"') == 7
+
+
 def _polyline_points(svg: str) -> list[np.ndarray]:
     """The (px, py) points of each boundary polyline of the document."""
     return [

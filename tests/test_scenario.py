@@ -12,6 +12,7 @@ from ews32 import (
     ParseError,
     RankingViolation,
     Scenario,
+    ShockVector,
     Subregion,
     cobb_douglas_aes,
     epsilon_from_aes,
@@ -186,6 +187,33 @@ def test_scenario_refuses_a_name_xml_cannot_hold(reference_table, name):
     aes = cobb_douglas_aes(reference_table)
     with pytest.raises(ParseError, match="^scenario name must be a non-empty string XML 1.0 "):
         Scenario(name, reference_table, aes)
+
+
+@pytest.mark.parametrize(
+    "field, wrong",
+    [
+        ("table", lambda aes: "reference"),
+        ("aes", lambda aes: aes.sigma),
+        ("shocks", lambda aes: ((0.1, (1.0, 0.0, 0.0)),)),
+        ("shocks", lambda aes: None),
+    ],
+    ids=["str-table", "sigma-as-aes", "tuple-shock", "no-shocks"],
+)
+def test_scenario_refuses_a_field_of_the_wrong_type(reference_table, field, wrong):
+    # Refused when built, naming the field, rather than as an
+    # AttributeError or TypeError from deep inside the build or the report.
+    aes = cobb_douglas_aes(reference_table)
+    fields = {"name": "direct", "table": reference_table, "aes": aes}
+    fields[field] = wrong(aes)
+    with pytest.raises(ParseError, match=f"^scenario {field} must be a"):
+        run_report(Scenario(**fields))
+
+
+def test_scenario_keeps_a_list_of_shocks_as_a_tuple(reference_table):
+    shocks = [ShockVector(price_shock=1.0), ShockVector(endowment_shocks=(1.0, 0.0, 0.0))]
+    scenario = Scenario("direct", reference_table, cobb_douglas_aes(reference_table), shocks)
+    assert scenario.shocks == tuple(shocks)
+    assert [shock for shock, _ in run_report(scenario).responses] == shocks
 
 
 def test_degenerate_vector_is_refused_at_construction(reference_table):

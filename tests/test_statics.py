@@ -31,7 +31,7 @@ from ews32 import (
     determinant_delta,
     epsilon_from_aes,
     ews_from_epsilon,
-    ews_ratio_vector,
+    ews_from_stu,
     format_report,
     line_coefficients,
     run_report,
@@ -89,10 +89,6 @@ def reference_g():
     return EwsMatrix(g=REFERENCE_G.copy())
 
 
-def statics_of(table, g):
-    return comparative_statics(table, g, ews_ratio_vector(g), line_coefficients(table))
-
-
 def test_system_layout(reference_table):
     g = reference_g()
     a = assemble_system(reference_table, g)
@@ -114,7 +110,7 @@ def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
     g = reference_g()
     eps = epsilon_from_aes(sample_valid_aes(reference_table, 201), reference_table)
     stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, g.g])))
-    derived = statics_of(reference_table, g)
+    derived = comparative_statics(reference_table, g)
     report = run_report(reference_scenario())
     for arr in (
         eps,
@@ -224,7 +220,15 @@ def test_cofactor_vanishes_on_its_line(reference_table):
     # Its sector 1 labor elasticity would be -0.0, a sign no table holds:
     # comparative_statics refuses the vector, as the classifier does.
     with pytest.raises(OnLine):
-        statics_of(reference_table, g)
+        comparative_statics(reference_table, g)
+
+
+def test_comparative_statics_refuses_a_g_without_a_ratio_vector(reference_table):
+    # comparative_statics derives the ratio vector from g itself, so a
+    # labor-land entry of zero is the caller's input fault.
+    g = ews_from_stu(reference_table, 1.0, 0.0, 1.0)
+    with pytest.raises(DegenerateT, match="^labor-land substitution is numerically zero"):
+        comparative_statics(reference_table, g)
 
 
 def test_solve_zero_shock(reference_table):
@@ -510,7 +514,7 @@ def test_dense_solve_residual_is_the_worst_scaled_column(reference_table):
 
 
 def test_rybczynski_reference(reference_table):
-    ryb = statics_of(reference_table, reference_g()).rybczynski
+    ryb = comparative_statics(reference_table, reference_g()).rybczynski
     assert np.allclose(ryb, REFERENCE_RYBCZYNSKI, atol=1e-12)
 
 
@@ -519,7 +523,7 @@ def test_rybczynski_matches_dense_oracle():
     for trial in range(150):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 6000 + trial)
-        ryb = statics_of(table, g).rybczynski
+        ryb = comparative_statics(table, g).rybczynski
         dense = dense_output_elasticities(table, g)
         scale = np.abs(dense).max()
         assert np.abs(ryb - dense).max() <= 1e-9 * max(scale, 1.0)
@@ -527,7 +531,7 @@ def test_rybczynski_matches_dense_oracle():
 
 
 def test_stolper_samuelson_reference(reference_table):
-    ss = statics_of(reference_table, reference_g()).stolper_samuelson
+    ss = comparative_statics(reference_table, reference_g()).stolper_samuelson
     assert np.allclose(ss[0], REFERENCE_PRICE_REWARDS, atol=1e-12)
     assert np.allclose(ss[1], np.asarray(REFERENCE_PRICE_REWARDS) + 1.0, atol=1e-12)
 
@@ -539,7 +543,7 @@ def test_stolper_samuelson_reciprocity_random():
     for trial in range(60):
         table = random_ranked_table(rng)
         g = random_valid_ews(table, 7000 + trial)
-        ss = statics_of(table, g).stolper_samuelson
+        ss = comparative_statics(table, g).stolper_samuelson
         rewards = dense_price_rewards(table, g)
         assert np.allclose(ss[0], rewards, atol=1e-9)
         assert np.allclose(ss[1], rewards + 1.0, atol=1e-9)
@@ -834,7 +838,7 @@ def test_report_and_sweep_refuse_a_wrong_table_alike(monkeypatch, table):
     # The library step runs the report's checks too.
     scenario = reference_scenario()
     with pytest.raises(ClosedFormMismatch) as statics_error:
-        comparative_statics(scenario.table, scenario.ews, scenario.vector, scenario.lines)
+        comparative_statics(scenario.table, scenario.ews)
     assert str(statics_error.value) == str(report_error.value)
 
 
