@@ -297,11 +297,9 @@ def _classify(s_prime, u_prime, sign_t, lines: LineCoeffs, table: ShareTable):
     return region, failed, offsets
 
 
-def classify_subregion(
-    v: EwsRatioVector, lines: LineCoeffs, table: ShareTable
-) -> Subregion:
-    """Map a feasible ratio vector to its subregion via the offset-sign
-    signature of the six border lines."""
+def _locate(v: EwsRatioVector, lines: LineCoeffs, table: ShareTable):
+    """classify_subregion's subregion of v, and v's offsets [sector,
+    factor] to the six lines, from which it was read."""
     region, failed, offsets = _classify(v.s_prime, v.u_prime, v.sign_t, lines, table)
     for (cls, message), bad in zip(_CLASSIFY_FAULTS, failed):
         if bad:
@@ -309,4 +307,12 @@ def classify_subregion(
                 signature = tuple(tuple(int(x) for x in np.sign(row)) for row in offsets)
                 message = message.format(signature, v.sign_t)
             raise cls(message)
-    return REGIONS[region]
+    return REGIONS[region], offsets
+
+
+def classify_subregion(
+    v: EwsRatioVector, lines: LineCoeffs, table: ShareTable
+) -> Subregion:
+    """Map a feasible ratio vector to its subregion via the offset-sign
+    signature of the six border lines."""
+    return _locate(v, lines, table)[0]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .geometry import LineCoeffs, Subregion, classify_subregion, line_coefficients
+from .geometry import LineCoeffs, Subregion, _locate, line_coefficients
 from .shares import ShareTable, build_share_table
 from .statics import (
     DeltaReport,
@@ -52,12 +52,14 @@ class Scenario:
     Its ShareTable is ranked by construction. Building the Scenario
     derives the border lines, then g through epsilon_from_aes (which
     checks the Allen tensor and its completion, then analyses the
-    completion), the ratio vector and its subregion, and keeps them;
-    aes stays as given, and shocks as a tuple. It raises ParseError for
-    a name that is not a non-empty string XML 1.0 can hold, then
-    ParseError for a table that is not a ShareTable, an aes that is not
-    an AesTensor or shocks that are not a tuple or list of ShockVectors,
-    then InvalidAes, DegenerateT, Infeasible or OnLine, in that order.
+    completion), the ratio vector and its subregion, and keeps them,
+    with the vector's offsets to the lines that run_report's factored
+    cofactors read; aes stays as given, and shocks as a tuple. It raises
+    ParseError for a name that is not a non-empty string XML 1.0 can
+    hold, then ParseError for a table that is not a ShareTable, an aes
+    that is not an AesTensor or shocks that are not a tuple or list of
+    ShockVectors, then InvalidAes, DegenerateT, Infeasible or OnLine, in
+    that order.
     """
 
     name: str
@@ -68,6 +70,7 @@ class Scenario:
     ews: EwsMatrix = field(init=False)
     vector: EwsRatioVector = field(init=False)
     subregion: Subregion = field(init=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         name = self.name
@@ -88,7 +91,9 @@ class Scenario:
         keep(self, "lines", line_coefficients(table))
         keep(self, "ews", ews_from_epsilon(epsilon_from_aes(aes, table), table))
         keep(self, "vector", ews_ratio_vector(self.ews))
-        keep(self, "subregion", classify_subregion(self.vector, self.lines, table))
+        region, offsets = _locate(self.vector, self.lines, table)
+        keep(self, "subregion", region)
+        keep(self, "_offsets", offsets)
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,13 @@ def run_report(scenario: Scenario) -> Report:
     solve call; its first failing check names the error."""
     region = scenario.subregion
     statics, responses = _checked_statics(
-        scenario.table, scenario.ews, scenario.vector, scenario.lines, region, scenario.shocks
+        scenario.table,
+        scenario.ews,
+        scenario.vector,
+        scenario.lines,
+        scenario._offsets,
+        region,
+        scenario.shocks,
     )
     # np.max propagates a NaN residual; the builtin max can drop it.
     max_residual = float(np.max([r.residual for r in responses], initial=0.0))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
-from .geometry import SIGNATURES, LineCoeffs, Subregion, classify_subregion, line_coefficients
+from .geometry import REGIONS, SIGNATURES, LineCoeffs, Subregion, _locate, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
 
@@ -133,9 +133,15 @@ def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
     """The read-only coefficient matrix of the comparative-statics system:
     zero-profit over full-employment rows, [5, 5] for one matrix g or
     [..., 5, 5] for a stack g[..., 3, 3]."""
-    a = np.zeros(g.g.shape[:-2] + (5, 5))
+    return _system(table, g.g)
+
+
+def _system(table: ShareTable, g: np.ndarray) -> np.ndarray:
+    """assemble_system's layout, from the matrices g[..., 3, 3] of any
+    array or view, read once where they are."""
+    a = np.zeros(g.shape[:-2] + (5, 5))
     a[..., :2, :3] = table.theta.T
-    a[..., 2:, :3] = g.g
+    a[..., 2:, :3] = g
     a[..., 2:, 3:] = table.lam
     a.flags.writeable = False
     return a
@@ -206,12 +212,13 @@ _OTHER_FACTORS = tuple(tuple(f for f in _FACTOR_ROWS if f != factor) for factor 
 
 
 def _cofactor_routes(
-    table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs
+    table: ShareTable, g: EwsMatrix, vector: EwsRatioVector, lines: LineCoeffs, offsets
 ) -> tuple[list, list, list]:
     """The six cofactors [sector][factor] as a literal 3x3 determinant, by
     the expanded four-term form, and through the border-line factorization
-    e * t * offset, on the classifier's own LineCoeffs.offsets; lists of
-    Python floats. Raise unless the three agree."""
+    e * t * offset, on the vector's offsets [sector, factor] to the lines,
+    as LineCoeffs.offsets gives them; lists of Python floats. Raise unless
+    the three agree."""
     a, b, _ = table.diff
     gg = g.g.tolist()
     lam = table.lam.tolist()
@@ -233,7 +240,6 @@ def _cofactor_routes(
             ]
         )
         expanded.append(_expanded_cofactors(a, b, gg, lc))
-    offsets = lines.offsets(vector.s_prime, vector.u_prime)
     factored = (lines.abe[..., 2].T * vector.t * offsets).tolist()
 
     # A NaN entry drops out of the scale and fails its own comparison.
@@ -257,8 +263,9 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     ways: as a literal 3x3 determinant, by its expanded four-term form,
     and through the border-line factorization, which reads the ratio
     vector of g and the border lines of table."""
+    vector, lines = ews_ratio_vector(g), line_coefficients(table)
     direct, expanded, factored = _cofactor_routes(
-        table, g, ews_ratio_vector(g), line_coefficients(table)
+        table, g, vector, lines, lines.offsets(vector.s_prime, vector.u_prime)
     )
     return CofactorReport(direct=direct, expanded=expanded, factored=factored)
 
@@ -390,8 +397,8 @@ def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
     vector classify_subregion refuses is refused: a report's checks.
     """
     vector, lines = ews_ratio_vector(g), line_coefficients(table)
-    region = classify_subregion(vector, lines, table)
-    return _checked_statics(table, g, vector, lines, region, ())[0]
+    region, offsets = _locate(vector, lines, table)
+    return _checked_statics(table, g, vector, lines, offsets, region, ())[0]
 
 
 def _checked_statics(
@@ -399,17 +406,19 @@ def _checked_statics(
     g: EwsMatrix,
     vector: EwsRatioVector,
     lines: LineCoeffs,
+    offsets,
     region: Subregion,
     shocks: Sequence[ShockVector],
 ) -> tuple[ComparativeStatics, tuple[ResponseVector, ...]]:
-    """comparative_statics of a vector in region, and the responses to
-    shocks, from one solve of single-column systems: the four check
-    shocks, then the shocks. The first failing check names the error, in
-    order: the closed forms, the check residual, the closed forms against
-    the dense checks, the tabled signs of region, then _responses."""
+    """comparative_statics of a vector in region, whose offsets to the
+    lines classified it, and the responses to shocks, from one solve of
+    single-column systems: the four check shocks, then the shocks. The
+    first failing check names the error, in order: the closed forms, the
+    check residual, the closed forms against the dense checks, the tabled
+    signs of region, then _responses."""
     system = assemble_system(table, g)
     delta = determinant_delta(system, table, g)
-    cof, _, _ = _cofactor_routes(table, g, vector, lines)
+    cof, _, _ = _cofactor_routes(table, g, vector, lines, offsets)
     ryb = [
         [
             (1.0 if (factor + sector) % 2 == 0 else -1.0) * cof[sector][factor] / delta.value
@@ -441,7 +450,7 @@ def _checked_statics(
                     f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
     signs = _signs(ryb + ss)
-    disagree, tabled = _contradicts_tables(signs, (region,), 0)
+    disagree, tabled = _contradicts_tables(signs, REGIONS.index(region))
     if disagree:
         raise _sign_mismatch(region, signs, tabled)
     statics = ComparativeStatics(
@@ -492,13 +501,35 @@ def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
     raise ValueError(f"unknown sign-pattern kind {kind!r}")
 
 
-def _contradicts_tables(signs: np.ndarray, regions, codes) -> tuple[np.ndarray, np.ndarray]:
+# The sign tables' items at the last _tabled_signs call, and what was
+# built from them.
+_TABLED = (None, None)
+
+
+def _tabled_signs() -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The sign tables as they now stand: each subregion's output over
+    real-reward rows, as one read-only grid [4, 3, region] in REGIONS
+    order, and each subregion's strong_rybczynski. Both are built again
+    only when RYBCZYNSKI_SIGNS or STOLPER_SAMUELSON_SIGNS holds other
+    items than at the last call."""
+    global _TABLED
+    state, tabled = _TABLED
+    now = (tuple(RYBCZYNSKI_SIGNS.items()), tuple(STOLPER_SAMUELSON_SIGNS.items()))
+    if state != now:
+        grids = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in REGIONS])
+        grids = np.ascontiguousarray(grids.transpose(1, 2, 0))
+        grids.flags.writeable = False
+        tabled = grids, tuple(strong_rybczynski(r) for r in REGIONS)
+        _TABLED = now, tabled
+    return tabled
+
+
+def _contradicts_tables(signs: np.ndarray, codes) -> tuple[np.ndarray, np.ndarray]:
     """Whether each sign grid signs[4, 3, ...] (output over real-reward
-    rows) differs from the tabled rows of its subregion regions[codes],
+    rows) differs from the tabled rows of its subregion REGIONS[codes],
     per point, and those rows as the tables now stand. A sign too close
     to call is 0, which no table holds."""
-    tables = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in regions])
-    tabled = tables.transpose(1, 2, 0).take(codes, axis=-1)
+    tabled = _tabled_signs()[0].take(codes, axis=-1)
     return (signs != tabled).any(axis=(0, 1)), tabled
 
 

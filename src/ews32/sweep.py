@@ -25,11 +25,13 @@ LAPACK's stacked solve does.
 The result keeps the engine's columns (SweepRows), each row's status as
 a code into one list of status labels; a row's dict is built only when
 it is read, and format_csv joins the CSV once from per-row pieces of the
-columns.
+columns, the classified rows' S' and U' written by an exact vectorized
+"%.9g" (_nine_digits).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -40,18 +42,11 @@ from .errors import ConsistencyError, Ews32Error, ParseError
 from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
 from .scenario import Scenario, run_report
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _finite_array
-from .statics import (
-    RESIDUAL_TOL,
-    _contradicts_tables,
-    assemble_system,
-    dense_signs,
-    strong_rybczynski,
-)
+from .statics import RESIDUAL_TOL, _contradicts_tables, _system, _tabled_signs, dense_signs
 from .substitution import (
     _AES_CHECKS,
     _KEY_SLOTS,
     AesTensor,
-    EwsMatrix,
     _aes_flags,
     _aggregate,
     _complete,
@@ -268,9 +263,8 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
 
     classified = np.flatnonzero(stage == _OK)
     # LAPACK solves a (k, 5, 5) stack, filled from the points' g.
-    system = assemble_system(table, EwsMatrix(g=g[..., classified].transpose(2, 0, 1)))
-    signs, residual = dense_signs(system)
-    disagree, _ = _contradicts_tables(signs, REGIONS, region[classified])
+    signs, residual = dense_signs(_system(table, g[..., classified].transpose(2, 0, 1)))
+    disagree, _ = _contradicts_tables(signs, region[classified])
     stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 
     caught = (stage == _DEGENERATE) | ((stage == _CLASSIFY) & (fault == _ON_LINE_FAULT))
@@ -314,8 +308,8 @@ class SweepRows(Sequence):
         self._blank.update((key, float(sigma[slot])) for key, slot in _KEY_SLOTS.items())
         self._ok = ok  # indices of the classified rows, ascending
         self._s_prime, self._u_prime, self._sign_t, self._region = s_prime, u_prime, sign_t, region
-        # Evaluated per sweep from the tables as they stand.
-        self._strong = [strong_rybczynski(r) for r in REGIONS]
+        # strong_rybczynski of each subregion, from the tables as they stand.
+        self._strong = _tabled_signs()[1]
         self._code = code  # each row's index into _STATUSES
         # Each row's index among the classified rows, or -1.
         self._slot = np.full(len(code), -1)
@@ -358,16 +352,176 @@ class SweepRows(Sequence):
         return row
 
 
+# _nine_digits writes "%.9g" of a value v as five little-endian uint32
+# words, whose NUL bytes are deleted from the joined text. With X the
+# decimal exponent of |v| in -4..8, the nine digits of n = rint(|v| *
+# 10**(8 - X)) go in three groups of three. Each group's word is chosen
+# by its digits, by where the point falls in or after it, and by whether
+# every digit after it is zero, which drops its trailing fraction zeros.
+# The two words ahead of the groups hold a NUL byte left for a
+# separator, the sign and, for X < 0, "0." and the zeros after the point.
+_WORD = np.dtype("<u4")
+# v's code is the number of these bounds at or below it: -10**X for X
+# from 9 down to -4, each stepped one float towards zero, then 10**X for
+# X from -4 to 9. Each literal from 1e-4 up is a float no smaller than
+# the power of ten it names, and no float lies between the two, so codes
+# 1-13 hold the negative v with X from 8 down to -4 and codes 15-27 the
+# positive v with X from -4 to 8, exactly. The other codes hold what
+# "%.9g" writes with an exponent, zero, or NaN, which sorts last.
+_BOUNDS = np.array(
+    [np.nextafter(-float(f"1e{x}"), 0.0) for x in range(9, -5, -1)]
+    + [float(f"1e{x}") for x in range(-4, 10)]
+)
+# The place value of each group's last digit.
+_PLACES = np.array([[1e6], [1e3], [1.0]])
+
+
+def _group_words() -> np.ndarray:
+    """The word of each three-digit group g, at index (q + 1) * 2000 + 1000
+    * f + g, with the point after digit q of the group (-1: the point
+    comes before the group, 3: it comes after a later group) and f set
+    when every later digit of the number is zero, so that the group's
+    trailing fraction zeros are dropped, and the point when no fraction
+    digit follows it."""
+    g = np.arange(1000)
+    digits = g[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    # rest[:, i]: the group's digits from digit i on, as a number.
+    rest = g[:, None] % np.array([1000, 100, 10, 1])
+    words = np.zeros((5, 2, 1000, 4), dtype=np.uint8)
+    for q in range(-1, 4):
+        # Each byte's source, the digit from which the rest of the group
+        # decides whether it is dropped, and whether it is in the fraction.
+        slots = []
+        for i in range(3):
+            slots.append((digits[:, i], i, i > q))
+            if i == q < 3:
+                slots.append((ord("."), i + 1, True))
+        for f in range(2):
+            for k, (source, start, fraction) in enumerate(slots):
+                dropped = fraction and f and rest[:, start] == 0
+                words[q + 1, f, :, k] = np.where(dropped, 0, source)
+    return words.view(_WORD).ravel()
+
+
+def _code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per code: 10**(8 - X), negated for a negative v, so that v times it
+    is |v| * 10**(8 - X), and NaN where the code holds no certified value;
+    the offset of each group's word in _GROUP_WORDS; the two lead words."""
+    codes = len(_BOUNDS) + 1
+    scales = np.full(codes, np.nan)
+    bases = np.zeros((3, codes))
+    lead = np.zeros((codes, 8), dtype=np.uint8)
+    for code in range(codes):
+        negative = code < 14
+        x = 9 - code if negative else code - 19
+        if -4 <= x <= 8:
+            scales[code] = (-1.0 if negative else 1.0) * 10 ** (8 - x)
+            bases[:, code] = [(min(max(x - 3 * j, -1), 3) + 1) * 2000 for j in range(3)]
+            text = b"\0" + b"-" * negative + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
+            lead[code, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return scales, bases, lead.view(_WORD).T.copy()
+
+
+_GROUP_WORDS = _group_words()
+_SCALES, _GROUP_BASE, _LEAD_WORDS = _code_tables()
+
+
+def _nine_digits(values: np.ndarray) -> np.ndarray | None:
+    """The words [5, n] of "%.9g" % v for each v of the n values, the
+    first byte of each text NUL; None unless every value is certified.
+
+    With k = 8 - X, p = |v| * 10**k is one correctly rounded product by
+    an exact power of ten. Every half-integer below 10**9 is a float and
+    rounding is monotone, so when p is none, the exact product lies on
+    p's side of each of them: it is no tie and rounds to rint(p), the
+    nine digits "%.9g" rounds it to while rint(p) < 10**9. 0, -0.0,
+    non-finite values, |v| < 1e-4 or >= 1e9 (which "%.9g" writes with an
+    exponent), a tie and a carry to 10**9 are not certified.
+    """
+    code = np.searchsorted(_BOUNDS, values, side="right")
+    p = values * _SCALES.take(code)
+    n = np.rint(p)
+    # rint(p) < 10**9 exactly when p < 999999999.5, which NaN fails; p - n
+    # is exact, and 0.5 in size only where p is a half-integer.
+    if not (p.max() < 999_999_999.5 and np.abs(p - n).max() < 0.5):
+        return None
+    # n // 10**6, n // 10**3 and n. A quotient n / 10**j is exact where it
+    # is an integer; elsewhere its fraction is a multiple of 10**-j, far
+    # wider than its rounding error, so floor gives n // 10**j and the
+    # quotient keeps a fraction exactly where a digit after it is not zero.
+    quotients = n / _PLACES
+    groups = np.floor(quotients)
+    last = groups == quotients
+    groups[1:] -= 1000.0 * groups[:-1]
+    index = (_GROUP_BASE.take(code, axis=1) + groups + 1000.0 * last).astype(np.intp)
+    words = np.empty((5, len(values)), dtype=_WORD)
+    np.take(_LEAD_WORDS, code, axis=1, out=words[:2])
+    np.take(_GROUP_WORDS, index, out=words[2:])
+    return words
+
+
+@functools.lru_cache(maxsize=4)
+def _labels(strong: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells sign_t,subregion,strong_result,status of a classified
+    row, at index 2 * region + (sign_t > 0) for the subregions' strong
+    flags: as strings, and with a comma ahead and a newline after as four
+    words each, NUL-padded, for _nine_digits' rows; both read-only."""
+    labels = np.array(
+        [
+            f"{sign},{region.value},{'true' if flag else 'false'},ok"
+            for region, flag in zip(REGIONS, strong)
+            for sign in "-+"
+        ],
+        dtype=object,
+    )
+    padded = b"".join(f",{label}\n".encode().ljust(16, b"\0") for label in labels)
+    words = np.frombuffer(padded, dtype=_WORD).reshape(-1, 4).T.copy()
+    labels.flags.writeable = words.flags.writeable = False
+    return labels, words
+
+
+def _classified_tails(rows: SweepRows, lead: str) -> list[str]:
+    """Each classified row's tail: lead, S', U' and the cells after them,
+    written by _nine_digits, or by one "%.9g" call unless it certifies
+    every value."""
+    m = len(rows._ok)
+    labels, label_words = _labels(rows._strong)
+    label = 2 * rows._region + (rows._sign_t > 0)
+    words = _nine_digits(np.concatenate((rows._s_prime, rows._u_prime)))
+    if words is None:
+        cells = np.empty((m, 3), dtype=object)
+        cells[:, 0] = rows._s_prime.tolist()
+        cells[:, 1] = rows._u_prime.tolist()
+        cells[:, 2] = labels[label]
+        text = (lead + "%.9g,%.9g,%s\n") * m % tuple(cells.ravel().tolist())
+        return text.splitlines(keepends=True)
+    # One column of words per row: lead, S', U', then its cells.
+    head = np.frombuffer(lead.encode() + b"\0" * (-len(lead) % 4), dtype=_WORD)
+    h = len(head)
+    columns = np.empty((h + 14, m), dtype=_WORD)
+    columns[:h] = head[:, None]
+    columns[h : h + 5] = words[:, :m]
+    columns[h + 5 : h + 10] = words[:, m:]
+    # The comma ahead of U', in the byte its words leave for it.
+    columns[h + 5] |= ord(",")
+    columns[h + 10 :] = label_words.take(label, axis=1)
+    text = columns.T.tobytes().translate(None, b"\0").decode("ascii")
+    return text.splitlines(keepends=True)
+
+
 def format_csv(rows: SweepRows) -> str:
     """Fixed-column CSV with 9 significant digits, built from the sweep's
-    columns and joined once from per-row pieces: each swept value's
-    string, which also carries the template's values before it, along
-    its own grid axis, then one tail per row. A tail holds the template's
-    values after the last swept one, then the classification cells and
-    the status: the classified points' tails come from one % call, and
-    every other row's from its status code."""
+    columns and joined once, header first, from per-row pieces: each
+    swept value's string, which also carries the template's values before
+    it, along its own grid axis, then one tail per row. A tail holds the
+    template's values after the last swept one, then the classification
+    cells and the status: the classified rows' tails from
+    _classified_tails, and every other row's from its status code."""
     swept = len(rows._axes)
-    pieces = np.empty((*rows._shape, swept + 1), dtype=object)
+    # The header, then each row's pieces, laid out along the grid's axes.
+    pieces = np.empty(1 + len(rows) * (swept + 1), dtype=object)
+    pieces[0] = ",".join(CSV_COLUMNS) + "\n"
+    grid = pieces[1:].reshape(*rows._shape, swept + 1)
     # The template's values since the last swept one, each with its comma.
     k, text = 0, ""
     for key in GRID_KEYS:
@@ -379,25 +533,11 @@ def format_csv(rows: SweepRows) -> str:
         along = [1] * swept
         along[k] = -1
         strings = ((text + "%.9g,\n") * len(values) % tuple(values)).split("\n")[:-1]
-        pieces[..., k] = np.array(strings, dtype=object).reshape(along)
+        grid[..., k] = np.array(strings, dtype=object).reshape(along)
         k, text = k + 1, ""
-    pieces = pieces.reshape(len(rows), -1)
+    tails = grid.reshape(len(rows), -1)[:, -1]
     unclassified = np.array([text + ",,,,," + status + "\n" for status in _STATUSES], dtype=object)
-    pieces[:, -1] = unclassified[rows._code]
-    # A classified point's cells sign_t,subregion,strong_result,status
-    # as one string.
-    labels = np.array(
-        [
-            [f"{sign},{region.value},{'true' if strong else 'false'},ok" for sign in "-+"]
-            for region, strong in zip(REGIONS, rows._strong)
-        ],
-        dtype=object,
-    )
-    m = len(rows._ok)
-    classified = np.empty((m, 3), dtype=object)
-    classified[:, 0] = rows._s_prime.tolist()
-    classified[:, 1] = rows._u_prime.tolist()
-    classified[:, 2] = labels[rows._region, (rows._sign_t > 0).astype(int)]
-    tails = (text + "%.9g,%.9g,%s\n") * m % tuple(classified.ravel().tolist())
-    pieces[rows._ok, -1] = tails.splitlines(keepends=True)
-    return ",".join(CSV_COLUMNS) + "\n" + "".join(pieces.ravel().tolist())
+    tails[:] = unclassified[rows._code]
+    if len(rows._ok):
+        tails[rows._ok] = _classified_tails(rows, text)
+    return "".join(pieces.tolist())

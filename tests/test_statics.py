@@ -805,7 +805,7 @@ def test_table_check_refuses_a_sign_too_close_to_call():
         assert signs[0, 0] == 0
         # The stack of both grids, the grid axis last.
         disagree, tabled = statics._contradicts_tables(
-            np.stack([clean, signs], axis=-1), (Subregion.P2,), [0, 0]
+            np.stack([clean, signs], axis=-1), [list(Subregion).index(Subregion.P2)] * 2
         )
         assert disagree.tolist() == [False, True]
         assert tabled[..., 0].tolist() == clean.tolist()
@@ -883,13 +883,31 @@ def test_cofactor_check_catches_a_wrong_factored_route(monkeypatch, reference_ta
 def test_cofactor_check_reads_the_classifier_offsets(monkeypatch):
     # The factored route multiplies e * t by the offsets that classified
     # the vector, so a fault in LineCoeffs.offsets cannot pass the check.
-    scenario = reference_scenario()
+    # A Scenario keeps the offsets it was classified by, so it is built
+    # with the fault in place.
     real = geometry.LineCoeffs.offsets
     monkeypatch.setattr(geometry.LineCoeffs, "offsets", lambda *args: real(*args) + 1e-3)
+    scenario = reference_scenario()
     with pytest.raises(ClosedFormMismatch, match="factored cofactor route disagrees"):
         run_report(scenario)
     with pytest.raises(ClosedFormMismatch, match="factored cofactor route disagrees"):
         cofactors(scenario.table, scenario.ews)
+
+
+def test_a_report_reads_the_offsets_that_classified_its_scenario(monkeypatch):
+    # Building the Scenario classifies its vector by its offsets to the
+    # lines; the report's factored cofactors read those, not a second call.
+    real, calls = geometry.LineCoeffs.offsets, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry.LineCoeffs, "offsets", spy)
+    scenario = reference_scenario()
+    assert len(calls) == 1
+    run_report(scenario)
+    assert len(calls) == 1
 
 
 def test_cofactor_check_names_a_nan_determinant(monkeypatch):

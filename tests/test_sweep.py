@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,106 @@ def test_format_csv_edge_grids(reference_scenario, grid, classified):
     assert format_csv(rows) == reference_csv(rows)
 
 
+def _written(values):
+    """The writer's "%.9g" text of each value, or None if it refuses."""
+    words = importlib.import_module("ews32.sweep")._nine_digits(np.array(values, dtype=float))
+    if words is None:
+        return None
+    return [word.tobytes().translate(None, b"\0").decode("ascii") for word in words.T]
+
+
+def _certifiable(value):
+    """Whether |value| * 10**(8 - X), with X its decimal exponent, is in
+    [1e-4, 1e9) and exactly more than 1e-6 from every half-integer and
+    from rounding to 10**9: the product's float then rounds as it does."""
+    a = Fraction(abs(value))
+    if not Fraction(1, 10**4) <= a < 10**9:
+        return False
+    x = next(x for x in range(-4, 9) if a < Fraction(10) ** (x + 1))
+    p = a * Fraction(10) ** (8 - x)
+    return abs(p - math.floor(p) - Fraction(1, 2)) > Fraction(1, 10**6) and p < 10**9 - 1
+
+
+def _beside_a_power_of_ten(exponent, steps, sign):
+    value = float(f"1e{exponent}")
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, math.copysign(math.inf, steps))
+    return sign * float(value)
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+NINE_DIGIT_VALUES = st.one_of(
+    st.builds(lambda exponent, sign: sign * 10.0**exponent, st.floats(-7.0, 11.0), SIGNS),
+    st.builds(_beside_a_power_of_ten, st.integers(-7, 11), st.integers(-2, 2), SIGNS),
+)
+
+
+@given(st.lists(NINE_DIGIT_VALUES, min_size=1, max_size=8))
+@example([0.0])
+@example([-0.0])
+@example([9.9999999996])  # rounds to 10: a carry past nine digits
+@example([0.0001, 9.999e-05])  # the last value "%.9g" writes without an exponent, and the next
+@example([999999999.4])
+@example([1234567.125])  # an exact tie
+def test_nine_digit_writer_writes_only_what_it_certifies(values):
+    # A value is written as "%.9g" writes it or refused, never written
+    # wrong; it is written whenever its scaled product is clear of a tie
+    # and of a carry, and a batch is written exactly when each of its
+    # values is, with the same text.
+    alone = [_written([v]) for v in values]
+    for value, text in zip(values, alone):
+        if text is not None:
+            assert text == ["%.9g" % value]
+        assert text is not None or not _certifiable(value)
+    batch = _written(values)
+    if all(alone):
+        assert batch == [text for (text,) in alone]
+    else:
+        assert batch is None
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.0, None),
+        (-0.0, None),
+        (9.9999999996, None),
+        (0.0001, "0.0001"),
+        (9.999e-05, None),
+        (-0.00012, "-0.00012"),
+        (999999999.4, "999999999"),
+        (-100.0, "-100"),
+        (1234567.125, None),
+    ],
+)
+def test_nine_digit_writer_on_named_values(value, text):
+    assert _written([value]) == (None if text is None else [text])
+
+
+@pytest.mark.parametrize("refused", [0.0, 1.5e-7, 4.0e12, 1234567.125])
+@pytest.mark.parametrize("key", ["land_capital_1", "capital_labor_2"])
+def test_format_csv_writes_a_sweep_the_writer_refuses_by_one_format_call(
+    reference_scenario, refused, key
+):
+    # Hand-built rows, three of four classified, one of whose S' and U'
+    # the writer refuses: 0.0, an exponent-form value or an exact tie.
+    # format_csv then writes every classified row with one "%.9g" call,
+    # after the template's values past the swept key when there are any.
+    s_prime, u_prime = np.array([1.25, -0.375, refused]), np.array([-3.5, 2.0, 0.0625])
+    assert _written(np.concatenate((s_prime, u_prime))) is None
+    rows = importlib.import_module("ews32.sweep").SweepRows(
+        {key: np.array([0.5, 1.0, 1.5, 2.0])},
+        reference_scenario.aes.sigma,
+        np.array([0, 2, 3]),
+        s_prime,
+        u_prime,
+        np.array([1, -1, 1]),
+        np.array([1, 7, 11]),
+        np.array([0, 1, 0, 0]),
+    )
+    assert format_csv(rows) == reference_csv(rows)
+
+
 def _onto_a_border_line(scenario, key, lo, hi):
     """A one-point grid at a value of key between lo and hi, whose points
     reference_rows classifies into two subregions, bisected until
@@ -363,6 +464,26 @@ def test_sweep_dense_check_catches_a_wrong_table(reference_scenario, monkeypatch
     named = rf"grid point {first} \(land_capital_1={value!r},"
     with pytest.raises(ClosedFormMismatch, match=named):
         sweep(reference_scenario, grid)
+
+
+def test_the_sweep_reads_the_sign_tables_as_they_now_stand(reference_scenario, monkeypatch):
+    # The sign tables are built once per state of the two dicts: a sweep
+    # after a patch reads the patched table, and refuses with the dense
+    # check; after the patch is undone it reads the tabled signs again.
+    grid = parse_grid("land_capital_1=-3:3:7")
+    want = format_csv(sweep(reference_scenario, grid))
+    p2 = geometry.REGIONS.index(Subregion.P2)
+    (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P2]
+    flipped = ((-top[0],) + top[1:], bottom)
+    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped)
+    grids, strong = statics._tabled_signs()
+    assert grids[:2, :, p2].tolist() == [list(row) for row in flipped]
+    assert strong[p2] is False and strong_rybczynski(Subregion.P2) is False
+    with pytest.raises(ClosedFormMismatch, match="computed signs contradict the tabled signs of P2"):
+        sweep(reference_scenario, grid)
+    monkeypatch.undo()
+    assert statics._tabled_signs()[1][p2] is True
+    assert format_csv(sweep(reference_scenario, grid)) == want
 
 
 def _corrupt_substitution(name, corrupt):
@@ -699,15 +820,15 @@ def test_batched_helpers_give_each_point_its_own_bits(case):
     # entries moved near zero or to NaN, against the same subregions.
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, len(geometry.REGIONS), size=len(pairs))
-    values = statics._contradicts_tables(np.zeros((4, 3, len(pairs))), geometry.REGIONS, codes)[1]
+    values = statics._contradicts_tables(np.zeros((4, 3, len(pairs))), codes)[1]
     values = values * rng.uniform(0.5, 2.0, size=values.shape)
     values[rng.random(values.shape) < 0.05] = rng.choice([1e-14, -1e-14, np.nan, 0.0])
     signs = statics._signs(values)
-    disagree, tabled = statics._contradicts_tables(signs, geometry.REGIONS, codes)
+    disagree, tabled = statics._contradicts_tables(signs, codes)
     for p, code in enumerate(codes.tolist()):
         one = statics._signs(values[..., p])
         assert np.array_equal(signs[..., p], one)
-        alone_disagree, alone_tabled = statics._contradicts_tables(one, geometry.REGIONS, code)
+        alone_disagree, alone_tabled = statics._contradicts_tables(one, code)
         assert disagree[p] == alone_disagree
         assert np.array_equal(tabled[..., p], alone_tabled)
 
