@@ -4,13 +4,18 @@ Draws the boundary hyperbola with its two asymptotes, the six border
 lines, the seven anchor points, and the scenario's own ratio vector.
 Byte output depends only on the scenario and the window: every
 coordinate is formatted with fixed precision and no timestamps or
-randomness enter the document.
+randomness enter the document. What the window alone fixes is built
+once per window and cached; the bytes do not depend on whether it was.
 """
 
 from __future__ import annotations
 
+import functools
 import html
 import math
+import struct
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,33 +65,37 @@ def _transform(window):
 # uint32 words taken from tables indexed by its digit groups. Leading
 # zeros and an absent sign are NUL bytes, deleted from the joined text.
 _WORD = np.dtype("<u4")
-_GROUP = np.arange(1000)
-_DIGITS = _GROUP[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
 
 
-def _digit_words(*columns) -> np.ndarray:
-    """The uint32 words whose four bytes are the columns' entries, in order."""
-    return np.column_stack(columns).astype(np.uint8).view(_WORD).ravel()
+def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables _HIGH, _MIDDLE and _LOW, built from the digits of each
+    group 0..999; only the tables are kept."""
+    group = np.arange(1000)
+    digits = group[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    nul = np.zeros(1000, dtype=int)
+
+    def words(*columns) -> np.ndarray:
+        """The uint32 words whose four bytes are the columns' entries, in order."""
+        return np.column_stack(columns).astype(np.uint8).view(_WORD).ravel()
+
+    def significant(units: int) -> np.ndarray:
+        """digits with each leading zero NUL; the units digit stays from `units` up."""
+        return np.where(group[:, None] >= np.array([100, 10, units]), digits, 0)
+
+    # Sign and digits of the integer part's thousands group, indexed by the
+    # group plus 1000 for a negative coordinate. A group of 0 writes only
+    # the sign.
+    high = [words(nul, significant(1)), words(nul + ord("-"), significant(1))]
+    # The integer part's last three digits and the point, indexed by the
+    # group plus 1000 when a thousands group precedes it, so that its zeros
+    # are kept.
+    middle = [words(significant(0), nul + ord(".")), words(digits, nul + ord("."))]
+    # The three decimals; the separator that follows is added as the
+    # fourth byte.
+    return np.concatenate(high), np.concatenate(middle), words(digits, nul)
 
 
-def _significant(units: int) -> np.ndarray:
-    """_DIGITS with each leading zero NUL; the units digit stays from `units` up."""
-    return np.where(_GROUP[:, None] >= np.array([100, 10, units]), _DIGITS, 0)
-
-
-_NUL = np.zeros(1000, dtype=int)
-# Sign and digits of the integer part's thousands group, indexed by the
-# group plus 1000 for a negative coordinate. A group of 0 writes only the sign.
-_HIGH = np.concatenate(
-    [_digit_words(_NUL, _significant(1)), _digit_words(_NUL + ord("-"), _significant(1))]
-)
-# The integer part's last three digits and the point, indexed by the group
-# plus 1000 when a thousands group precedes it, so that its zeros are kept.
-_MIDDLE = np.concatenate(
-    [_digit_words(_significant(0), _NUL + ord(".")), _digit_words(_DIGITS, _NUL + ord("."))]
-)
-# The three decimals; the separator that follows is added as the fourth byte.
-_LOW = _digit_words(_DIGITS, _NUL)
+_HIGH, _MIDDLE, _LOW = _word_tables()
 _SEPARATORS = np.array([ord(","), ord(" ")], dtype=_WORD) << 24
 # The separator after the last coordinate of a run.
 _RUN_END = np.array(ord("\n"), dtype=_WORD) << 24
@@ -212,6 +221,60 @@ _LABEL_OFFSETS = ((7.0, -6.0),) + ((6.0, -5.0),) * 6 + ((8.0, 4.0),)
 _PADDED = np.arange(-1, BOUNDARY_SAMPLES + 1).clip(0, BOUNDARY_SAMPLES - 1)
 
 
+class _Frame(NamedTuple):
+    """What a window alone fixes, for every figure drawn in it; the arrays
+    are read-only."""
+
+    to_svg: Callable
+    # The pixel coordinates of the ends of the axes and of the asymptote
+    # s' = -1.
+    head: tuple[float, ...]
+    # The window's abscissa range as given: the ends of the border lines.
+    edges: tuple[float, float]
+    # One row of padded sample abscissas per branch of the boundary.
+    s: np.ndarray
+    # The heights of the window padded by half its height.
+    u_range: tuple[float, float]
+    # Each sample's pixel abscissa, in s.ravel() order.
+    px: np.ndarray
+
+
+# One frame: a run of figures draws in one window, and a one-shot CLI
+# figure never reuses its frame.
+@functools.lru_cache(maxsize=1)
+def _frame(key: bytes) -> _Frame | None:
+    """The frame of the window whose four bounds, in _require_window's
+    order, key packs as doubles; None if an axis or the asymptote
+    s' = -1 maps a point out of float range.
+
+    The samples and the mask take each range of the window low to high,
+    in whichever order it is given; to_svg maps the window as given.
+    Every sample's pixel abscissa lies between the pixel abscissas of the
+    window's edges and of s' = -1, so it is finite when they are.
+    """
+    sx0, sx1, uy0, uy1 = struct.unpack("<4d", key)
+    to_svg = _transform(((sx0, sx1), (uy0, uy1)))
+    points = [(0.0, uy0), (0.0, uy1), (sx0, 0.0), (sx1, 0.0), (-1.0, uy0), (-1.0, uy1)]
+    head = [c for x, y in points for c in to_svg(x, y)]
+    if not all(map(math.isfinite, head)):
+        return None
+    (lo_s, hi_s), (lo_u, hi_u) = sorted((sx0, sx1)), sorted((uy0, uy1))
+    branches = [(lo, hi) for lo, hi in ((lo_s, -1.0 - 1e-6), (-1.0 + 1e-6, hi_s)) if lo < hi]
+    # The pads, the first and last columns, are never inside, so that no
+    # run crosses from one branch to the next.
+    lo, hi = np.array(branches).reshape(-1, 2).T[:, :, np.newaxis]
+    s = lo + _PADDED * ((hi - lo) / (BOUNDARY_SAMPLES - 1))
+    px = to_svg(s.ravel(), 0.0)[0]
+    pad = 0.5 * (hi_u - lo_u)
+    for array in (s, px):
+        array.flags.writeable = False
+    return _Frame(to_svg, tuple(head), (sx0, sx1), s, (lo_u - pad, hi_u + pad), px)
+
+
+def _out_of_range(window) -> ValidationError:
+    return ValidationError(f"figure window {window!r} maps a point out of float range")
+
+
 # A point far outside a tiny window maps past what a float holds, which
 # render_figure refuses.
 @np.errstate(over="ignore", invalid="ignore")
@@ -219,59 +282,48 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
     """The SVG document of the scenario's plane. The window is checked
     first, then the axes and asymptotes, then the boundary is sampled,
     then the rest is checked."""
-    bounds = _require_window(window)
-
-    def finite(values: list) -> list:
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(f"figure window {window!r} maps a point out of float range")
-        return values
-
+    (sx0, sx1), (uy0, uy1) = _require_window(window)
+    frame = _frame(struct.pack("<4d", sx0, sx1, uy0, uy1))
+    if frame is None:
+        raise _out_of_range(window)
     table, vector, lines = scenario.table, scenario.vector, scenario.lines
-    (sx0, sx1), (uy0, uy1) = bounds
-    to_svg = _transform(bounds)
-    ratio = float(table.labor_to_capital)
-    # The ends of the axes and of the asymptotes.
-    points = [(0.0, uy0), (0.0, uy1), (sx0, 0.0), (sx1, 0.0)]
-    points += [(-1.0, uy0), (-1.0, uy1), (sx0, -ratio), (sx1, -ratio)]
-    head = finite([c for x, y in points for c in to_svg(x, y)])
-    boundary = _boundary(table, bounds, to_svg)
+    # The asymptote u' = -ratio spans the horizontal axis at its own height.
+    asymptote_y = frame.to_svg(0.0, -float(table.labor_to_capital))[1]
+    if not math.isfinite(asymptote_y):
+        raise _out_of_range(window)
+    head = (*frame.head, frame.head[4], asymptote_y, frame.head[6], asymptote_y)
+    boundary = _boundary(frame, table)
 
     # heights[sector][factor][edge] of the border lines at both window edges.
-    edges = [sx0, sx1]
-    heights = lines.value(slice(None), slice(None), edges).tolist()
+    heights = lines.value(slice(None), slice(None), frame.edges).tolist()
     rest = [
         c
         for factor in range(3)
         for sector in range(2)
-        for s, u in zip(edges, heights[sector][factor])
-        for c in to_svg(s, u)
+        for s, u in zip(frame.edges, heights[sector][factor])
+        for c in frame.to_svg(s, u)
     ]
     # Q, the six anchors R and the vector, each with its label.
     anchors = anchor_points(table)
     marks = [anchors.q, *anchors.r.reshape(6, 2).tolist(), (vector.s_prime, vector.u_prime)]
     for (x, y), (dx, dy) in zip(marks, _LABEL_OFFSETS):
-        px, py = to_svg(x, y)
+        px, py = frame.to_svg(x, y)
         rest += (px, py, px + dx, py + dy)
+    if not all(map(math.isfinite, rest)):
+        raise _out_of_range(window)
     name = html.escape(scenario.name, quote=False)
-    return _TEMPLATE % (name, *head, boundary, *finite(rest), name)
+    return _TEMPLATE % (name, *head, boundary, *rest, name)
 
 
-def _boundary(table, window, to_svg) -> str:
-    """The polylines of the boundary hyperbola: one per maximal run of two
-    or more samples of a branch that stay inside the (padded) window. The
-    samples and the mask take each range of the window low to high, in
-    whichever order it is given; to_svg maps the window as given."""
-    (sx0, sx1), (uy0, uy1) = map(sorted, window)
-    branches = [(lo, hi) for lo, hi in ((sx0, -1.0 - 1e-6), (-1.0 + 1e-6, sx1)) if lo < hi]
-    if not branches:
+def _boundary(frame: _Frame, table) -> str:
+    """The polylines of the boundary hyperbola in the frame: one per
+    maximal run of two or more samples of a branch that stay inside the
+    (padded) window."""
+    if not frame.s.size:
         return ""
-    # One row of samples per branch. Its pads, the first and last columns,
-    # are never inside, so that no run crosses from one branch to the next.
-    lo, hi = np.array(branches).T[:, :, np.newaxis]
-    s = lo + _PADDED * ((hi - lo) / (BOUNDARY_SAMPLES - 1))
-    u = boundary_value(s, table)
-    pad = 0.5 * (uy1 - uy0)
-    inside = (uy0 - pad <= u) & (u <= uy1 + pad)
+    u = boundary_value(frame.s, table)
+    lo, hi = frame.u_range
+    inside = (lo <= u) & (u <= hi)
     inside[:, :: BOUNDARY_SAMPLES + 1] = False
     inside = inside.ravel()
     # A sample is drawn when a neighbour is inside with it.
@@ -280,9 +332,9 @@ def _boundary(table, window, to_svg) -> str:
     at = np.flatnonzero(drawn)
     if not at.size:
         return ""
-    # Only the drawn samples are mapped: under a tiny span the pixel
-    # coordinates of far-off samples would overflow.
-    xy = np.array(to_svg(s.ravel()[at], u.ravel()[at])).T
+    # Only the drawn samples' heights are mapped: under a tiny ordinate
+    # span those of far-off samples would overflow.
+    py = frame.to_svg(0.0, u.ravel()[at])[1]
     # A run ends at a drawn sample whose successor is not drawn.
     ends = np.flatnonzero(~drawn[at + 1]) + 1
-    return _polylines(xy, ends)
+    return _polylines(np.column_stack((frame.px[at], py)), ends)

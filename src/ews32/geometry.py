@@ -211,24 +211,19 @@ def anchor_points(table: ShareTable) -> AnchorSet:
     """The common point q of all six lines and each line's second
     boundary crossing."""
     a, b, e = table.diff
-    ratio = table.labor_to_capital
+    ratio = float(table.labor_to_capital)
     q = (b / a, (b / e) * ratio)
-    r = np.empty((3, 2, 2))
-    for sector in range(2):
-        th = table.theta[:, 1 - sector]
-        r[LAND, sector] = (
-            -th[CAPITAL] / (1.0 - th[LAND]),
-            (th[CAPITAL] / th[LABOR]) * ratio,
+    # Python floats, as in line_coefficients; r[sector][factor], each
+    # line read from the other sector's shares.
+    r = [
+        (
+            (-capital / (1.0 - land), (capital / labor) * ratio),
+            (-(1.0 - capital) / land, -((1.0 - capital) / labor) * ratio),
+            (capital / land, (-capital / (1.0 - labor)) * ratio),
         )
-        r[CAPITAL, sector] = (
-            -(1.0 - th[CAPITAL]) / th[LAND],
-            -((1.0 - th[CAPITAL]) / th[LABOR]) * ratio,
-        )
-        r[LABOR, sector] = (
-            th[CAPITAL] / th[LAND],
-            (-th[CAPITAL] / (1.0 - th[LABOR])) * ratio,
-        )
-    return AnchorSet(q=q, r=r)
+        for land, capital, labor in list(zip(*table.theta.tolist()))[::-1]
+    ]
+    return AnchorSet(q=q, r=list(zip(*r)))
 
 
 def verify_anchor_ordering(anchors: AnchorSet, table: ShareTable) -> OrderingReport:

@@ -8,7 +8,7 @@ geometry, comparative statics) reads shares from the table built here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,15 @@ def _read(value, shape: tuple | None, what: str) -> np.ndarray:
 class ShareTable:
     """Distributive shares plus every quantity derived from them.
 
-    Every ShareTable satisfies the maintained rankings, because
-    build_share_table, the one way tables are built, refuses any other:
-    sector 0 is land-intensive and sector 1 capital-intensive, labor
-    lies strictly between them, and labor's share is strictly larger in
-    sector 0.
+    Built as ShareTable(theta, theta_sector), which reads and checks the
+    shares and derives the rest, so every table satisfies the maintained
+    rankings: sector 0 is land-intensive and sector 1 capital-intensive,
+    labor lies strictly between them, and labor's share is strictly
+    larger in sector 0.
+
+    Raises ParseError, OutOfRangeShare, NonStochasticColumns or
+    RankingViolation, in that order of checking. Ties fail the rankings:
+    the sign tables downstream assume strict inequalities.
 
     theta[i, j]: share of factor i in sector j's revenue.
     theta_sector[j]: sector j's share of national income.
@@ -83,9 +87,46 @@ class ShareTable:
 
     theta: np.ndarray
     theta_sector: np.ndarray
-    theta_factor: np.ndarray
-    lam: np.ndarray
-    diff: tuple[float, float, float]
+    theta_factor: np.ndarray = field(init=False)
+    lam: np.ndarray = field(init=False)
+    diff: tuple[float, float, float] = field(init=False)
+
+    def __post_init__(self):
+        th = _read(self.theta, (3, 2), "theta")
+        ts = _read(self.theta_sector, (2,), "theta_sector")
+        # The checks read Python floats, whose sums, ratios and differences
+        # have the bits of numpy's.
+        (land_0, land_1), (capital_0, capital_1), (labor_0, labor_1) = rows = th.tolist()
+        sector_0, sector_1 = ts.tolist()
+        if not all(0.0 < v < 1.0 for row in rows for v in row):
+            raise OutOfRangeShare("every distributive share must lie strictly between 0 and 1")
+        if not (0.0 < sector_0 < 1.0 and 0.0 < sector_1 < 1.0):
+            raise OutOfRangeShare("every sector share must lie strictly between 0 and 1")
+        colsums = [land_0 + capital_0 + labor_0, land_1 + capital_1 + labor_1]
+        if any(abs(total - 1.0) > STOCHASTIC_TOL for total in colsums):
+            raise NonStochasticColumns(
+                f"distributive-share columns must each sum to 1, got {colsums}"
+            )
+        if abs(sector_0 + sector_1 - 1.0) > STOCHASTIC_TOL:
+            raise NonStochasticColumns(f"sector shares must sum to 1, got {sector_0 + sector_1}")
+        if not land_0 / land_1 > labor_0 / labor_1 > capital_0 / capital_1:
+            raise RankingViolation(
+                "factor-intensity ranking violated: need strict "
+                "land-share ratio > labor-share ratio > capital-share ratio across sectors"
+            )
+        if not labor_0 > labor_1:
+            raise RankingViolation(
+                "middle-factor ranking violated: need labor's distributive share "
+                "strictly larger in the land-intensive sector"
+            )
+
+        keep = object.__setattr__
+        keep(self, "theta", th)
+        keep(self, "theta_sector", ts)
+        tf = th @ ts
+        keep(self, "theta_factor", _readonly(tf))
+        keep(self, "lam", _readonly((ts[np.newaxis, :] / tf[:, np.newaxis]) * th))
+        keep(self, "diff", (land_0 - land_1, capital_0 - capital_1, labor_0 - labor_1))
 
     @property
     def labor_to_capital(self) -> float:
@@ -94,46 +135,7 @@ class ShareTable:
 
 
 def build_share_table(theta, theta_sector) -> ShareTable:
-    """Validate raw shares and the maintained rankings, and derive factor
-    shares, allocation shares, and the cross-sector difference triple.
-
-    Raises ParseError, OutOfRangeShare, NonStochasticColumns or
-    RankingViolation, in that order of checking. Ties fail the rankings:
-    the sign tables downstream assume strict inequalities.
-    """
-    th = _read(theta, (3, 2), "theta")
-    ts = _read(theta_sector, (2,), "theta_sector")
-    # The checks read Python floats, whose sums, ratios and differences
-    # have the bits of numpy's.
-    (land_0, land_1), (capital_0, capital_1), (labor_0, labor_1) = rows = th.tolist()
-    sector_0, sector_1 = ts.tolist()
-    if not all(0.0 < v < 1.0 for row in rows for v in row):
-        raise OutOfRangeShare("every distributive share must lie strictly between 0 and 1")
-    if not (0.0 < sector_0 < 1.0 and 0.0 < sector_1 < 1.0):
-        raise OutOfRangeShare("every sector share must lie strictly between 0 and 1")
-    colsums = [land_0 + capital_0 + labor_0, land_1 + capital_1 + labor_1]
-    if any(abs(total - 1.0) > STOCHASTIC_TOL for total in colsums):
-        raise NonStochasticColumns(f"distributive-share columns must each sum to 1, got {colsums}")
-    if abs(sector_0 + sector_1 - 1.0) > STOCHASTIC_TOL:
-        raise NonStochasticColumns(f"sector shares must sum to 1, got {sector_0 + sector_1}")
-    if not land_0 / land_1 > labor_0 / labor_1 > capital_0 / capital_1:
-        raise RankingViolation(
-            "factor-intensity ranking violated: need strict "
-            "land-share ratio > labor-share ratio > capital-share ratio across sectors"
-        )
-    if not labor_0 > labor_1:
-        raise RankingViolation(
-            "middle-factor ranking violated: need labor's distributive share "
-            "strictly larger in the land-intensive sector"
-        )
-
-    tf = th @ ts
-    lam = (ts[np.newaxis, :] / tf[:, np.newaxis]) * th
-    diff = (land_0 - land_1, capital_0 - capital_1, labor_0 - labor_1)
-    return ShareTable(
-        theta=th,
-        theta_sector=ts,
-        theta_factor=_readonly(tf),
-        lam=_readonly(lam),
-        diff=diff,
-    )
+    """The ShareTable of raw shares: validated, with the factor shares,
+    allocation shares and cross-sector difference triple derived from
+    them (see ShareTable for the checks and their order)."""
+    return ShareTable(theta, theta_sector)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 from xml.etree import ElementTree
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ews32 import (
     AsymptotePole,
+    Ews32Error,
     ParseError,
     Scenario,
     ValidationError,
@@ -24,6 +26,7 @@ from ews32.figure import (
     DEFAULT_SIZE,
     DEFAULT_WINDOW,
     MARGIN,
+    _frame,
     _points_text,
     _polylines,
     _transform,
@@ -438,6 +441,86 @@ def test_render_matches_scalar_reference(case):
     rest = [line for line in svg.splitlines() if not line.startswith("<polyline ")]
     want = rest[:_LINES_BEFORE_BOUNDARY] + boundary + rest[_LINES_BEFORE_BOUNDARY:]
     assert svg == "\n".join(want) + "\n"
+
+
+def outcome(scenario, window) -> str | tuple:
+    """The figure's SVG text, or the type and message of its refusal."""
+    try:
+        return render_figure(scenario, window=window)
+    except Ews32Error as refused:
+        return type(refused), str(refused)
+
+
+@st.composite
+def edge_windows(draw):
+    """A window with at least one edge range, each range in either order:
+    the default range, one inside the pole gap, a span of 1e-300 (drawn
+    through "%.3f"), one of 1e-305 or 1e-310 (whose pixels overflow), or
+    a range from +0.0 or -0.0."""
+    zero = st.sampled_from([0.0, -0.0])
+    tiny = st.sampled_from([1e-300, 1e-305, 1e-310])
+    nonzero = st.floats(-12.0, 12.0).filter(bool)
+    edges = st.one_of(
+        st.just((-1.0000005, -0.9999995)), st.tuples(zero, tiny), st.tuples(zero, nonzero)
+    )
+    ranges = [draw(edges), draw(st.one_of(edges, st.sampled_from(DEFAULT_WINDOW)))]
+    if draw(st.booleans()):
+        ranges.reverse()
+    return tuple(r[:: draw(st.sampled_from([1, -1]))] for r in ranges)
+
+
+@settings(max_examples=60)
+@given(figure_cases(), st.one_of(st.none(), edge_windows()))
+def test_the_frame_cannot_be_seen_in_the_output(case, edge_window):
+    # The same text, or the same refusal, from a warm frame and from one
+    # built afresh; and the polylines of the scalar reference.
+    scenario, window = case
+    window = edge_window or window
+    warm = outcome(scenario, window)
+    assert outcome(scenario, window) == warm
+    _frame.cache_clear()
+    assert outcome(scenario, window) == warm
+    if isinstance(warm, str):
+        boundary = [line for line in warm.splitlines() if line.startswith("<polyline ")]
+        assert boundary == reference_boundary(scenario.table, window)
+
+
+def test_a_frame_is_read_only_and_reached_only_by_a_valid_window(reference_scenario):
+    render_figure(reference_scenario, window=((0, 1), (-10, 4)))
+    frame = _frame(struct.pack("<4d", 0.0, 1.0, -10.0, 4.0))
+    for array in (frame.s, frame.px):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        frame.px[0] = 0.0
+    # True equals 1, and packs to the same key, but is no number of a window.
+    info = _frame.cache_info()
+    window = ((0, True), (-10, 4))
+    with pytest.raises(ValidationError, match=re.escape(repr(window))):
+        render_figure(reference_scenario, window=window)
+    assert _frame.cache_info() == info
+
+
+def test_one_frame_per_window_and_one_boundary_call_per_figure(monkeypatch):
+    rng = np.random.default_rng(32)
+    scenarios = []
+    for seed in range(20):
+        table = random_ranked_table(rng)
+        scenarios.append(Scenario(name="drawn", table=table, aes=sample_valid_aes(table, seed)))
+    calls = []
+
+    def spy(s_prime, table):
+        calls.append(s_prime)
+        return boundary_value(s_prime, table)
+
+    monkeypatch.setattr(figure, "boundary_value", spy)
+    _frame.cache_clear()
+    for scenario in scenarios:
+        render_figure(scenario)
+    info = _frame.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    assert len(calls) == 20
+    # Every call samples the one frame's abscissas.
+    assert all(s is calls[0] for s in calls)
 
 
 @given(st.integers(0, 2**32 - 1), st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))

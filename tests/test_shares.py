@@ -14,6 +14,7 @@ from ews32 import (
     OutOfRangeShare,
     ParseError,
     RankingViolation,
+    ShareTable,
     build_share_table,
 )
 
@@ -113,6 +114,22 @@ def test_ranking_reference_passes(reference_table):
 def test_ranking_swapped_sectors_fails(reference_table):
     with pytest.raises(RankingViolation, match="^factor-intensity ranking violated"):
         build_share_table(reference_table.theta[:, ::-1], REFERENCE_SECTOR)
+
+
+def test_a_directly_built_table_is_checked(reference_table):
+    # A table built without build_share_table passes the same checks: the
+    # swapped sectors are refused as unranked, not later as a signature
+    # that matches no subregion, and the derived fields cannot be handed in.
+    swapped = (reference_table.theta[:, ::-1], reference_table.theta_sector[::-1])
+    with pytest.raises(RankingViolation, match="^factor-intensity ranking violated"):
+        ShareTable(*swapped)
+    with pytest.raises(TypeError):
+        ShareTable(*swapped, theta_factor=reference_table.theta_factor)
+    direct = ShareTable(REFERENCE_THETA, REFERENCE_SECTOR)
+    for name in ("theta", "theta_sector", "theta_factor", "lam"):
+        assert getattr(direct, name).tobytes() == getattr(reference_table, name).tobytes()
+        assert not getattr(direct, name).flags.writeable
+    assert direct.diff == reference_table.diff
 
 
 def test_ranking_middle_tie_fails():
