@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import anchor_points, boundary_value
+from .geometry import _anchors, _overflow_checked_height
 from .scenario import Scenario
 from .shares import FACTOR_NAMES, _finite_array
 
@@ -32,9 +32,11 @@ BOUNDARY_SAMPLES = 400
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
 
 
-def _require_window(window) -> list[list[float]]:
-    """The window's two (lo, hi) ranges as floats; ValidationError unless
-    both hold finite numbers with a finite nonzero span, in either order."""
+def _require_window(window) -> bytes:
+    """The key of the window's frame: its four bounds as floats, (lo, hi)
+    of each range in the order given, packed as doubles; ValidationError
+    unless both ranges hold finite numbers with a finite nonzero span, in
+    either order."""
     bounds = _finite_array(window)
     ranges = bounds is not None and bounds.shape == (2, 2)
     # Spans on Python floats: numpy would warn where one overflows.
@@ -43,7 +45,11 @@ def _require_window(window) -> list[list[float]]:
             f"figure window {window!r} needs finite bounds and, on each axis, a "
             "finite nonzero span"
         )
-    return bounds.tolist()
+    return struct.pack("<4d", *bounds.ravel().tolist())
+
+
+# DEFAULT_WINDOW is a tuple of tuples of floats, so its key is read once.
+_DEFAULT_KEY = _require_window(DEFAULT_WINDOW)
 
 
 def _transform(window):
@@ -242,10 +248,10 @@ class _Frame(NamedTuple):
 # One frame: a run of figures draws in one window, and a one-shot CLI
 # figure never reuses its frame.
 @functools.lru_cache(maxsize=1)
+@np.errstate(over="ignore")
 def _frame(key: bytes) -> _Frame | None:
-    """The frame of the window whose four bounds, in _require_window's
-    order, key packs as doubles; None if an axis or the asymptote
-    s' = -1 maps a point out of float range.
+    """The frame of the window whose key _require_window packs; None if
+    an axis or the asymptote s' = -1 maps a point out of float range.
 
     The samples and the mask take each range of the window low to high,
     in whichever order it is given; to_svg maps the window as given.
@@ -263,7 +269,13 @@ def _frame(key: bytes) -> _Frame | None:
     # The pads, the first and last columns, are never inside, so that no
     # run crosses from one branch to the next.
     lo, hi = np.array(branches).reshape(-1, 2).T[:, :, np.newaxis]
-    s = lo + _PADDED * ((hi - lo) / (BOUNDARY_SAMPLES - 1))
+    # Each sample is clipped to its branch, so it is finite and about 1e-6
+    # or more from the pole, and _boundary's heights need neither test.
+    # The clip moves only a sample that rounding carries past its branch's
+    # end: lo + k * step overshoots by a few units in the last place, by
+    # more on wider spans, from a span of about 1e10 onto the pole or
+    # across it, and near 1.8e308 the product overflows.
+    s = np.clip(lo + _PADDED * ((hi - lo) / (BOUNDARY_SAMPLES - 1)), lo, hi)
     px = to_svg(s.ravel(), 0.0)[0]
     pad = 0.5 * (hi_u - lo_u)
     for array in (s, px):
@@ -282,8 +294,7 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
     """The SVG document of the scenario's plane. The window is checked
     first, then the axes and asymptotes, then the boundary is sampled,
     then the rest is checked."""
-    (sx0, sx1), (uy0, uy1) = _require_window(window)
-    frame = _frame(struct.pack("<4d", sx0, sx1, uy0, uy1))
+    frame = _frame(_DEFAULT_KEY if window is DEFAULT_WINDOW else _require_window(window))
     if frame is None:
         raise _out_of_range(window)
     table, vector, lines = scenario.table, scenario.vector, scenario.lines
@@ -304,8 +315,8 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
         for c in frame.to_svg(s, u)
     ]
     # Q, the six anchors R and the vector, each with its label.
-    anchors = anchor_points(table)
-    marks = [anchors.q, *anchors.r.reshape(6, 2).tolist(), (vector.s_prime, vector.u_prime)]
+    q, r = _anchors(table)
+    marks = [q, *(point for pair in r for point in pair), (vector.s_prime, vector.u_prime)]
     for (x, y), (dx, dy) in zip(marks, _LABEL_OFFSETS):
         px, py = frame.to_svg(x, y)
         rest += (px, py, px + dx, py + dy)
@@ -321,7 +332,7 @@ def _boundary(frame: _Frame, table) -> str:
     (padded) window."""
     if not frame.s.size:
         return ""
-    u = boundary_value(frame.s, table)
+    u = _overflow_checked_height(frame.s, table)
     lo, hi = frame.u_range
     inside = (lo <= u) & (u <= hi)
     inside[:, :: BOUNDARY_SAMPLES + 1] = False

@@ -160,9 +160,15 @@ def boundary_value(s_prime, table: ShareTable):
     s = _read(s_prime, None, "s_prime")
     if (np.abs(s + 1.0) <= ON_LINE_TOL).any():
         raise AsymptotePole("boundary curve has a pole at s_prime = -1")
+    return _overflow_checked_height(s, table)
+
+
+def _overflow_checked_height(s_prime: np.ndarray, table: ShareTable):
+    """_boundary_height of finite abscissas off the pole; ValidationError
+    if a height overflows floating point."""
     try:
         with np.errstate(over="raise"):
-            return _boundary_height(s, table)
+            return _boundary_height(s_prime, table)
     except FloatingPointError:
         raise ValidationError("a boundary height overflows floating point") from None
 
@@ -210,6 +216,12 @@ def line_coefficients(table: ShareTable) -> LineCoeffs:
 def anchor_points(table: ShareTable) -> AnchorSet:
     """The common point q of all six lines and each line's second
     boundary crossing."""
+    q, r = _anchors(table)
+    return AnchorSet(q=q, r=r)
+
+
+def _anchors(table: ShareTable) -> tuple[tuple[float, float], list]:
+    """anchor_points' q and r[factor][sector] = (x, y), as Python floats."""
     a, b, e = table.diff
     ratio = float(table.labor_to_capital)
     q = (b / a, (b / e) * ratio)
@@ -223,7 +235,7 @@ def anchor_points(table: ShareTable) -> AnchorSet:
         )
         for land, capital, labor in list(zip(*table.theta.tolist()))[::-1]
     ]
-    return AnchorSet(q=q, r=list(zip(*r)))
+    return q, list(zip(*r))
 
 
 def verify_anchor_ordering(anchors: AnchorSet, table: ShareTable) -> OrderingReport:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ClosedFormMismatch, SingularSystem, ValidationError
 from .geometry import REGIONS, SIGNATURES, LineCoeffs, Subregion, _locate, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
-from .substitution import EwsMatrix, EwsRatioVector, ews_ratio_vector
+from .substitution import EwsMatrix, EwsRatioVector, _require_ews_invariants, ews_ratio_vector
 
 # Closed forms vs dense linear algebra, relative.
 CROSS_CHECK_TOL = 1e-9
@@ -262,7 +262,10 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     """The six cofactors driving output responses, each computed three
     ways: as a literal 3x3 determinant, by its expanded four-term form,
     and through the border-line factorization, which reads the ratio
-    vector of g and the border lines of table."""
+    vector of g and the border lines of table. The forms hold only for a
+    g that keeps the invariants of table's economy-wide substitution, so
+    g is checked first: ValidationError naming the first it breaks."""
+    _require_ews_invariants(g.g, table, ValidationError)
     vector, lines = ews_ratio_vector(g), line_coefficients(table)
     direct, expanded, factored = _cofactor_routes(
         table, g, vector, lines, lines.offsets(vector.s_prime, vector.u_prime)
@@ -394,8 +397,11 @@ def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:
     dense solves; the real-reward elasticities follow from them by
     reciprocity and are verified against a dense pure-price-shock solve.
     Their signs must be the tabled signs of the vector's subregion, and a
-    vector classify_subregion refuses is refused: a report's checks.
+    vector classify_subregion refuses is refused: a report's checks. As
+    in cofactors, g is first checked against the invariants of table's
+    economy-wide substitution (ValidationError).
     """
+    _require_ews_invariants(g.g, table, ValidationError)
     vector, lines = ews_ratio_vector(g), line_coefficients(table)
     region, offsets = _locate(vector, lines, table)
     return _checked_statics(table, g, vector, lines, offsets, region, ())[0]

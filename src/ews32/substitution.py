@@ -281,7 +281,8 @@ def ews_from_epsilon(eps: np.ndarray, table: ShareTable) -> EwsMatrix:
 
 
 # Invariants of economy-wide substitution, in checking order. They hold
-# for every valid input, so a failure means an upstream bug.
+# for the g of every valid input, so there a failure means an upstream
+# bug; a caller's own g that breaks one is a ValidationError.
 _EWS_INVARIANTS = (
     "economy-wide substitution rows must sum to zero",
     "share-weighted symmetry of economy-wide substitution failed",
@@ -313,12 +314,11 @@ def _ews_failures(g: np.ndarray, table: ShareTable) -> list[np.ndarray]:
     ]
 
 
-def _require_ews_invariants(g: np.ndarray, table: ShareTable) -> None:
-    """Raise ConsistencyError for the first invariant that the matrix g
-    breaks."""
+def _require_ews_invariants(g: np.ndarray, table: ShareTable, error=ConsistencyError) -> None:
+    """Raise error, named by the first invariant that the matrix g breaks."""
     for message, failed in zip(_EWS_INVARIANTS, _ews_failures(g, table)):
         if failed:
-            raise ConsistencyError(message)
+            raise error(message)
 
 
 def _degenerate(t):

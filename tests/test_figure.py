@@ -507,12 +507,13 @@ def test_one_frame_per_window_and_one_boundary_call_per_figure(monkeypatch):
         table = random_ranked_table(rng)
         scenarios.append(Scenario(name="drawn", table=table, aes=sample_valid_aes(table, seed)))
     calls = []
+    heights = figure._overflow_checked_height
 
     def spy(s_prime, table):
         calls.append(s_prime)
-        return boundary_value(s_prime, table)
+        return heights(s_prime, table)
 
-    monkeypatch.setattr(figure, "boundary_value", spy)
+    monkeypatch.setattr(figure, "_overflow_checked_height", spy)
     _frame.cache_clear()
     for scenario in scenarios:
         render_figure(scenario)
@@ -521,6 +522,82 @@ def test_one_frame_per_window_and_one_boundary_call_per_figure(monkeypatch):
     assert len(calls) == 20
     # Every call samples the one frame's abscissas.
     assert all(s is calls[0] for s in calls)
+
+
+_LARGEST = np.finfo(float).max
+
+
+@st.composite
+def wide_windows(draw):
+    """A window whose abscissa range reaches far from the pole, up to the
+    largest float either way, in either order; its ordinate range is the
+    default one or reaches as far as the heights near the pole."""
+    far = st.one_of(
+        st.floats(-_LARGEST, _LARGEST),
+        st.sampled_from([-_LARGEST, _LARGEST, -1e308, 1e308, -3e10, 3e10, -1e12]),
+    )
+    bounds = (draw(far), draw(st.floats(-12.0, 12.0)))[:: draw(st.sampled_from([1, -1]))]
+    reach = 10.0 ** draw(st.floats(0.0, 308.0))
+    heights = draw(st.sampled_from([DEFAULT_WINDOW[1], (-reach, reach)]))
+    return bounds, heights
+
+
+@settings(max_examples=150)
+@given(figure_cases(), st.one_of(st.none(), edge_windows(), wide_windows()))
+def test_the_frame_samples_need_no_abscissa_checks(case, other_window):
+    # Every sample of a frame is finite and off the pole, so the heights
+    # the figure takes with only the overflow check are boundary_value's,
+    # bit for bit, or end in its error.
+    scenario, window = case
+    window = other_window or window
+    heights, calls = figure._overflow_checked_height, []
+
+    def spy(s_prime, table):
+        calls.append(s_prime)
+        return heights(s_prime, table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figure, "_overflow_checked_height", spy)
+        outcome(scenario, window)
+    try:
+        frame = _frame(figure._require_window(window))
+    except ValidationError:
+        assert not calls
+        return
+    if frame is None:
+        assert not calls
+        return
+    assert all(s is frame.s for s in calls)
+    assert np.isfinite(frame.s).all()
+    assert (np.abs(frame.s + 1.0) > ON_LINE_TOL).all()
+    # Each branch keeps to its side of the pole.
+    assert all(((row < -1.0) == (row[0] < -1.0)).all() for row in frame.s)
+
+    def evaluate(height):
+        try:
+            return height(frame.s, scenario.table).tobytes()
+        except Ews32Error as refused:
+            return type(refused), str(refused)
+
+    assert evaluate(heights) == evaluate(boundary_value)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [((-3e10, 4.0), (-10.0, 4.0)), ((-1e100, 4.0), (-10.0, 4.0)), ((-1e12, 1e12), (-1e12, 1e12))],
+)
+def test_a_wide_window_samples_no_point_past_its_branch(reference_scenario, window):
+    # lo + k * step over so wide a span rounds the last samples of the
+    # left branch onto the pole or across it. Clipped to their branch,
+    # they end at its end, and no polyline crosses the pole's pixel column
+    # (to the rounding of a pixel coordinate).
+    svg = render_figure(reference_scenario, window=window)
+    assert svg.count('class="anchor"') == 7
+    frame = _frame(figure._require_window(window))
+    assert frame.s[0].max() == -1.0 - 1e-6
+    pole = frame.to_svg(-1.0, 0.0)[0]
+    for points in _polyline_points(svg):
+        assert points[:, 0].max() <= pole + 1e-3 or points[:, 0].min() >= pole - 1e-3
 
 
 @given(st.integers(0, 2**32 - 1), st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))

@@ -208,25 +208,30 @@ def scenario_doc(name: str) -> dict:
     return dict(REFERENCE_DOC) if name == "reference" else sampled_doc(int(name.split("-")[1]))
 
 
-def outputs(doc: dict) -> tuple[str, str, str]:
-    scenario = scenario_from_mapping(doc)
-    report = format_report(run_report(scenario))
-    csv = format_csv(sweep(scenario, parse_grid(GRID)))
-    return report, csv, render_figure(scenario)
+def report_text(doc: dict) -> str:
+    return format_report(run_report(scenario_from_mapping(doc)))
 
 
 def test_reference_report_text():
-    assert outputs(dict(REFERENCE_DOC))[0] == REFERENCE_REPORT
+    assert report_text(dict(REFERENCE_DOC)) == REFERENCE_REPORT
+
+
+# One test per output, so that a report pin that fails (they hold only on
+# some BLAS kernels, see ROADMAP item 12) hides no CSV or SVG pin.
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if GOLDEN[name][0] is not None))
+def test_report_byte_identical(name):
+    assert _sha(report_text(scenario_doc(name))) == GOLDEN[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_byte_identical(name):
-    report, csv, svg = outputs(scenario_doc(name))
-    want_report, want_csv, want_svg = GOLDEN[name]
-    if want_report is not None:
-        assert _sha(report) == want_report
-    assert _sha(csv) == want_csv
-    assert _sha(svg) == want_svg
+def test_csv_byte_identical(name):
+    csv = format_csv(sweep(scenario_from_mapping(scenario_doc(name)), parse_grid(GRID)))
+    assert _sha(csv) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_svg_byte_identical(name):
+    assert _sha(render_figure(scenario_from_mapping(scenario_doc(name)))) == GOLDEN[name][2]
 
 
 @pytest.mark.parametrize("window", sorted(WINDOWS))

@@ -91,6 +91,31 @@ def test_share_shapes_enforced(theta, sector, message):
         build_share_table(theta, sector)
 
 
+def _theta_with_one(row: int, column: int) -> list:
+    theta = [list(shares) for shares in REFERENCE_THETA]
+    theta[row][column] = 1.0
+    return theta
+
+
+@pytest.mark.parametrize(
+    "theta, sector",
+    [
+        (REFERENCE_THETA, [0.0, 0.5]),
+        (REFERENCE_THETA, [1.0, 0.5]),
+        (REFERENCE_THETA, [0.5, 0.0]),
+        (REFERENCE_THETA, [0.5, 1.0]),
+        (_theta_with_one(LAND, 0), REFERENCE_SECTOR),
+        (_theta_with_one(LABOR, 1), REFERENCE_SECTOR),
+    ],
+    ids=["sector-0-zero", "sector-0-one", "sector-1-zero", "sector-1-one", "theta-land-1", "theta-labor-2"],
+)
+def test_a_share_on_an_end_of_its_range_is_out_of_range(theta, sector):
+    # Each range is open: a share of exactly 0 or 1 is refused as out of
+    # range, before the column sums are checked.
+    with pytest.raises(OutOfRangeShare):
+        build_share_table(theta, sector)
+
+
 def test_zero_share_rejected():
     bad = [[0.65, 0.2], [0.0, 0.5], [0.35, 0.30]]
     with pytest.raises(OutOfRangeShare):

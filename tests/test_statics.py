@@ -231,6 +231,48 @@ def test_comparative_statics_refuses_a_g_without_a_ratio_vector(reference_table)
         comparative_statics(reference_table, g)
 
 
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+def test_a_g_that_is_not_the_tables_is_the_callers_fault(seed, entries):
+    # The closed forms are identities only for a g that keeps its table's
+    # invariants, so the public entries check a caller's g first: another
+    # g ends in a ValidationError, never in a ConsistencyError.
+    table = random_ranked_table(np.random.default_rng(seed))
+    g = EwsMatrix(g=np.reshape(entries, (3, 3)))
+    for entry in (comparative_statics, cofactors):
+        try:
+            entry(table, g)
+        except ValidationError:
+            pass
+
+
+def test_a_broken_invariant_is_named(reference_table):
+    g = reference_g().g.copy()
+    g[LAND, LAND] += 0.5
+    with pytest.raises(ValidationError) as caught:
+        cofactors(reference_table, EwsMatrix(g=g))
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == "economy-wide substitution rows must sum to zero"
+    # Another table's g breaks share-weighted symmetry here.
+    other = random_valid_ews(random_ranked_table(np.random.default_rng(3)), 4)
+    with pytest.raises(ValidationError) as caught:
+        comparative_statics(reference_table, other)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == "share-weighted symmetry of economy-wide substitution failed"
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_a_scenarios_own_g_passes_the_check(table_seed, aes_seed):
+    table = random_ranked_table(np.random.default_rng(table_seed))
+    try:
+        scenario = Scenario(name="drawn", table=table, aes=sample_valid_aes(table, aes_seed))
+    except ValidationError:
+        reject()
+    # Answers, the report's among them.
+    derived = comparative_statics(table, scenario.ews)
+    assert np.array_equal(derived.rybczynski, run_report(scenario).rybczynski)
+    assert np.shape(cofactors(table, scenario.ews).direct) == (2, 3)
+
+
 def test_solve_zero_shock(reference_table):
     sys = assemble_system(reference_table, reference_g())
     response = solve_responses(sys, ShockVector())
