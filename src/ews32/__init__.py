@@ -80,7 +80,6 @@ from .substitution import (
     ews_from_epsilon,
     ews_from_stu,
     ews_ratio_vector,
-    require_valid_aes,
     sample_valid_aes,
     validate_aes,
 )

@@ -130,9 +130,8 @@ def _relative_gap(x: float, y: float) -> float:
 
 
 def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
-    """The read-only coefficient matrix of the comparative-statics system:
-    zero-profit over full-employment rows, [5, 5] for one matrix g or
-    [..., 5, 5] for a stack g[..., 3, 3]."""
+    """The read-only [5, 5] coefficient matrix of the comparative-statics
+    system: zero-profit over full-employment rows."""
     return _system(table, g.g)
 
 
@@ -456,9 +455,8 @@ def _checked_statics(
                     f"{what} {row % 2 + 1}, factor {factor}: {closed!r} vs {solved!r}"
                 )
     signs = _signs(ryb + ss)
-    disagree, tabled = _contradicts_tables(signs, REGIONS.index(region))
-    if disagree:
-        raise _sign_mismatch(region, signs, tabled)
+    if _contradicts_tables(signs, REGIONS.index(region)):
+        raise _sign_mismatch(region, signs)
     statics = ComparativeStatics(
         system=system, delta=delta, rybczynski=_readonly(ryb), stolper_samuelson=_readonly(ss)
     )
@@ -507,42 +505,17 @@ def sign_pattern_lookup(region: Subregion, kind: str) -> SignPattern:
     raise ValueError(f"unknown sign-pattern kind {kind!r}")
 
 
-# The sign tables' items at the last _tabled_signs call, and what was
-# built from them.
-_TABLED = (None, None)
-
-
-def _tabled_signs() -> tuple[np.ndarray, tuple[bool, ...]]:
-    """The sign tables as they now stand: each subregion's output over
-    real-reward rows, as one read-only grid [4, 3, region] in REGIONS
-    order, and each subregion's strong_rybczynski. Both are built again
-    only when RYBCZYNSKI_SIGNS or STOLPER_SAMUELSON_SIGNS holds other
-    items than at the last call."""
-    global _TABLED
-    state, tabled = _TABLED
-    now = (tuple(RYBCZYNSKI_SIGNS.items()), tuple(STOLPER_SAMUELSON_SIGNS.items()))
-    if state != now:
-        grids = np.array([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in REGIONS])
-        grids = np.ascontiguousarray(grids.transpose(1, 2, 0))
-        grids.flags.writeable = False
-        tabled = grids, tuple(strong_rybczynski(r) for r in REGIONS)
-        _TABLED = now, tabled
-    return tabled
-
-
-def _contradicts_tables(signs: np.ndarray, codes) -> tuple[np.ndarray, np.ndarray]:
+def _contradicts_tables(signs: np.ndarray, codes) -> np.ndarray:
     """Whether each sign grid signs[4, 3, ...] (output over real-reward
     rows) differs from the tabled rows of its subregion REGIONS[codes],
-    per point, and those rows as the tables now stand. A sign too close
-    to call is 0, which no table holds."""
-    tabled = _tabled_signs()[0].take(codes, axis=-1)
-    return (signs != tabled).any(axis=(0, 1)), tabled
+    per point. A sign too close to call is 0, which no table holds."""
+    return (signs != _TABLED.take(codes, axis=-1)).any(axis=(0, 1))
 
 
-def _sign_mismatch(region: Subregion, signs: np.ndarray, tabled: np.ndarray) -> ClosedFormMismatch:
+def _sign_mismatch(region: Subregion, signs: np.ndarray) -> ClosedFormMismatch:
     """The error for a sign grid [4, 3] that contradicts the tabled rows
     of its subregion."""
-    signs, tabled = signs.tolist(), tabled.tolist()
+    signs, tabled = signs.tolist(), _TABLED[..., REGIONS.index(region)].tolist()
     return ClosedFormMismatch(
         f"computed signs contradict the tabled signs of {region.value}: output signs "
         f"{signs[:2]} vs {tabled[:2]}, real-reward signs {signs[2:]} vs {tabled[2:]}"
@@ -561,3 +534,12 @@ def strong_rybczynski(region: Subregion) -> bool:
     output and lowers the other's: land for sector 1, capital for 2."""
     sector_1, sector_2 = RYBCZYNSKI_SIGNS[region]
     return sector_1[LAND] > 0 > sector_2[LAND] and sector_2[CAPITAL] > 0 > sector_1[CAPITAL]
+
+
+# The sign tables' derived forms, fixed at import: each subregion's
+# output over real-reward rows as one read-only grid [4, 3, region] in
+# REGIONS order, which the dense checks read, and each subregion's
+# strong_rybczynski.
+_TABLED = np.stack([RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in REGIONS], axis=-1)
+_TABLED.flags.writeable = False
+_STRONG = tuple(strong_rybczynski(r) for r in REGIONS)

@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveLevels,
     ValidationError,
 )
-from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _read, _readonly
+from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _read
 
 # Identity checks allow this gap relative to the largest magnitude among
 # the entries they compare, and absolutely when those are below one:
@@ -67,12 +67,12 @@ class AesTensor:
 @dataclass(frozen=True)
 class EwsMatrix:
     """Economy-wide substitution matrix g[i, h]: output-constant response
-    of factor i's aggregate use to factor h's price."""
+    of factor i's aggregate use to factor h's price; one finite 3x3."""
 
     g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _readonly(self.g))
+        object.__setattr__(self, "g", _read(self.g, (3, 3), "g"))
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,6 @@ def _invalid(report: ValidityReport) -> InvalidAes:
     return InvalidAes("Allen tensor invalid: " + "; ".join(failures), report)
 
 
-def require_valid_aes(aes: AesTensor, table: ShareTable) -> ValidityReport:
-    """Raise InvalidAes, carrying the report, unless every Allen-tensor
-    invariant holds; return the report."""
-    report = validate_aes(aes, table)
-    if not report.ok:
-        raise _invalid(report)
-    return report
-
-
 def cobb_douglas_aes(table: ShareTable) -> AesTensor:
     """Unit elasticities between distinct factors; diagonals follow from
     homogeneity as -(1 - theta_ij)/theta_ij."""
@@ -237,9 +228,9 @@ def _rowsum_gap(m: np.ndarray) -> np.ndarray:
 
 
 def epsilon_from_aes(aes: AesTensor, table: ShareTable) -> np.ndarray:
-    """Complete the Allen tensor once (see _complete), raise InvalidAes as
-    require_valid_aes does unless the tensor and that completion pass
-    validate_aes, then scale each elasticity of the completion by the
+    """Complete the Allen tensor once (see _complete), raise InvalidAes,
+    carrying validate_aes' report, unless the tensor and that completion
+    pass it, then scale each elasticity of the completion by the
     price-owner's distributive share: the read-only price elasticities of
     cost-minimizing input use eps[j, i, h], the response of factor i's
     unit requirement in sector j to factor h's price. Rows sum to zero by

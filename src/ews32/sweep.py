@@ -31,7 +31,6 @@ columns, the classified rows' S' and U' written by an exact vectorized
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -42,7 +41,7 @@ from .errors import ConsistencyError, Ews32Error, ParseError
 from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
 from .scenario import Scenario, run_report
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _finite_array
-from .statics import RESIDUAL_TOL, _contradicts_tables, _system, _tabled_signs, dense_signs
+from .statics import RESIDUAL_TOL, _STRONG, _contradicts_tables, _system, dense_signs
 from .substitution import (
     _AES_CHECKS,
     _KEY_SLOTS,
@@ -264,7 +263,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     classified = np.flatnonzero(stage == _OK)
     # LAPACK solves a (k, 5, 5) stack, filled from the points' g.
     signs, residual = dense_signs(_system(table, g[..., classified].transpose(2, 0, 1)))
-    disagree, _ = _contradicts_tables(signs, region[classified])
+    disagree = _contradicts_tables(signs, region[classified])
     stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 
     caught = (stage == _DEGENERATE) | ((stage == _CLASSIFY) & (fault == _ON_LINE_FAULT))
@@ -308,8 +307,6 @@ class SweepRows(Sequence):
         self._blank.update((key, float(sigma[slot])) for key, slot in _KEY_SLOTS.items())
         self._ok = ok  # indices of the classified rows, ascending
         self._s_prime, self._u_prime, self._sign_t, self._region = s_prime, u_prime, sign_t, region
-        # strong_rybczynski of each subregion, from the tables as they stand.
-        self._strong = _tabled_signs()[1]
         self._code = code  # each row's index into _STATUSES
         # Each row's index among the classified rows, or -1.
         self._slot = np.full(len(code), -1)
@@ -344,7 +341,7 @@ class SweepRows(Sequence):
                 u_prime=self._u_prime.item(c),
                 sign_t=self._sign_t.item(c),
                 subregion=REGIONS[code].value,
-                strong_result=self._strong[code],
+                strong_result=_STRONG[code],
             )
         for key, values in reversed(self._axes.items()):
             i, k = divmod(i, len(values))
@@ -460,16 +457,15 @@ def _nine_digits(values: np.ndarray) -> np.ndarray | None:
     return words
 
 
-@functools.lru_cache(maxsize=4)
-def _labels(strong: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _label_cells() -> tuple[np.ndarray, np.ndarray]:
     """The cells sign_t,subregion,strong_result,status of a classified
-    row, at index 2 * region + (sign_t > 0) for the subregions' strong
-    flags: as strings, and with a comma ahead and a newline after as four
-    words each, NUL-padded, for _nine_digits' rows; both read-only."""
+    row, at index 2 * region + (sign_t > 0): as strings, and with a comma
+    ahead and a newline after as four words each, NUL-padded, for
+    _nine_digits' rows; both read-only."""
     labels = np.array(
         [
             f"{sign},{region.value},{'true' if flag else 'false'},ok"
-            for region, flag in zip(REGIONS, strong)
+            for region, flag in zip(REGIONS, _STRONG)
             for sign in "-+"
         ],
         dtype=object,
@@ -480,19 +476,21 @@ def _labels(strong: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
     return labels, words
 
 
+_LABELS, _LABEL_WORDS = _label_cells()
+
+
 def _classified_tails(rows: SweepRows, lead: str) -> list[str]:
     """Each classified row's tail: lead, S', U' and the cells after them,
     written by _nine_digits, or by one "%.9g" call unless it certifies
     every value."""
     m = len(rows._ok)
-    labels, label_words = _labels(rows._strong)
     label = 2 * rows._region + (rows._sign_t > 0)
     words = _nine_digits(np.concatenate((rows._s_prime, rows._u_prime)))
     if words is None:
         cells = np.empty((m, 3), dtype=object)
         cells[:, 0] = rows._s_prime.tolist()
         cells[:, 1] = rows._u_prime.tolist()
-        cells[:, 2] = labels[label]
+        cells[:, 2] = _LABELS[label]
         text = (lead + "%.9g,%.9g,%s\n") * m % tuple(cells.ravel().tolist())
         return text.splitlines(keepends=True)
     # One column of words per row: lead, S', U', then its cells.
@@ -504,7 +502,7 @@ def _classified_tails(rows: SweepRows, lead: str) -> list[str]:
     columns[h + 5 : h + 10] = words[:, m:]
     # The comma ahead of U', in the byte its words leave for it.
     columns[h + 5] |= ord(",")
-    columns[h + 10 :] = label_words.take(label, axis=1)
+    columns[h + 10 :] = _LABEL_WORDS.take(label, axis=1)
     text = columns.T.tobytes().translate(None, b"\0").decode("ascii")
     return text.splitlines(keepends=True)
 

@@ -30,6 +30,8 @@ from ews32 import (
     line_coefficients,
     sample_valid_aes,
 )
+from ews32 import statics
+from ews32.geometry import REGIONS
 from ews32.sweep import CSV_COLUMNS
 
 # Property tests draw the same examples on every run and stay within the
@@ -120,6 +122,17 @@ DET_OVERFLOW_DOC = {
 @pytest.fixture
 def reference_table():
     return build_share_table(REFERENCE_THETA, REFERENCE_SECTOR)
+
+
+def patch_wrong_table(monkeypatch, region, row):
+    """Patch in, as the tabled grid that every dense sign check reads, a
+    copy of statics._TABLED with the land entry of region's row negated:
+    rows 0-1 are the output table's sectors, rows 2-3 the real-reward
+    table's deflators."""
+    tabled = statics._TABLED.copy()
+    tabled[row, LAND, REGIONS.index(region)] *= -1
+    tabled.flags.writeable = False
+    monkeypatch.setattr(statics, "_TABLED", tabled)
 
 
 def random_ranked_table(rng):

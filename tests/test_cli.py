@@ -26,7 +26,6 @@ from ews32 import (
     sample_valid_aes,
 )
 from ews32.cli import main
-from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     REFERENCE_SECTOR,
     REFERENCE_THETA,
     ROUNDED_SIGMAS,
+    patch_wrong_table,
     random_ranked_table,
 )
 from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
@@ -150,10 +150,9 @@ def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content, message
     assert out == "" and err.startswith(f"invalid input: {message}")
 
 
-@pytest.mark.parametrize("table", [RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS], ids=["ryb", "ss"])
-def test_report_exits_1_on_a_wrong_table(scenario_file, capsys, monkeypatch, table):
-    (top, bottom) = table[Subregion.P2]
-    monkeypatch.setitem(table, Subregion.P2, ((-top[0],) + top[1:], bottom))
+@pytest.mark.parametrize("row", [0, 2], ids=["ryb", "ss"])
+def test_report_exits_1_on_a_wrong_table(scenario_file, capsys, monkeypatch, row):
+    patch_wrong_table(monkeypatch, Subregion.P2, row)
     assert main(["report", scenario_file]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -288,7 +288,8 @@ def test_a_malformed_value_is_refused_alike_by_document_and_constructor(field, v
 
 def test_a_document_reads_each_number_once(monkeypatch):
     # Seven numeric fields: theta, theta_sector, sigma, and each of two
-    # shocks' price and endowments.
+    # shocks' price and endowments; and the scenario's derived g, which
+    # EwsMatrix reads once as it is built.
     reads = []
 
     def counted(value):
@@ -306,4 +307,4 @@ def test_a_document_reads_each_number_once(monkeypatch):
         shocks=[{"price": 1.0, "endowments": [0.0, 1.0, 0.0]}, {"price": -0.5}],
     )
     scenario_from_mapping(doc)
-    assert len(reads) == 7
+    assert len(reads) == 8

@@ -60,6 +60,7 @@ from conftest import (
     dense_price_rewards,
     dense_system,
     matrix_at,
+    patch_wrong_table,
     random_ranked_table,
     random_valid_ews,
     sign_grid,
@@ -99,8 +100,8 @@ def test_system_layout(reference_table):
     for row in range(3):
         assert np.array_equal(a[2 + row, :3], g.g[row])
         assert np.array_equal(a[2 + row, 3:], np.asarray(reference_table.lam)[row])
-    # A stack of matrices assembles each one as on its own.
-    stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, 2.0 * g.g])))
+    # The sweep's stack of matrices assembles each one as on its own.
+    stacked = statics._system(reference_table, np.stack([g.g, 2.0 * g.g]))
     assert stacked.shape == (2, 5, 5)
     assert np.array_equal(stacked[0], a)
     assert np.array_equal(stacked[1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g)))
@@ -109,7 +110,7 @@ def test_system_layout(reference_table):
 def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
     g = reference_g()
     eps = epsilon_from_aes(sample_valid_aes(reference_table, 201), reference_table)
-    stacked = assemble_system(reference_table, EwsMatrix(g=np.stack([g.g, g.g])))
+    stacked = statics._system(reference_table, np.stack([g.g, g.g]))
     derived = comparative_statics(reference_table, g)
     report = run_report(reference_scenario())
     for arr in (
@@ -131,11 +132,12 @@ def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
     assert eps.base is None or not eps.base.flags.writeable
 
 
-def test_assemble_system_freezes_its_stack_without_a_copy(reference_table):
-    g = EwsMatrix(g=np.broadcast_to(reference_g().g, (10_000, 3, 3)))
+def test_the_system_stack_is_frozen_without_a_copy(reference_table):
+    # The sweep fills its stack of systems from a view of its points' g.
+    g = np.broadcast_to(reference_g().g, (10_000, 3, 3))
     tracemalloc.start()
     try:
-        system = assemble_system(reference_table, g)
+        system = statics._system(reference_table, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,6 +254,17 @@ def test_a_broken_invariant_is_named(reference_table):
         cofactors(reference_table, EwsMatrix(g=g))
     assert type(caught.value) is ValidationError
     assert str(caught.value) == "economy-wide substitution rows must sum to zero"
+    # g is one finite 3x3, read as the matrix is built: a stack, a 1x1 and
+    # a NaN entry are the caller's input fault before any step reads them.
+    nan = reference_g().g.copy()
+    nan[LABOR, LAND] = np.nan
+    for g, message in [
+        (np.stack([reference_g().g] * 2), r"g must have shape \(3, 3\), got \(2, 3, 3\)"),
+        ([[1.0]], r"g must have shape \(3, 3\), got \(1, 1\)"),
+        (nan, "g must hold finite numbers"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{message}"):
+            cofactors(reference_table, EwsMatrix(g=g))
     # Another table's g breaks share-weighted symmetry here.
     other = random_valid_ews(random_ranked_table(np.random.default_rng(3)), 4)
     with pytest.raises(ValidationError) as caught:
@@ -491,7 +504,7 @@ def test_a_report_makes_one_solve_and_one_determinant(monkeypatch, count):
 def test_a_wrong_table_is_named_before_an_overflowing_shock(monkeypatch):
     # The shock's overflow is found in the report's one solve, but the
     # tabled-sign check still decides the error.
-    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped(RYBCZYNSKI_SIGNS, Subregion.P2))
+    patch_wrong_table(monkeypatch, Subregion.P2, 0)
     scenario = dataclasses.replace(
         reference_scenario(), shocks=(ShockVector(price_shock=1.0), ShockVector(price_shock=1e308))
     )
@@ -846,29 +859,23 @@ def test_table_check_refuses_a_sign_too_close_to_call():
         signs = statics._signs(values)
         assert signs[0, 0] == 0
         # The stack of both grids, the grid axis last.
-        disagree, tabled = statics._contradicts_tables(
+        disagree = statics._contradicts_tables(
             np.stack([clean, signs], axis=-1), [list(Subregion).index(Subregion.P2)] * 2
         )
         assert disagree.tolist() == [False, True]
-        assert tabled[..., 0].tolist() == clean.tolist()
-        message = str(statics._sign_mismatch(Subregion.P2, signs, tabled[..., 1]))
+        assert statics._TABLED[..., list(Subregion).index(Subregion.P2)].tolist() == clean.tolist()
+        message = str(statics._sign_mismatch(Subregion.P2, signs))
         assert message.startswith(
             "computed signs contradict the tabled signs of P2: "
             "output signs [[0, -1, 1], [-1, 1, 1]] vs [[1, -1, 1], [-1, 1, 1]]"
         ), message
 
 
-def flipped(table, region):
-    """The table's rows for region with its first entry negated."""
-    (top, bottom) = table[region]
-    return ((-top[0],) + top[1:], bottom)
-
-
-@pytest.mark.parametrize("table", [RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS], ids=["ryb", "ss"])
-def test_report_and_sweep_refuse_a_wrong_table_alike(monkeypatch, table):
-    # STOLPER_SAMUELSON_SIGNS is derived at import, so each table is
-    # patched where it is read.
-    monkeypatch.setitem(table, Subregion.P2, flipped(table, Subregion.P2))
+@pytest.mark.parametrize("row", [0, 2], ids=["ryb", "ss"])
+def test_report_and_sweep_refuse_a_wrong_table_alike(monkeypatch, row):
+    # A wrong output row and a wrong real-reward row of the one tabled
+    # grid that every check reads.
+    patch_wrong_table(monkeypatch, Subregion.P2, row)
     with pytest.raises(ClosedFormMismatch, match=r"tabled signs of P2: ") as report_error:
         run_report(reference_scenario())
     # The reference template is Cobb-Douglas: every cross elasticity is 1.
@@ -1014,7 +1021,7 @@ def test_reciprocity_is_checked_before_the_tabled_signs(monkeypatch):
     # A wrong table and a wrong price response: the dense check names the
     # error. The wrong table alone is named by the tabled-sign check.
     real = statics._dense_solve
-    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped(RYBCZYNSKI_SIGNS, Subregion.P2))
+    patch_wrong_table(monkeypatch, Subregion.P2, 0)
     corrupt_price_column(monkeypatch, 1.5)
     with pytest.raises(ClosedFormMismatch, match="reciprocity form disagrees"):
         run_report(reference_scenario())
@@ -1056,16 +1063,20 @@ def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
         return x
 
     monkeypatch.setattr(np.linalg, "solve", corrupted)
-    with pytest.raises(SingularSystem, match=r"solve residual 2\.0\d*e-10 exceeds"):
+    with pytest.raises(SingularSystem, match=r"^solve residual \S+ exceeds") as report_error:
         run_report(reference_scenario())
     a = assemble_system(reference_table, reference_g())
     _, residual = dense_signs(a[np.newaxis])
     assert residual[0] == pytest.approx(2e-10, rel=1e-3)
     assert not residual[0] <= statics.RESIDUAL_TOL
     with pytest.raises(
-        SingularSystem, match=r"^grid point 0 \(.*\): solve residual 2\.0\d*e-10 exceeds"
-    ):
+        SingularSystem, match=r"^grid point 0 \(.*\): solve residual \S+ exceeds"
+    ) as sweep_error:
         sweep(reference_scenario(), parse_grid("land_capital_1=1:1:1"))
+    # The printed residual's last digits depend on the BLAS kernel.
+    for caught in (report_error, sweep_error):
+        printed = re.search(r"solve residual (\S+) exceeds", str(caught.value)).group(1)
+        assert float(printed) == pytest.approx(2e-10, rel=1e-3)
 
 
 def test_mismatch_messages_name_both_values(monkeypatch, reference_table):

@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from ews32 import (
     ews_from_epsilon,
     ews_from_stu,
     ews_ratio_vector,
-    require_valid_aes,
     sample_valid_aes,
     sweep,
     validate_aes,
@@ -50,7 +50,7 @@ def test_cobb_douglas_tensor_is_valid(reference_table):
     aes = cobb_douglas_aes(reference_table)
     report = validate_aes(aes, reference_table)
     assert report.ok
-    require_valid_aes(aes, reference_table)
+    epsilon_from_aes(aes, reference_table)
 
 
 def test_cobb_douglas_epsilon_values(reference_table):
@@ -92,7 +92,6 @@ def test_scaled_aes_entry(reference_table):
         + reference_table.theta[LABOR, 0] * 1.0
     ) / reference_table.theta[CAPITAL, 0]
     aes = AesTensor(sigma=sigma)
-    require_valid_aes(aes, reference_table)
     eps = epsilon_from_aes(aes, reference_table)
     assert eps[0, LAND, CAPITAL] == pytest.approx(0.30, abs=1e-15)
 
@@ -151,7 +150,7 @@ def test_validate_rejects_positive_own(reference_table):
     report = validate_aes(AesTensor(sigma=sigma), reference_table)
     assert not report.own_negativity_ok[0]
     with pytest.raises(InvalidAes) as info:
-        require_valid_aes(AesTensor(sigma=sigma), reference_table)
+        epsilon_from_aes(AesTensor(sigma=sigma), reference_table)
     assert info.value.report == report
     assert report.failed_checks == ("own-negativity", "quasi-concavity", "homogeneity")
 
@@ -234,10 +233,9 @@ def test_a_tensor_is_valid_only_with_its_completion(reference_table):
     assert report.quasi_concavity_ok == (False, True)
     assert report.failed_checks == ("quasi-concavity",)
     message = r"^Allen tensor invalid: quasi-concavity \(sector 1\)$"
-    for analyse in (require_valid_aes, epsilon_from_aes):
-        with pytest.raises(InvalidAes, match=message) as info:
-            analyse(aes, reference_table)
-        assert info.value.report == report
+    with pytest.raises(InvalidAes, match=message) as info:
+        epsilon_from_aes(aes, reference_table)
+    assert info.value.report == report
 
 
 def test_sampler_is_deterministic_and_valid(reference_table):
@@ -349,8 +347,14 @@ def test_identity_checks_fail_on_nan(reference_table):
     # must be written to fail, not pass, on it.
     g = REFERENCE_G.copy()
     g[LAND, CAPITAL] = np.nan
+    # EwsMatrix refuses a NaN g as it is built, so the levels check gets
+    # one through a stand-in that holds it as given.
+    with pytest.raises(ParseError, match="^g must hold finite numbers"):
+        EwsMatrix(g=g)
     with pytest.raises(InconsistentLevels):
-        aggregate_substitution(EwsMatrix(g=g), reference_table.theta_factor, np.ones(3))
+        aggregate_substitution(
+            types.SimpleNamespace(g=g), reference_table.theta_factor, np.ones(3)
+        )
     # A NaN labor-capital term breaks only the identities among the
     # economy-wide invariants.
     eps = epsilon_from_aes(cobb_douglas_aes(reference_table), reference_table).copy()

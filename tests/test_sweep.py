@@ -41,11 +41,11 @@ from ews32 import (
     sweep,
 )
 from ews32 import geometry, statics, substitution
-from ews32.statics import RYBCZYNSKI_SIGNS
+from ews32.statics import RYBCZYNSKI_SIGNS, STOLPER_SAMUELSON_SIGNS
 from ews32.substitution import IDENTITY_TOL, SAMPLE_SPREAD
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
-from conftest import QC_EDGE_SIGMA, random_ranked_table, reference_csv
+from conftest import QC_EDGE_SIGMA, patch_wrong_table, random_ranked_table, reference_csv
 from test_scenario import REFERENCE_DOC
 
 # (sector, row, column) of each grid key, written out independently of
@@ -458,32 +458,39 @@ def test_sweep_dense_check_catches_a_wrong_table(reference_scenario, monkeypatch
     grid = parse_grid("land_capital_1=-3:3:7")
     rows = sweep(reference_scenario, grid)
     first = next(k for k, row in enumerate(rows) if row["subregion"] == "P2")
-    (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P2]
-    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, ((-top[0],) + top[1:], bottom))
+    patch_wrong_table(monkeypatch, Subregion.P2, 0)
     value = rows[first]["land_capital_1"]
     named = rf"grid point {first} \(land_capital_1={value!r},"
     with pytest.raises(ClosedFormMismatch, match=named):
         sweep(reference_scenario, grid)
 
 
-def test_the_sweep_reads_the_sign_tables_as_they_now_stand(reference_scenario, monkeypatch):
-    # The sign tables are built once per state of the two dicts: a sweep
-    # after a patch reads the patched table, and refuses with the dense
-    # check; after the patch is undone it reads the tabled signs again.
-    grid = parse_grid("land_capital_1=-3:3:7")
-    want = format_csv(sweep(reference_scenario, grid))
-    p2 = geometry.REGIONS.index(Subregion.P2)
-    (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P2]
-    flipped = ((-top[0],) + top[1:], bottom)
-    monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P2, flipped)
-    grids, strong = statics._tabled_signs()
-    assert grids[:2, :, p2].tolist() == [list(row) for row in flipped]
-    assert strong[p2] is False and strong_rybczynski(Subregion.P2) is False
-    with pytest.raises(ClosedFormMismatch, match="computed signs contradict the tabled signs of P2"):
-        sweep(reference_scenario, grid)
-    monkeypatch.undo()
-    assert statics._tabled_signs()[1][p2] is True
-    assert format_csv(sweep(reference_scenario, grid)) == want
+def test_the_sign_tables_derived_forms_are_fixed_at_import():
+    # The grid that every dense check reads, the strong flags and the
+    # sweep's label cells are built once, at import, from the two sign
+    # tables and strong_rybczynski; each equals a fresh derivation for
+    # all 12 subregions, and none can be changed in place.
+    module = importlib.import_module("ews32.sweep")
+    regions = geometry.REGIONS
+    assert len(regions) == 12
+    fresh = [RYBCZYNSKI_SIGNS[r] + STOLPER_SAMUELSON_SIGNS[r] for r in regions]
+    assert statics._TABLED.shape == (4, 3, 12)
+    assert statics._TABLED.transpose(2, 0, 1).tolist() == [list(map(list, g)) for g in fresh]
+    strong = tuple(strong_rybczynski(r) for r in regions)
+    assert type(statics._STRONG) is tuple and statics._STRONG == strong
+    labels = [
+        f"{sign},{region.value},{'true' if flag else 'false'},ok"
+        for region, flag in zip(regions, strong)
+        for sign in "-+"
+    ]
+    assert module._LABELS.tolist() == labels
+    words = module._LABEL_WORDS.T.tobytes()
+    assert [words[16 * k : 16 * (k + 1)].rstrip(b"\0") for k in range(len(labels))] == [
+        f",{label}\n".encode() for label in labels
+    ]
+    for cells in (statics._TABLED, module._LABELS, module._LABEL_WORDS):
+        with pytest.raises(ValueError, match="read-only"):
+            cells[(0,) * cells.ndim] = cells[(0,) * cells.ndim]
 
 
 def _corrupt_substitution(name, corrupt):
@@ -589,8 +596,7 @@ def test_sweep_aborts_at_the_first_failing_point_in_grid_order(
     assert [row["subregion"] for row in rows] == [None, None, "P3"] + ["P2"] * 6
     _forget_p2(monkeypatch)
     if flip_p3:
-        (top, bottom) = RYBCZYNSKI_SIGNS[Subregion.P3]
-        monkeypatch.setitem(RYBCZYNSKI_SIGNS, Subregion.P3, ((-top[0],) + top[1:], bottom))
+        patch_wrong_table(monkeypatch, Subregion.P3, 0)
     value = rows[first]["capital_labor_2"]
     with pytest.raises(cls, match=rf"^grid point {first} \(.*capital_labor_2={value!r}\): "):
         sweep(reference_scenario, grid)
@@ -820,17 +826,15 @@ def test_batched_helpers_give_each_point_its_own_bits(case):
     # entries moved near zero or to NaN, against the same subregions.
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, len(geometry.REGIONS), size=len(pairs))
-    values = statics._contradicts_tables(np.zeros((4, 3, len(pairs))), codes)[1]
+    values = statics._TABLED.take(codes, axis=-1)
     values = values * rng.uniform(0.5, 2.0, size=values.shape)
     values[rng.random(values.shape) < 0.05] = rng.choice([1e-14, -1e-14, np.nan, 0.0])
     signs = statics._signs(values)
-    disagree, tabled = statics._contradicts_tables(signs, codes)
+    disagree = statics._contradicts_tables(signs, codes)
     for p, code in enumerate(codes.tolist()):
         one = statics._signs(values[..., p])
         assert np.array_equal(signs[..., p], one)
-        alone_disagree, alone_tabled = statics._contradicts_tables(one, code)
-        assert disagree[p] == alone_disagree
-        assert np.array_equal(tabled[..., p], alone_tabled)
+        assert disagree[p] == statics._contradicts_tables(one, code)
 
 
 def _last_flag_set(classified):
