@@ -5,15 +5,13 @@ lines, the seven anchor points, and the scenario's own ratio vector.
 Byte output depends only on the scenario and the window: every
 coordinate is formatted with fixed precision and no timestamps or
 randomness enter the document. What the window alone fixes is built
-once per window and cached; the bytes do not depend on whether it was.
+once per figure, and for DEFAULT_WINDOW once at import.
 """
 
 from __future__ import annotations
 
-import functools
 import html
 import math
-import struct
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -30,41 +28,6 @@ MARGIN = 45.0
 BOUNDARY_SAMPLES = 400
 
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
-
-
-def _require_window(window) -> bytes:
-    """The key of the window's frame: its four bounds as floats, (lo, hi)
-    of each range in the order given, packed as doubles; ValidationError
-    unless both ranges hold finite numbers with a finite nonzero span, in
-    either order."""
-    bounds = _finite_array(window)
-    ranges = bounds is not None and bounds.shape == (2, 2)
-    # Spans on Python floats: numpy would warn where one overflows.
-    if not (ranges and all(0.0 < abs(hi - lo) < math.inf for lo, hi in bounds.tolist())):
-        raise ValidationError(
-            f"figure window {window!r} needs finite bounds and, on each axis, a "
-            "finite nonzero span"
-        )
-    return struct.pack("<4d", *bounds.ravel().tolist())
-
-
-# DEFAULT_WINDOW is a tuple of tuples of floats, so its key is read once.
-_DEFAULT_KEY = _require_window(DEFAULT_WINDOW)
-
-
-def _transform(window):
-    (sx0, sx1), (uy0, uy1) = window
-    width, height = DEFAULT_SIZE
-    inner_w = width - 2.0 * MARGIN
-    inner_h = height - 2.0 * MARGIN
-
-    def to_svg(x, y):
-        """Pixel coordinates of plane points (floats or arrays)."""
-        px = MARGIN + (x - sx0) / (sx1 - sx0) * inner_w
-        py = MARGIN + (uy1 - y) / (uy1 - uy0) * inner_h
-        return px, py
-
-    return to_svg
 
 
 # _points_text writes each coordinate as 12 bytes: three little-endian
@@ -245,25 +208,40 @@ class _Frame(NamedTuple):
     px: np.ndarray
 
 
-# One frame: a run of figures draws in one window, and a one-shot CLI
-# figure never reuses its frame.
-@functools.lru_cache(maxsize=1)
 @np.errstate(over="ignore")
-def _frame(key: bytes) -> _Frame | None:
-    """The frame of the window whose key _require_window packs; None if
-    an axis or the asymptote s' = -1 maps a point out of float range.
+def _frame(window) -> _Frame:
+    """The frame of the window. ValidationError unless both ranges hold
+    finite numbers with a finite nonzero span, in either order, or if an
+    axis or the asymptote s' = -1 maps a point out of float range.
 
     The samples and the mask take each range of the window low to high,
     in whichever order it is given; to_svg maps the window as given.
     Every sample's pixel abscissa lies between the pixel abscissas of the
     window's edges and of s' = -1, so it is finite when they are.
     """
-    sx0, sx1, uy0, uy1 = struct.unpack("<4d", key)
-    to_svg = _transform(((sx0, sx1), (uy0, uy1)))
+    bounds = _finite_array(window)
+    ranges = bounds is not None and bounds.shape == (2, 2)
+    # Spans on Python floats: numpy would warn where one overflows.
+    if not (ranges and all(0.0 < abs(hi - lo) < math.inf for lo, hi in bounds.tolist())):
+        raise ValidationError(
+            f"figure window {window!r} needs finite bounds and, on each axis, a "
+            "finite nonzero span"
+        )
+    (sx0, sx1), (uy0, uy1) = bounds.tolist()
+    width, height = DEFAULT_SIZE
+    inner_w = width - 2.0 * MARGIN
+    inner_h = height - 2.0 * MARGIN
+
+    def to_svg(x, y):
+        """Pixel coordinates of plane points (floats or arrays)."""
+        px = MARGIN + (x - sx0) / (sx1 - sx0) * inner_w
+        py = MARGIN + (uy1 - y) / (uy1 - uy0) * inner_h
+        return px, py
+
     points = [(0.0, uy0), (0.0, uy1), (sx0, 0.0), (sx1, 0.0), (-1.0, uy0), (-1.0, uy1)]
     head = [c for x, y in points for c in to_svg(x, y)]
     if not all(map(math.isfinite, head)):
-        return None
+        raise _out_of_range(window)
     (lo_s, hi_s), (lo_u, hi_u) = sorted((sx0, sx1)), sorted((uy0, uy1))
     branches = [(lo, hi) for lo, hi in ((lo_s, -1.0 - 1e-6), (-1.0 + 1e-6, hi_s)) if lo < hi]
     # The pads, the first and last columns, are never inside, so that no
@@ -287,6 +265,10 @@ def _out_of_range(window) -> ValidationError:
     return ValidationError(f"figure window {window!r} maps a point out of float range")
 
 
+# DEFAULT_WINDOW is a tuple of tuples of floats, so its frame is built once.
+_DEFAULT_FRAME = _frame(DEFAULT_WINDOW)
+
+
 # A point far outside a tiny window maps past what a float holds, which
 # render_figure refuses.
 @np.errstate(over="ignore", invalid="ignore")
@@ -294,9 +276,7 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
     """The SVG document of the scenario's plane. The window is checked
     first, then the axes and asymptotes, then the boundary is sampled,
     then the rest is checked."""
-    frame = _frame(_DEFAULT_KEY if window is DEFAULT_WINDOW else _require_window(window))
-    if frame is None:
-        raise _out_of_range(window)
+    frame = _DEFAULT_FRAME if window is DEFAULT_WINDOW else _frame(window)
     table, vector, lines = scenario.table, scenario.vector, scenario.lines
     # The asymptote u' = -ratio spans the horizontal axis at its own height.
     asymptote_y = frame.to_svg(0.0, -float(table.labor_to_capital))[1]

@@ -147,7 +147,15 @@ def _system(table: ShareTable, g: np.ndarray) -> np.ndarray:
 
 
 def determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
-    """Determinant of the system through three agreeing routes."""
+    """Determinant of the system through three agreeing routes. As in
+    cofactors, g is first checked against the invariants of table's
+    economy-wide substitution (ValidationError)."""
+    _require_ews_invariants(g.g, table, ValidationError)
+    return _determinant_delta(system, table, g)
+
+
+def _determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
+    """determinant_delta of a g already checked."""
     # An overflowing determinant is refused below as a disagreement, with
     # no numpy warning ahead of the error.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -422,7 +430,7 @@ def _checked_statics(
     check residual, the closed forms against the dense checks, the tabled
     signs of region, then _responses."""
     system = assemble_system(table, g)
-    delta = determinant_delta(system, table, g)
+    delta = _determinant_delta(system, table, g)
     cof, _, _ = _cofactor_routes(table, g, vector, lines, offsets)
     ryb = [
         [

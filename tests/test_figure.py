@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import struct
 from xml.etree import ElementTree
 
 import numpy as np
@@ -26,10 +25,10 @@ from ews32.figure import (
     DEFAULT_SIZE,
     DEFAULT_WINDOW,
     MARGIN,
+    _DEFAULT_FRAME,
     _frame,
     _points_text,
     _polylines,
-    _transform,
 )
 from ews32.geometry import ON_LINE_TOL
 
@@ -367,7 +366,7 @@ def test_one_points_text_call_holds_both_branches(reference_scenario, monkeypatc
     svg = render_figure(reference_scenario)
     [(xy, ends, text)] = calls
     # One run left of the pole's pixel column, one right of it.
-    pole = _transform(DEFAULT_WINDOW)(-1.0, 0.0)[0]
+    pole = _DEFAULT_FRAME.to_svg(-1.0, 0.0)[0]
     left, right = np.split(xy[:, 0], ends[:-1])
     assert len(ends) == 2 and left.max() < pole < right.min()
     assert svg.count("<polyline ") == 2 and percent_polylines(xy, ends) in svg
@@ -379,7 +378,7 @@ def reference_boundary(table, window) -> list[str]:
     boundary_value calls: a run of in-window samples is cut where the
     curve leaves the padded window and kept if it has two or more. Each
     range is sampled low to high, in whichever order the window gives it."""
-    to_svg = _transform(window)
+    to_svg = _frame(window).to_svg
     (sx0, sx1), (uy0, uy1) = (sorted(bounds) for bounds in window)
     pad = 0.5 * (uy1 - uy0)
     out = []
@@ -469,35 +468,52 @@ def edge_windows(draw):
     return tuple(r[:: draw(st.sampled_from([1, -1]))] for r in ranges)
 
 
+def spy_frames(patch) -> list:
+    """The windows of the frames that render_figure builds, from now on."""
+    windows, real = [], figure._frame
+
+    def spy(window):
+        windows.append(window)
+        return real(window)
+
+    patch.setattr(figure, "_frame", spy)
+    return windows
+
+
 @settings(max_examples=60)
 @given(figure_cases(), st.one_of(st.none(), edge_windows()))
 def test_the_frame_cannot_be_seen_in_the_output(case, edge_window):
-    # The same text, or the same refusal, from a warm frame and from one
-    # built afresh; and the polylines of the scalar reference.
+    # The default window's frame, built at import, and the frame of an
+    # equal window passed as another object give the same text; any other
+    # window gives the same text, or the same refusal, on every figure,
+    # and the polylines of the scalar reference.
     scenario, window = case
     window = edge_window or window
-    warm = outcome(scenario, window)
-    assert outcome(scenario, window) == warm
-    _frame.cache_clear()
-    assert outcome(scenario, window) == warm
-    if isinstance(warm, str):
-        boundary = [line for line in warm.splitlines() if line.startswith("<polyline ")]
+    equal = [list(bounds) for bounds in DEFAULT_WINDOW]
+    with pytest.MonkeyPatch.context() as patch:
+        built = spy_frames(patch)
+        default = render_figure(scenario)
+        assert not built
+        assert render_figure(scenario, window=equal) == default
+        assert built == [equal]
+    drawn = outcome(scenario, window)
+    assert outcome(scenario, window) == drawn
+    if isinstance(drawn, str):
+        boundary = [line for line in drawn.splitlines() if line.startswith("<polyline ")]
         assert boundary == reference_boundary(scenario.table, window)
 
 
 def test_a_frame_is_read_only_and_reached_only_by_a_valid_window(reference_scenario):
-    render_figure(reference_scenario, window=((0, 1), (-10, 4)))
-    frame = _frame(struct.pack("<4d", 0.0, 1.0, -10.0, 4.0))
-    for array in (frame.s, frame.px):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        frame.px[0] = 0.0
-    # True equals 1, and packs to the same key, but is no number of a window.
-    info = _frame.cache_info()
+    for frame in (_DEFAULT_FRAME, _frame(((0, 1), (-10, 4)))):
+        for array in (frame.s, frame.px):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            frame.px[0] = 0.0
+    # True equals 1, but is no number of a window.
     window = ((0, True), (-10, 4))
-    with pytest.raises(ValidationError, match=re.escape(repr(window))):
-        render_figure(reference_scenario, window=window)
-    assert _frame.cache_info() == info
+    for draw in (_frame, lambda window: render_figure(reference_scenario, window=window)):
+        with pytest.raises(ValidationError, match=re.escape(repr(window))):
+            draw(window)
 
 
 def test_one_frame_per_window_and_one_boundary_call_per_figure(monkeypatch):
@@ -514,14 +530,13 @@ def test_one_frame_per_window_and_one_boundary_call_per_figure(monkeypatch):
         return heights(s_prime, table)
 
     monkeypatch.setattr(figure, "_overflow_checked_height", spy)
-    _frame.cache_clear()
+    built = spy_frames(monkeypatch)
     for scenario in scenarios:
         render_figure(scenario)
-    info = _frame.cache_info()
-    assert (info.misses, info.hits) == (1, 19)
     assert len(calls) == 20
-    # Every call samples the one frame's abscissas.
-    assert all(s is calls[0] for s in calls)
+    # Every call samples the default frame's abscissas, built at import.
+    assert all(s is _DEFAULT_FRAME.s for s in calls)
+    assert not built
 
 
 _LARGEST = np.finfo(float).max
@@ -560,14 +575,12 @@ def test_the_frame_samples_need_no_abscissa_checks(case, other_window):
         patch.setattr(figure, "_overflow_checked_height", spy)
         outcome(scenario, window)
     try:
-        frame = _frame(figure._require_window(window))
+        frame = _frame(window)
     except ValidationError:
         assert not calls
         return
-    if frame is None:
-        assert not calls
-        return
-    assert all(s is frame.s for s in calls)
+    # The figure sampled the abscissas of the window's frame, bit for bit.
+    assert all(s.tobytes() == frame.s.tobytes() for s in calls)
     assert np.isfinite(frame.s).all()
     assert (np.abs(frame.s + 1.0) > ON_LINE_TOL).all()
     # Each branch keeps to its side of the pole.
@@ -593,7 +606,7 @@ def test_a_wide_window_samples_no_point_past_its_branch(reference_scenario, wind
     # (to the rounding of a pixel coordinate).
     svg = render_figure(reference_scenario, window=window)
     assert svg.count('class="anchor"') == 7
-    frame = _frame(figure._require_window(window))
+    frame = _frame(window)
     assert frame.s[0].max() == -1.0 - 1e-6
     pole = frame.to_svg(-1.0, 0.0)[0]
     for points in _polyline_points(svg):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ews32 import (
     line_coefficients,
     verify_anchor_ordering,
 )
-from ews32.geometry import SIGNATURES
+from ews32.geometry import ON_LINE_TOL, SIGNATURES
 
 from conftest import (
     matrix_at,
@@ -197,6 +199,26 @@ def test_classify_on_line(reference_table):
     # OnLine, not Infeasible: the vector is strictly inside the boundary.
     with pytest.raises(OnLine):
         classify_subregion(v, lines, reference_table)
+
+
+def test_an_offset_of_exactly_the_tolerance_is_on_line(reference_table):
+    # The reference vector's offsets, with the smallest one set to exactly
+    # ON_LINE_TOL on its own side of its line: refused as on the line; one
+    # float further out, the vector keeps its subregion.
+    lines = line_coefficients(reference_table)
+    v = ews_ratio_vector(EwsMatrix(g=REFERENCE_G.copy()))
+    offsets = lines.offsets(v.s_prime, v.u_prime)
+    nearest = np.unravel_index(np.abs(offsets).argmin(), offsets.shape)
+    region = classify_subregion(v, lines, reference_table)
+    for gap, refused in [(ON_LINE_TOL, True), (np.nextafter(ON_LINE_TOL, 1.0), False)]:
+        moved = offsets.copy()
+        moved[nearest] = np.copysign(gap, offsets[nearest])
+        stand_in = SimpleNamespace(offsets=lambda s_prime, u_prime, moved=moved: moved)
+        if refused:
+            with pytest.raises(OnLine):
+                classify_subregion(v, stand_in, reference_table)
+        else:
+            assert classify_subregion(v, stand_in, reference_table) is region
 
 
 def test_infeasible_placements(reference_table):

@@ -15,6 +15,7 @@ from ews32 import (
     LABOR,
     LAND,
     ClosedFormMismatch,
+    ConsistencyError,
     DegenerateT,
     EwsMatrix,
     OnLine,
@@ -186,10 +187,14 @@ def test_determinant_linear_in_substitution(reference_table):
 def test_determinant_must_be_negative(reference_table):
     # The determinant is linear in g, so negating a valid g flips all
     # three routes to the same positive value; no valid g gets there.
+    # The public entry refuses that g first, as the caller's fault.
     g = EwsMatrix(g=-REFERENCE_G)
+    system = assemble_system(reference_table, g)
     message = r"^system determinant must be negative, got 0\.16"
     with pytest.raises(ClosedFormMismatch, match=message):
-        determinant_delta(assemble_system(reference_table, g), reference_table, g)
+        statics._determinant_delta(system, reference_table, g)
+    with pytest.raises(ValidationError, match="^economy-wide own substitution must be negative$"):
+        determinant_delta(system, reference_table, g)
 
 
 def test_cofactors_reference(reference_table):
@@ -245,6 +250,39 @@ def test_a_g_that_is_not_the_tables_is_the_callers_fault(seed, entries):
             entry(table, g)
         except ValidationError:
             pass
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_ENTRIES = st.floats(-1e3, 1e3)
+
+
+@given(_SEEDS, st.lists(_ENTRIES, min_size=9, max_size=9), _SEEDS, st.tuples(*[_ENTRIES] * 3))
+def test_determinant_delta_checks_the_callers_g(seed, entries, aes_seed, stu):
+    # A g that is not the table's ends in a ValidationError, never in a
+    # ConsistencyError; the table's own g, derived from a sampled tensor
+    # or placed by ews_from_stu, has a negative determinant on which the
+    # three routes agree.
+    table = random_ranked_table(np.random.default_rng(seed))
+    g = EwsMatrix(g=np.reshape(entries, (3, 3)))
+    try:
+        determinant_delta(assemble_system(table, g), table, g)
+    except ValidationError:
+        pass
+    valid = [random_valid_ews(table, aes_seed)]
+    try:
+        valid.append(ews_from_stu(table, *stu))
+    except ValidationError:
+        pass
+    except ConsistencyError:
+        # ews_from_stu's own float minor check cancels when u/t spans about
+        # 1e16 or more, as at (0.0, 1.7e-138, 1.0): ROADMAP item 3, pinned by
+        # test_inputs.py::test_a_large_u_is_read_or_refused. No g is placed.
+        pass
+    for g in valid:
+        delta = determinant_delta(assemble_system(table, g), table, g)
+        routes = (delta.dense, delta.via_own_terms, delta.via_cross_terms)
+        assert max(routes) < 0.0
+        assert routes == pytest.approx((delta.value,) * 3, rel=statics.CROSS_CHECK_TOL)
 
 
 def test_a_broken_invariant_is_named(reference_table):
@@ -979,13 +1017,13 @@ def test_cofactor_check_names_a_nan_determinant(monkeypatch):
 def test_output_check_catches_a_wrong_closed_form(monkeypatch, bad):
     # The determinant's routes agree; the value the closed form divides
     # by is then corrupted.
-    real = statics.determinant_delta
+    real = statics._determinant_delta
 
     def corrupted(*args):
         delta = real(*args)
         return dataclasses.replace(delta, via_own_terms=delta.via_own_terms * bad)
 
-    monkeypatch.setattr(statics, "determinant_delta", corrupted)
+    monkeypatch.setattr(statics, "_determinant_delta", corrupted)
     with pytest.raises(ClosedFormMismatch, match="output-response closed form disagrees"):
         run_report(reference_scenario())
 

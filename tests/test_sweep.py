@@ -871,6 +871,28 @@ def test_sweep_names_a_point_only_the_stacked_pipeline_refuses(
     )
 
 
+def test_a_dense_residual_of_exactly_the_tolerance_is_classified(reference_scenario, monkeypatch):
+    # The dense check's real signs with a residual of exactly RESIDUAL_TOL
+    # pass: the rows are the sweep's own. One float more refuses the
+    # point, which the scalar steps accept.
+    module = importlib.import_module("ews32.sweep")
+    real = module.dense_signs
+    grid = parse_grid("land_capital_1=1:1:2")
+    want = format_csv(sweep(reference_scenario, grid))
+    for residual in (statics.RESIDUAL_TOL, np.nextafter(statics.RESIDUAL_TOL, 1.0)):
+
+        def at_residual(system, residual=residual):
+            signs, solved = real(system)
+            return signs, np.full_like(solved, residual)
+
+        monkeypatch.setattr(module, "dense_signs", at_residual)
+        if residual == statics.RESIDUAL_TOL:
+            assert format_csv(sweep(reference_scenario, grid)) == want
+        else:
+            with pytest.raises(ConsistencyError, match=r"stacked stage 'dense check' refused"):
+                sweep(reference_scenario, grid)
+
+
 def test_sweep_names_a_scalar_error_the_stacked_stage_does_not_stand_for(
     reference_scenario, monkeypatch
 ):
