@@ -2,10 +2,10 @@
 
 Draws the boundary hyperbola with its two asymptotes, the six border
 lines, the seven anchor points, and the scenario's own ratio vector.
-Byte output depends only on the scenario and the window: every
-coordinate is formatted with fixed precision and no timestamps or
-randomness enter the document. What the window alone fixes is built
-once per figure, and for DEFAULT_WINDOW once at import.
+Byte output depends only on the scenario and the window: coordinates
+have fixed precision, the boundary's written by _digits' exact "%.3f",
+and no timestamps or randomness enter the document. What the window
+alone fixes is built once per figure, and for DEFAULT_WINDOW at import.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._digits import three_decimals
 from .errors import ValidationError
 from .geometry import _anchors, _overflow_checked_height
 from .scenario import Scenario
@@ -30,83 +31,19 @@ BOUNDARY_SAMPLES = 400
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
 
 
-# _points_text writes each coordinate as 12 bytes: three little-endian
-# uint32 words taken from tables indexed by its digit groups. Leading
-# zeros and an absent sign are NUL bytes, deleted from the joined text.
-_WORD = np.dtype("<u4")
-
-
-def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables _HIGH, _MIDDLE and _LOW, built from the digits of each
-    group 0..999; only the tables are kept."""
-    group = np.arange(1000)
-    digits = group[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    nul = np.zeros(1000, dtype=int)
-
-    def words(*columns) -> np.ndarray:
-        """The uint32 words whose four bytes are the columns' entries, in order."""
-        return np.column_stack(columns).astype(np.uint8).view(_WORD).ravel()
-
-    def significant(units: int) -> np.ndarray:
-        """digits with each leading zero NUL; the units digit stays from `units` up."""
-        return np.where(group[:, None] >= np.array([100, 10, units]), digits, 0)
-
-    # Sign and digits of the integer part's thousands group, indexed by the
-    # group plus 1000 for a negative coordinate. A group of 0 writes only
-    # the sign.
-    high = [words(nul, significant(1)), words(nul + ord("-"), significant(1))]
-    # The integer part's last three digits and the point, indexed by the
-    # group plus 1000 when a thousands group precedes it, so that its zeros
-    # are kept.
-    middle = [words(significant(0), nul + ord(".")), words(digits, nul + ord("."))]
-    # The three decimals; the separator that follows is added as the
-    # fourth byte.
-    return np.concatenate(high), np.concatenate(middle), words(digits, nul)
-
-
-_HIGH, _MIDDLE, _LOW = _word_tables()
-_SEPARATORS = np.array([ord(","), ord(" ")], dtype=_WORD) << 24
-# The separator after the last coordinate of a run.
-_RUN_END = np.array(ord("\n"), dtype=_WORD) << 24
-
-
 def _points_text(xy: np.ndarray, ends) -> str | None:
     """The text "%.3f,%.3f" % (px, py) of each point of xy (n >= 1 rows),
     joined by spaces within each run xy[ends[i - 1]:ends[i]] and by
     newlines between runs (ends increasing, the last one n); None unless
-    every coordinate is certified.
-
-    With p = |v| * 1000 rounded to a float and n = rint(p), a coordinate
-    is certified when n < 10**9 and p is not a half-integer. Every
-    half-integer below 10**9 is a float and rounding to the nearest float
-    is monotone, so the exact product lies on p's side of each of them: it
-    is no tie and rounds to n, as "%.3f" rounds it. The sign comes from the
-    sign bit, so -0.0 writes "-0.000". Non-finite values and |v| that
-    rounds to 10**6 or more are not certified.
-    """
-    a = np.abs(xy)
-    # rint(p) < 10**9 exactly when p < 999999999.5, which nan and inf fail.
-    if not float(a.max()) * 1000.0 < 999_999_999.5:
+    every coordinate is certified by three_decimals."""
+    words = three_decimals(xy)
+    if words is None:
         return None
-    p = a * 1000.0
-    n = np.rint(p)
-    # p - n is exact, and 0.5 in size only where p is a half-integer.
-    if not np.abs(p - n).max() < 0.5:
-        return None
-    # Floor division and a product, which numpy runs faster than divmod.
-    n = n.astype(np.intp)
-    whole = n // 1000
-    frac = n - whole * 1000
-    high = whole // 1000
-    middle = whole - high * 1000
-    np.add(high, 1000, out=high, where=np.signbit(xy))
-    words = np.empty(xy.shape + (3,), dtype=_WORD)
-    words[..., 0] = _HIGH[high]
-    # whole < 1000 is its own last group; past it, the group plus 1000.
-    words[..., 1] = _MIDDLE[np.minimum(whole, middle + 1000)]
-    np.add(_LOW[frac], _SEPARATORS, out=words[..., 2])
-    last = np.asarray(ends) - 1
-    words[last, 1, 2] = _LOW[frac[last, 1]] + _RUN_END
+    # Each coordinate's separator in its last byte: a comma after x, a space
+    # after y, turned into a newline after a run's last point.
+    words[:, 0, 2] |= ord(",") << 24
+    words[:, 1, 2] |= ord(" ") << 24
+    words[np.asarray(ends) - 1, 1, 2] ^= (ord(" ") ^ ord("\n")) << 24
     # The last coordinate's separator is dropped.
     return words.tobytes()[:-1].translate(None, b"\0").decode("ascii")
 

@@ -25,18 +25,20 @@ LAPACK's stacked solve does.
 The result keeps the engine's columns (SweepRows), each row's status as
 a code into one list of status labels; a row's dict is built only when
 it is read, and format_csv joins the CSV once from per-row pieces of the
-columns, the classified rows' S' and U' written by an exact vectorized
-"%.9g" (_nine_digits).
+columns, the classified rows' S' and U' written by the exact vectorized
+"%.9g" of _digits.nine_digits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
 
 import numpy as np
 
+from ._digits import WORD, nine_digits
 from .errors import ConsistencyError, Ews32Error, ParseError
 from .geometry import REGIONS, _CLASSIFY_FAULTS, _ON_LINE_FAULT, _classify
 from .scenario import Scenario, run_report
@@ -349,129 +351,15 @@ class SweepRows(Sequence):
         return row
 
 
-# _nine_digits writes "%.9g" of a value v as five little-endian uint32
-# words, whose NUL bytes are deleted from the joined text. With X the
-# decimal exponent of |v| in -4..8, the nine digits of n = rint(|v| *
-# 10**(8 - X)) go in three groups of three. Each group's word is chosen
-# by its digits, by where the point falls in or after it, and by whether
-# every digit after it is zero, which drops its trailing fraction zeros.
-# The two words ahead of the groups hold a NUL byte left for a
-# separator, the sign and, for X < 0, "0." and the zeros after the point.
-_WORD = np.dtype("<u4")
-# v's code is the number of these bounds at or below it: -10**X for X
-# from 9 down to -4, each stepped one float towards zero, then 10**X for
-# X from -4 to 9. Each literal from 1e-4 up is a float no smaller than
-# the power of ten it names, and no float lies between the two, so codes
-# 1-13 hold the negative v with X from 8 down to -4 and codes 15-27 the
-# positive v with X from -4 to 8, exactly. The other codes hold what
-# "%.9g" writes with an exponent, zero, or NaN, which sorts last.
-_BOUNDS = np.array(
-    [np.nextafter(-float(f"1e{x}"), 0.0) for x in range(9, -5, -1)]
-    + [float(f"1e{x}") for x in range(-4, 10)]
-)
-# The place value of each group's last digit.
-_PLACES = np.array([[1e6], [1e3], [1.0]])
-
-
-def _group_words() -> np.ndarray:
-    """The word of each three-digit group g, at index (q + 1) * 2000 + 1000
-    * f + g, with the point after digit q of the group (-1: the point
-    comes before the group, 3: it comes after a later group) and f set
-    when every later digit of the number is zero, so that the group's
-    trailing fraction zeros are dropped, and the point when no fraction
-    digit follows it."""
-    g = np.arange(1000)
-    digits = g[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    # rest[:, i]: the group's digits from digit i on, as a number.
-    rest = g[:, None] % np.array([1000, 100, 10, 1])
-    words = np.zeros((5, 2, 1000, 4), dtype=np.uint8)
-    for q in range(-1, 4):
-        # Each byte's source, the digit from which the rest of the group
-        # decides whether it is dropped, and whether it is in the fraction.
-        slots = []
-        for i in range(3):
-            slots.append((digits[:, i], i, i > q))
-            if i == q < 3:
-                slots.append((ord("."), i + 1, True))
-        for f in range(2):
-            for k, (source, start, fraction) in enumerate(slots):
-                dropped = fraction and f and rest[:, start] == 0
-                words[q + 1, f, :, k] = np.where(dropped, 0, source)
-    return words.view(_WORD).ravel()
-
-
-def _code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per code: 10**(8 - X), negated for a negative v, so that v times it
-    is |v| * 10**(8 - X), and NaN where the code holds no certified value;
-    the offset of each group's word in _GROUP_WORDS; the two lead words."""
-    codes = len(_BOUNDS) + 1
-    scales = np.full(codes, np.nan)
-    bases = np.zeros((3, codes))
-    lead = np.zeros((codes, 8), dtype=np.uint8)
-    for code in range(codes):
-        negative = code < 14
-        x = 9 - code if negative else code - 19
-        if -4 <= x <= 8:
-            scales[code] = (-1.0 if negative else 1.0) * 10 ** (8 - x)
-            bases[:, code] = [(min(max(x - 3 * j, -1), 3) + 1) * 2000 for j in range(3)]
-            text = b"\0" + b"-" * negative + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
-            lead[code, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return scales, bases, lead.view(_WORD).T.copy()
-
-
-_GROUP_WORDS = _group_words()
-_SCALES, _GROUP_BASE, _LEAD_WORDS = _code_tables()
-
-
-def _nine_digits(values: np.ndarray) -> np.ndarray | None:
-    """The words [5, n] of "%.9g" % v for each v of the n values, the
-    first byte of each text NUL; None unless every value is certified.
-
-    With k = 8 - X, p = |v| * 10**k is one correctly rounded product by
-    an exact power of ten. Every half-integer below 10**9 is a float and
-    rounding is monotone, so when p is none, the exact product lies on
-    p's side of each of them: it is no tie and rounds to rint(p), the
-    nine digits "%.9g" rounds it to while rint(p) < 10**9. 0, -0.0,
-    non-finite values, |v| < 1e-4 or >= 1e9 (which "%.9g" writes with an
-    exponent), a tie and a carry to 10**9 are not certified.
-    """
-    code = np.searchsorted(_BOUNDS, values, side="right")
-    p = values * _SCALES.take(code)
-    n = np.rint(p)
-    # rint(p) < 10**9 exactly when p < 999999999.5, which NaN fails; p - n
-    # is exact, and 0.5 in size only where p is a half-integer.
-    if not (p.max() < 999_999_999.5 and np.abs(p - n).max() < 0.5):
-        return None
-    # n // 10**6, n // 10**3 and n. A quotient n / 10**j is exact where it
-    # is an integer; elsewhere its fraction is a multiple of 10**-j, far
-    # wider than its rounding error, so floor gives n // 10**j and the
-    # quotient keeps a fraction exactly where a digit after it is not zero.
-    quotients = n / _PLACES
-    groups = np.floor(quotients)
-    last = groups == quotients
-    groups[1:] -= 1000.0 * groups[:-1]
-    index = (_GROUP_BASE.take(code, axis=1) + groups + 1000.0 * last).astype(np.intp)
-    words = np.empty((5, len(values)), dtype=_WORD)
-    np.take(_LEAD_WORDS, code, axis=1, out=words[:2])
-    np.take(_GROUP_WORDS, index, out=words[2:])
-    return words
-
-
 def _label_cells() -> tuple[np.ndarray, np.ndarray]:
     """The cells sign_t,subregion,strong_result,status of a classified
     row, at index 2 * region + (sign_t > 0): as strings, and with a comma
     ahead and a newline after as four words each, NUL-padded, for
-    _nine_digits' rows; both read-only."""
-    labels = np.array(
-        [
-            f"{sign},{region.value},{'true' if flag else 'false'},ok"
-            for region, flag in zip(REGIONS, _STRONG)
-            for sign in "-+"
-        ],
-        dtype=object,
-    )
+    nine_digits' rows; both read-only."""
+    labels = [f"{s},{r.value},{str(f).lower()},ok" for r, f in zip(REGIONS, _STRONG) for s in "-+"]
     padded = b"".join(f",{label}\n".encode().ljust(16, b"\0") for label in labels)
-    words = np.frombuffer(padded, dtype=_WORD).reshape(-1, 4).T.copy()
+    labels = np.array(labels, dtype=object)
+    words = np.frombuffer(padded, dtype=WORD).reshape(-1, 4).T.copy()
     labels.flags.writeable = words.flags.writeable = False
     return labels, words
 
@@ -481,28 +369,21 @@ _LABELS, _LABEL_WORDS = _label_cells()
 
 def _classified_tails(rows: SweepRows, lead: str) -> list[str]:
     """Each classified row's tail: lead, S', U' and the cells after them,
-    written by _nine_digits, or by one "%.9g" call unless it certifies
+    written by nine_digits, or by one "%.9g" call unless it certifies
     every value."""
     m = len(rows._ok)
     label = 2 * rows._region + (rows._sign_t > 0)
-    words = _nine_digits(np.concatenate((rows._s_prime, rows._u_prime)))
+    words = nine_digits(np.concatenate((rows._s_prime, rows._u_prime)))
     if words is None:
-        cells = np.empty((m, 3), dtype=object)
-        cells[:, 0] = rows._s_prime.tolist()
-        cells[:, 1] = rows._u_prime.tolist()
-        cells[:, 2] = _LABELS[label]
-        text = (lead + "%.9g,%.9g,%s\n") * m % tuple(cells.ravel().tolist())
+        cells = zip(rows._s_prime.tolist(), rows._u_prime.tolist(), _LABELS[label].tolist())
+        text = (lead + "%.9g,%.9g,%s\n") * m % tuple(itertools.chain.from_iterable(cells))
         return text.splitlines(keepends=True)
     # One column of words per row: lead, S', U', then its cells.
-    head = np.frombuffer(lead.encode() + b"\0" * (-len(lead) % 4), dtype=_WORD)
-    h = len(head)
-    columns = np.empty((h + 14, m), dtype=_WORD)
-    columns[:h] = head[:, None]
-    columns[h : h + 5] = words[:, :m]
-    columns[h + 5 : h + 10] = words[:, m:]
+    head = np.frombuffer(lead.encode() + b"\0" * (-len(lead) % 4), dtype=WORD)
+    head = np.broadcast_to(head[:, None], (len(head), m))
+    columns = np.concatenate((head, words[:, :m], words[:, m:], _LABEL_WORDS.take(label, axis=1)))
     # The comma ahead of U', in the byte its words leave for it.
-    columns[h + 5] |= ord(",")
-    columns[h + 10 :] = _LABEL_WORDS.take(label, axis=1)
+    columns[len(head) + 5] |= ord(",")
     text = columns.T.tobytes().translate(None, b"\0").decode("ascii")
     return text.splitlines(keepends=True)
 

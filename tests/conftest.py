@@ -268,6 +268,24 @@ def reference_csv(rows):
     return "\n".join(out) + "\n"
 
 
+def percent_text(xy: np.ndarray, ends) -> str:
+    """The runs xy[ends[i - 1]:ends[i]] written point by point with
+    "%.3f", spaces within a run and newlines between runs."""
+    return "\n".join(
+        " ".join("%.3f,%.3f" % (px, py) for px, py in run.tolist())
+        for run in np.split(xy, ends[:-1])
+    )
+
+
+def percent_polylines(xy: np.ndarray, ends) -> str:
+    """One figure boundary polyline per run of percent_text, each followed
+    by a newline."""
+    return "".join(
+        f'<polyline fill="none" stroke="#000000" stroke-width="1.8" points="{run}" />\n'
+        for run in percent_text(xy, ends).split("\n")
+    )
+
+
 # The exact oracle: Fraction arithmetic on the model's definitions, with
 # no rounding anywhere, for tests that need the true sign of a quantity
 # floats cannot call.

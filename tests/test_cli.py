@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -106,6 +107,54 @@ def test_sweep_bad_grid(scenario_file, tmp_path, capsys):
     code = main(["sweep", scenario_file, "--grid", "bogus=-1:1:3", "-o", str(tmp_path / "x.csv")])
     assert code == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, axes, classified",
+    [
+        # One key in each sector, whose tensors the sweep builds and checks
+        # per sector.
+        (
+            "land_capital_1=-3:3:7,capital_labor_2=0.5:1.5:3",
+            {"land_capital_1": [-3, -2, -1, 0, 1, 2, 3], "capital_labor_2": [0.5, 1, 1.5]},
+            12,
+        ),
+        # Two keys in each sector, so the sweep joins two multi-key sector
+        # stacks; the 4 rows that join a valid tensor of each are classified.
+        (
+            "land_capital_1=-3:1:2,land_labor_1=0.5:1:2,land_labor_2=0.5:1:2,capital_labor_2=-2:1:2",
+            {
+                "land_capital_1": [-3, 1],
+                "land_labor_1": [0.5, 1],
+                "land_labor_2": [0.5, 1],
+                "capital_labor_2": [-2, 1],
+            },
+            4,
+        ),
+    ],
+    ids=["two-keys", "four-keys"],
+)
+def test_each_grid_row_is_the_row_of_its_one_point_sweep(
+    scenario_file, tmp_path, capsys, spec, axes, classified
+):
+    # A grid's rows, in grid key order, are byte for byte the rows of
+    # one-point sweeps at each point, whether the digit writer certifies
+    # the grid's values and each point's or one of them falls back to "%".
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", scenario_file, "--grid", spec, "-o", str(out)]) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    points = list(itertools.product(*axes.values()))
+    assert capsys.readouterr().out == f"wrote {out}: {len(points)} rows, {classified} classified\n"
+    assert sum(row.endswith(",ok\n") for row in rows) == classified
+    one = tmp_path / "point.csv"
+    alone = []
+    for point in points:
+        grid = ",".join(f"{key}={v}:{v}:1" for key, v in zip(axes, point))
+        assert main(["sweep", scenario_file, "--grid", grid, "-o", str(one)]) == 0
+        first, row = one.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert first == header
+        alone.append(row)
+    assert rows == alone
 
 
 def test_internal_error_exit_code(scenario_file, capsys, monkeypatch):

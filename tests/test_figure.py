@@ -32,7 +32,8 @@ from ews32.figure import (
 )
 from ews32.geometry import ON_LINE_TOL
 
-from conftest import random_ranked_table
+from conftest import percent_polylines, percent_text, random_ranked_table
+from test_digits import check_writes_what_percent_writes_or_refuses, value_lists
 from test_scenario import REFERENCE_DOC
 
 
@@ -238,63 +239,12 @@ def test_tiny_span_windows_map_only_drawn_samples(window):
         assert "nan" not in svg and "inf" not in svg
 
 
-def percent_text(xy: np.ndarray, ends) -> str:
-    """The runs xy[ends[i - 1]:ends[i]] written point by point with
-    "%.3f", spaces within a run and newlines between runs."""
-    return "\n".join(
-        " ".join("%.3f,%.3f" % (px, py) for px, py in run.tolist())
-        for run in np.split(xy, ends[:-1])
-    )
-
-
-def percent_polylines(xy: np.ndarray, ends) -> str:
-    """One boundary polyline per run of percent_text, each followed by a
-    newline."""
-    return "".join(
-        f'<polyline fill="none" stroke="#000000" stroke-width="1.8" points="{run}" />\n'
-        for run in percent_text(xy, ends).split("\n")
-    )
-
-
-def near_half(m: int, step: int) -> float:
-    """m / 1000 + 0.0005, or the float one ulp below (-1) or above (+1) it."""
-    half = (m + 0.5) / 1000
-    return math.nextafter(half, step * math.inf) if step else half
-
-
-_COORDINATES = (
-    # Random bit patterns: subnormals, +-0.0, inf and nan among them.
-    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
-    st.floats(-1e3, 1e3),
-    st.floats(-1e6, 1e6),
-    # k / 16 for odd k: the third decimal is followed by an exact 5.
-    st.integers(-(2**23), 2**23).map(lambda k: (2 * k + 1) / 16),
-    st.builds(near_half, st.integers(-(10**9), 10**9), st.sampled_from([-1, 0, 1])),
-    st.floats(-0.0005, 0.0),  # negatives that round to zero
-    st.sampled_from([999999.9994, 999999.9996, -999999.9994, -999999.9996, 999999.9995]),
-    st.one_of(st.floats(1e6, 1e308), st.sampled_from([math.inf, -math.inf, math.nan])),
-)
-
-
-@st.composite
-def coordinate_arrays(draw):
-    """(n, 2) float64 points from one family of coordinates, or mixed, and
-    the ends of the runs that split them."""
-    family = draw(st.sampled_from(_COORDINATES + (st.one_of(*_COORDINATES),)))
-    values = draw(st.lists(family, min_size=2, max_size=80).filter(lambda v: len(v) % 2 == 0))
-    xy = np.array(values, dtype=np.float64).reshape(-1, 2)
-    cuts = draw(st.sets(st.integers(1, len(xy) - 1))) if len(xy) > 1 else set()
-    return xy, np.array(sorted(cuts) + [len(xy)])
-
-
 @settings(max_examples=300)
-@given(coordinate_arrays())
-def test_points_text_is_exactly_percent_format(case):
-    xy, ends = case
-    text = _points_text(xy, ends)
-    if text is not None:
-        assert text == percent_text(xy, ends)
-    assert _polylines(xy, ends) == percent_polylines(xy, ends)
+@given(value_lists(), st.data())
+# The product rounds to a half-integer, but "%.3f" rounds 0.0005 up.
+@example([0.0005], None)
+def test_points_text_is_exactly_percent_format(values, data):
+    check_writes_what_percent_writes_or_refuses("%.3f", values, data)
 
 
 def one_run(xy: np.ndarray) -> str | None:

@@ -3,11 +3,10 @@ import itertools
 import math
 import re
 from collections.abc import Sequence
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ews32 import (
@@ -46,6 +45,7 @@ from ews32.substitution import IDENTITY_TOL, SAMPLE_SPREAD
 from ews32.sweep import CSV_COLUMNS, GRID_KEYS, MAX_GRID_POINTS
 
 from conftest import QC_EDGE_SIGMA, patch_wrong_table, random_ranked_table, reference_csv
+from test_digits import check_writes_what_percent_writes_or_refuses, value_lists, written
 from test_scenario import REFERENCE_DOC
 
 # (sector, row, column) of each grid key, written out independently of
@@ -290,62 +290,17 @@ def test_format_csv_edge_grids(reference_scenario, grid, classified):
     assert format_csv(rows) == reference_csv(rows)
 
 
-def _written(values):
-    """The writer's "%.9g" text of each value, or None if it refuses."""
-    words = importlib.import_module("ews32.sweep")._nine_digits(np.array(values, dtype=float))
-    if words is None:
-        return None
-    return [word.tobytes().translate(None, b"\0").decode("ascii") for word in words.T]
-
-
-def _certifiable(value):
-    """Whether |value| * 10**(8 - X), with X its decimal exponent, is in
-    [1e-4, 1e9) and exactly more than 1e-6 from every half-integer and
-    from rounding to 10**9: the product's float then rounds as it does."""
-    a = Fraction(abs(value))
-    if not Fraction(1, 10**4) <= a < 10**9:
-        return False
-    x = next(x for x in range(-4, 9) if a < Fraction(10) ** (x + 1))
-    p = a * Fraction(10) ** (8 - x)
-    return abs(p - math.floor(p) - Fraction(1, 2)) > Fraction(1, 10**6) and p < 10**9 - 1
-
-
-def _beside_a_power_of_ten(exponent, steps, sign):
-    value = float(f"1e{exponent}")
-    for _ in range(abs(steps)):
-        value = np.nextafter(value, math.copysign(math.inf, steps))
-    return sign * float(value)
-
-
-SIGNS = st.sampled_from([1.0, -1.0])
-NINE_DIGIT_VALUES = st.one_of(
-    st.builds(lambda exponent, sign: sign * 10.0**exponent, st.floats(-7.0, 11.0), SIGNS),
-    st.builds(_beside_a_power_of_ten, st.integers(-7, 11), st.integers(-2, 2), SIGNS),
-)
-
-
-@given(st.lists(NINE_DIGIT_VALUES, min_size=1, max_size=8))
-@example([0.0])
-@example([-0.0])
+@settings(max_examples=300)
+@given(value_lists())
+@example([0.0, -0.0])
 @example([9.9999999996])  # rounds to 10: a carry past nine digits
 @example([0.0001, 9.999e-05])  # the last value "%.9g" writes without an exponent, and the next
-@example([999999999.4])
-@example([1234567.125])  # an exact tie
+@example([999999999.4, 1234567.125])  # the largest nine-digit value, and an exact tie
+# The product rounds to a half-integer, but "%.9g" rounds the value itself
+# down: 160721575.5 is a little above it.
+@example([1.607215755])
 def test_nine_digit_writer_writes_only_what_it_certifies(values):
-    # A value is written as "%.9g" writes it or refused, never written
-    # wrong; it is written whenever its scaled product is clear of a tie
-    # and of a carry, and a batch is written exactly when each of its
-    # values is, with the same text.
-    alone = [_written([v]) for v in values]
-    for value, text in zip(values, alone):
-        if text is not None:
-            assert text == ["%.9g" % value]
-        assert text is not None or not _certifiable(value)
-    batch = _written(values)
-    if all(alone):
-        assert batch == [text for (text,) in alone]
-    else:
-        assert batch is None
+    check_writes_what_percent_writes_or_refuses("%.9g", values, None)
 
 
 @pytest.mark.parametrize(
@@ -360,10 +315,13 @@ def test_nine_digit_writer_writes_only_what_it_certifies(values):
         (999999999.4, "999999999"),
         (-100.0, "-100"),
         (1234567.125, None),
+        # 100 million times it rounds to 160721575.5, but the value is a
+        # little under that tie's decimal.
+        (1.607215755, None),
     ],
 )
 def test_nine_digit_writer_on_named_values(value, text):
-    assert _written([value]) == (None if text is None else [text])
+    assert written("%.9g", [value]) == (None if text is None else [text])
 
 
 @pytest.mark.parametrize("refused", [0.0, 1.5e-7, 4.0e12, 1234567.125])
@@ -376,7 +334,7 @@ def test_format_csv_writes_a_sweep_the_writer_refuses_by_one_format_call(
     # format_csv then writes every classified row with one "%.9g" call,
     # after the template's values past the swept key when there are any.
     s_prime, u_prime = np.array([1.25, -0.375, refused]), np.array([-3.5, 2.0, 0.0625])
-    assert _written(np.concatenate((s_prime, u_prime))) is None
+    assert written("%.9g", np.concatenate((s_prime, u_prime))) is None
     rows = importlib.import_module("ews32.sweep").SweepRows(
         {key: np.array([0.5, 1.0, 1.5, 2.0])},
         reference_scenario.aes.sigma,
