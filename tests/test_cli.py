@@ -23,8 +23,10 @@ from ews32 import (
     build_share_table,
     cobb_douglas_aes,
     load_scenario,
+    parse_grid,
     render_figure,
     sample_valid_aes,
+    sweep,
 )
 from ews32.cli import main
 from ews32.substitution import IDENTITY_TOL
@@ -37,6 +39,7 @@ from conftest import (
     ROUNDED_SIGMAS,
     patch_wrong_table,
     random_ranked_table,
+    reference_csv,
 )
 from test_scenario import REFERENCE_DOC, degenerate_t_doc, write_scenario
 
@@ -73,11 +76,16 @@ def test_missing_file(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-def test_report(scenario_file, capsys):
+def test_report(scenario_file, tmp_path, capsys):
     assert main(["report", scenario_file]) == 0
     out = capsys.readouterr().out
-    assert "subregion: P2" in out
-    assert "numeric and tabled signs agree: yes" in out
+    assert "\nsubregion: P2\n" in out
+    assert "\nstrong output response: yes\n" in out
+    assert "\nnumeric and tabled signs agree: yes\n" in out
+    # Shocks written as JSON integers read as the same numbers.
+    integers = dict(REFERENCE_DOC, shocks=[{"price": 1}, {"endowments": [1, 0, 0]}])
+    assert main(["report", str(write_scenario(tmp_path, integers))]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_figure(scenario_file, tmp_path, capsys):
@@ -85,6 +93,7 @@ def test_figure(scenario_file, tmp_path, capsys):
     assert main(["figure", scenario_file, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("<svg ")
     assert f"wrote {out}" in capsys.readouterr().out
+    ElementTree.parse(out)
 
 
 def test_file_output_matches_return(scenario_file, tmp_path):
@@ -95,18 +104,25 @@ def test_file_output_matches_return(scenario_file, tmp_path):
 
 
 def test_sweep(scenario_file, tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    code = main(["sweep", scenario_file, "--grid", "land_capital_1=-3:3:7", "-o", str(out)])
-    assert code == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 8
-    assert "7 rows, 4 classified" in capsys.readouterr().out
+    # The benchmark's 4,000-point grid: the file is the cell-by-cell
+    # reference CSV of the library's rows, and the CLI's classified count
+    # is the number of rows that end in ok.
+    spec = "land_capital_1=-2:2:20,land_labor_1=-2:2:20,capital_labor_2=-2:2:10"
+    out = tmp_path / "perf.csv"
+    assert main(["sweep", scenario_file, "--grid", spec, "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == reference_csv(sweep(load_scenario(scenario_file), parse_grid(spec)))
+    classified = text.count(",ok\n")
+    assert capsys.readouterr() == (f"wrote {out}: 4000 rows, {classified} classified\n", "")
 
 
 def test_sweep_bad_grid(scenario_file, tmp_path, capsys):
     code = main(["sweep", scenario_file, "--grid", "bogus=-1:1:3", "-o", str(tmp_path / "x.csv")])
     assert code == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+REJECTED = "rejected (own-negativity/quasi-concavity)"
 
 
 @pytest.mark.parametrize(
@@ -131,8 +147,18 @@ def test_sweep_bad_grid(scenario_file, tmp_path, capsys):
             },
             4,
         ),
+        # One key: a negative land-capital elasticity leaves sector 1's
+        # tensor invalid.
+        ("land_capital_1=-2:2:5", {"land_capital_1": [-2, -1, 0, 1, 2]}, 3),
+        ("land_capital_1=-3:3:7", {"land_capital_1": [-3, -2, -1, 0, 1, 2, 3]}, 4),
+        # Sector 2's tensors are valid but sector 1's are not, so no point is.
+        (
+            "land_capital_1=-3:-2:2,capital_labor_2=0.5:1.5:3",
+            {"land_capital_1": [-3, -2], "capital_labor_2": [0.5, 1, 1.5]},
+            0,
+        ),
     ],
-    ids=["two-keys", "four-keys"],
+    ids=["two-keys", "four-keys", "one-key", "mixed", "none"],
 )
 def test_each_grid_row_is_the_row_of_its_one_point_sweep(
     scenario_file, tmp_path, capsys, spec, axes, classified
@@ -140,12 +166,15 @@ def test_each_grid_row_is_the_row_of_its_one_point_sweep(
     # A grid's rows, in grid key order, are byte for byte the rows of
     # one-point sweeps at each point, whether the digit writer certifies
     # the grid's values and each point's or one of them falls back to "%".
+    # Every point not classified is refused by the Allen-tensor checks.
     out = tmp_path / "grid.csv"
     assert main(["sweep", scenario_file, "--grid", spec, "-o", str(out)]) == 0
     header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
     points = list(itertools.product(*axes.values()))
     assert capsys.readouterr().out == f"wrote {out}: {len(points)} rows, {classified} classified\n"
-    assert sum(row.endswith(",ok\n") for row in rows) == classified
+    statuses = [row.rsplit(",", 1)[1] for row in rows]
+    assert statuses.count("ok\n") == classified
+    assert statuses.count(f"{REJECTED}\n") == len(points) - classified
     one = tmp_path / "point.csv"
     alone = []
     for point in points:
@@ -168,14 +197,22 @@ def test_internal_error_exit_code(scenario_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize("price, code", [(1e307, 0), (5e307, 2), (1e308, 2)])
 def test_report_refuses_a_shock_whose_response_overflows(tmp_path, capsys, price, code):
-    path = tmp_path / "huge-shock.json"
-    path.write_text(json.dumps(dict(REFERENCE_DOC, shocks=[{"price": price}])), encoding="utf-8")
-    assert main(["report", str(path)]) == code
-    out, err = capsys.readouterr()
-    if code == 0:
-        assert "numeric and tabled signs agree: yes" in out
-    else:
-        assert err.startswith(f"invalid input: the response to ShockVector(price_shock={price!r},")
+    # Alone or as the second of three shocks: a refusal writes no report,
+    # and its one line names that shock, as when each shock had its own
+    # solve.
+    message = (
+        f"invalid input: the response to ShockVector(price_shock={price!r}, "
+        "endowment_shocks=(0.0, 0.0, 0.0)) overflows floating point\n"
+    )
+    alone = [{"price": price}]
+    for shocks in (alone, [{"price": 1.0}, *alone, {"endowments": [1, 0, 0]}]):
+        path = write_scenario(tmp_path, dict(REFERENCE_DOC, shocks=shocks))
+        assert main(["report", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert "numeric and tabled signs agree: yes" in out and err == ""
+        else:
+            assert (out, err) == ("", message)
 
 
 NOT_JSON = "scenario file is not valid UTF-8 JSON"
@@ -188,15 +225,32 @@ NOT_JSON = "scenario file is not valid UTF-8 JSON"
         (b"[" * 3000 + b"]" * 3000, NOT_JSON),
         (b"[1]", "scenario document must be a JSON object"),
         (json.dumps(dict(REFERENCE_DOC, shocks={})).encode(), "shocks must be a list of objects"),
+        (
+            json.dumps(dict(REFERENCE_DOC, theta_sector=[0.6, "0.4"])).encode(),
+            "theta_sector must hold finite numbers, not booleans or strings",
+        ),
+        (
+            json.dumps(dict(REFERENCE_DOC, sigma=[[-1.0, 1.0, 1.0]] * 3)).encode(),
+            "sigma must have shape (2, 3, 3), got (3, 3)",
+        ),
     ],
-    ids=["not-utf8", "nested-past-recursion-limit", "not-an-object", "shocks-not-a-list"],
+    ids=[
+        "not-utf8",
+        "nested-past-recursion-limit",
+        "not-an-object",
+        "shocks-not-a-list",
+        "string-share",
+        "flat-sigma",
+    ],
 )
 def test_unreadable_document_is_a_parse_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["validate", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"invalid input: {message}")
+    assert out == "" and err.startswith(f"invalid input: {message}") and err.count("\n") == 1
+    # After NOT_JSON the one line goes on with the decoder's own words.
+    assert message == NOT_JSON or err == f"invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("row", [0, 2], ids=["ryb", "ss"])
@@ -315,14 +369,42 @@ INTENSITY_MESSAGE = (
         ({"theta_sector": [0.6, 0.5]}, "sector shares must sum to 1, got 1.1"),
         ({"sigma": "leontief"}, INTENSITY_MESSAGE),
         ({"sigma": [[[0.0] * 3] * 3] * 2}, INTENSITY_MESSAGE),
+        ({}, INTENSITY_MESSAGE),
     ],
-    ids=["out-of-range-share", "sector-sum", "unknown-preset", "invalid-allen-tensor"],
+    ids=["out-of-range-share", "sector-sum", "unknown-preset", "invalid-allen-tensor", "ranking"],
 )
 def test_share_faults_are_reported_first(tmp_path, capsys, second_fault, message):
     # Range, then column sums, then the ranking, all before sigma is read.
     path = write_scenario(tmp_path, dict(SWAPPED_DOC, **second_fault))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, point, subregion",
+    [
+        (REFERENCE_DOC, "land_capital_1=1:1:1", "P2"),
+        (
+            dict(REFERENCE_DOC, name="seed-201", sigma=ROUNDED_SIGMAS[201]),
+            "land_capital_1=2.944402469:2.944402469:1",
+            "P3",
+        ),
+    ],
+    ids=["reference", "seed-201"],
+)
+def test_a_valid_document_passes_every_verb(tmp_path, capsys, doc, point, subregion):
+    # validate and report accept the document, and a one-point sweep at
+    # the template's own point classifies it as the report does.
+    path = str(write_scenario(tmp_path, doc))
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == (f"scenario '{doc['name']}': all assumptions hold\n", "")
+    assert main(["report", path]) == 0
+    report, err = capsys.readouterr()
+    assert err == "" and f"\nsubregion: {subregion}\nstrong output response: yes\n" in report
+    csv = tmp_path / "point.csv"
+    assert main(["sweep", path, "--grid", point, "-o", str(csv)]) == 0
+    assert capsys.readouterr() == (f"wrote {csv}: 1 rows, 1 classified\n", "")
+    assert csv.read_text(encoding="utf-8").endswith(f",+,{subregion},true,ok\n")
 
 
 def _run(argv):

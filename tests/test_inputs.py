@@ -248,7 +248,9 @@ def test_a_float_array_reads_as_its_object_array(arr, view):
     strict=True,
     reason="the float land/capital minor check cancels, and past 1e154 overflows (ROADMAP item 3)",
 )
-@pytest.mark.parametrize("u", [5899083690330626.0, 1e200])
+@pytest.mark.parametrize(
+    "u", [pytest.param(5899083690330626.0, marks=pytest.mark.blas_kernel_bits), 1e200]
+)
 def test_a_large_u_is_read_or_refused(u):
     # A valid placement: the minor is a positive multiple of
     # u(s + t) + (theta_L/theta_K)st, which grows with u.

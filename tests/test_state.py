@@ -19,6 +19,7 @@ from ews32 import (
 )
 from ews32.figure import DEFAULT_WINDOW
 
+from conftest import ROUNDED_SIGMAS
 from test_scenario import REFERENCE_DOC
 
 
@@ -68,11 +69,15 @@ def test_no_verb_changes_a_global(window):
     scenario = scenario_from_mapping(
         dict(REFERENCE_DOC, shocks=[{"price": 1.0}, {"endowments": [1.0, 0.0, 0.0]}])
     )
+    svg = render_figure(scenario)
     format_report(run_report(scenario))
     format_csv(sweep(scenario, parse_grid("land_capital_1=-3:3:7,capital_labor_2=0.5:1.5:3")))
-    render_figure(scenario, window=window)
+    seed_201 = scenario_from_mapping(dict(REFERENCE_DOC, sigma=ROUNDED_SIGMAS[201]))
+    render_figure(seed_201, window=window)
     refused = ((0, True), (-10, 4))
     with pytest.raises(ValidationError):
         render_figure(scenario, window=refused)
     # state keeps each global alive, so no id is reused.
     assert _snapshot(_globals()) == before
+    # A figure in another window leaves the default window's figure as it was.
+    assert render_figure(scenario) == svg
