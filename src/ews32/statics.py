@@ -136,12 +136,14 @@ def assemble_system(table: ShareTable, g: EwsMatrix) -> np.ndarray:
 
 
 def _system(table: ShareTable, g: np.ndarray) -> np.ndarray:
-    """assemble_system's layout, from the matrices g[..., 3, 3] of any
-    array or view, read once where they are."""
-    a = np.zeros(g.shape[:-2] + (5, 5))
-    a[..., :2, :3] = table.theta.T
-    a[..., 2:, :3] = g
-    a[..., 2:, 3:] = table.lam
+    """assemble_system's layout a[5, 5, ...], from the matrices g[3, 3, ...]
+    of any array or view, read once where they are; any batch axes trail,
+    as in every other helper."""
+    tail = (1,) * (g.ndim - 2)
+    a = np.zeros((5, 5, *g.shape[2:]))
+    a[:2, :3] = table.theta.T.reshape(2, 3, *tail)
+    a[2:, :3] = g
+    a[2:, 3:] = table.lam.reshape(3, 2, *tail)
     a.flags.writeable = False
     return a
 
@@ -280,14 +282,29 @@ def cofactors(table: ShareTable, g: EwsMatrix) -> CofactorReport:
     return CofactorReport(direct=direct, expanded=expanded, factored=factored)
 
 
+def _residual(gap: np.ndarray, sums, rows: int) -> np.ndarray:
+    """Each system's worst column residual, from the gaps |a @ x - rhs|
+    of its solutions x, whose axis rows holds a column's five rows and the
+    next axis the columns. A column's residual is roundoff on the sums
+    |a| @ |x|, which sums() gives in the same layout, so past RESIDUAL_TOL
+    it is divided by that column's largest sum, when above one; a system
+    passes when the result is at most RESIDUAL_TOL, and NaN or overflow
+    fails."""
+    residual = gap.max(axis=(rows, rows + 1))
+    # The scale is at least one, so it can decide only past RESIDUAL_TOL,
+    # and NaN fails either way.
+    if not (residual <= RESIDUAL_TOL).all():
+        column = gap.max(axis=rows)
+        scale = np.maximum(1.0, sums().max(axis=rows))
+        residual = np.where(column > RESIDUAL_TOL, column / scale, column).max(axis=rows)
+    return residual
+
+
 def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense pivoted solve of every system a[..., 5, 5] over leading axes
-    for each column of rhs[..., 5, k], with no warning on overflow: the
-    solutions x[..., 5, k], NaN for an exactly singular system, and each
-    system's worst column residual. A column's residual is roundoff on the
-    sums |a| @ |x|, so past RESIDUAL_TOL it is divided by that column's
-    largest sum, when above one; a system passes when the result is at
-    most RESIDUAL_TOL, and NaN or overflow fails."""
+    """LAPACK's pivoted solve of every system a[..., 5, 5] over leading
+    axes for each column of rhs[..., 5, k], with no warning on overflow:
+    the solutions x[..., 5, k], NaN for an exactly singular system, and
+    each system's _residual."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             x = np.linalg.solve(a, rhs)
@@ -298,14 +315,48 @@ def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         gap = a @ x
         gap -= rhs
         np.abs(gap, out=gap)
-        residual = gap.max(axis=(-2, -1))
-        # The scale is at least one, so it can decide only past RESIDUAL_TOL,
-        # and NaN fails either way.
-        if not (residual <= RESIDUAL_TOL).all():
-            column = gap.max(axis=-2)
-            scale = np.maximum(1.0, (np.abs(a) @ np.abs(x)).max(axis=-2))
-            residual = np.where(column > RESIDUAL_TOL, column / scale, column).max(axis=-1)
+        residual = _residual(gap, lambda: np.abs(a) @ np.abs(x), gap.ndim - 2)
     return x, residual
+
+
+def _eliminate(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solutions x[5, k, ...] of every system a[5, 5, ...], its system
+    axes last, for the columns of rhs[5, k], by one Gaussian elimination
+    with partial pivoting over the whole stack: each column's pivot is
+    the first of the largest |entry| at or below the diagonal, as LAPACK
+    picks it, and every step is one elementwise operation on the stack,
+    so each system's solution has the bits of its own elimination. A zero
+    pivot leaves infinities or NaNs, with no warning."""
+    n = a.shape[0]
+    m = np.empty((n, n + rhs.shape[1], *a.shape[2:]))
+    m[:, :n] = a
+    m[:, n:] = rhs.reshape(*rhs.shape, *(1,) * (a.ndim - 2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for col in range(n):
+            # The pivot row; a NaN entry is never larger, as in idamax.
+            largest = np.abs(m[col, col])
+            pivot = np.full(largest.shape, col)
+            for row in range(col + 1, n):
+                size = np.abs(m[row, col])
+                pivot[size > largest] = row
+                largest = np.maximum(largest, size)
+            top = m[col, col:].copy()
+            for row in range(col + 1, n):
+                swap = pivot == row
+                np.copyto(m[col, col:], m[row, col:], where=swap)
+                np.copyto(m[row, col:], top, where=swap)
+            # Row by row, so that no temporary is larger than one row.
+            for row in range(col + 1, n):
+                m[row, col + 1 :] -= m[row, col] / m[col, col] * m[col, col + 1 :]
+        # Back substitution through the upper triangle, into an array of
+        # its own, so that m is freed on return.
+        x = np.empty_like(m[:, n:])
+        for row in reversed(range(n)):
+            x[row] = m[row, n:]
+            for j in range(row + 1, n):
+                x[row] -= m[row, j] * x[j]
+            x[row] /= m[row, row]
+    return x
 
 
 def _require_residual(residual) -> None:
@@ -372,25 +423,30 @@ _PRICE_COLUMN = 3
 
 
 def _dense_elasticities(x: np.ndarray) -> np.ndarray:
-    """Output elasticities [..., sector, factor] over real-reward
-    elasticities [..., deflator, factor], as rows 0-1 and 2-3, read from
-    solutions x[..., 5, 4] for the columns of _CHECK_SHOCKS."""
-    w = x[..., np.newaxis, :3, _PRICE_COLUMN]
+    """Output elasticities [sector, factor, ...] over real-reward
+    elasticities [deflator, factor, ...], as rows 0-1 and 2-3, read from
+    solutions x[5, 4, ...] for the columns of _CHECK_SHOCKS."""
+    w = x[np.newaxis, :3, _PRICE_COLUMN]
     # Deflator 1 is the first good's price, deflator 2 the second's.
-    return np.concatenate((x[..., 3:, :3], w, w + 1.0), axis=-2)
+    return np.concatenate((x[3:, :3], w, w + 1.0))
 
 
 def dense_signs(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign grids [4, 3, ...] of the systems system[..., 5, 5], rows as in
-    _dense_elasticities and the system axes last, from one pivoted solve
-    for the columns of _CHECK_SHOCKS, and each system's _dense_solve
-    residual: NaN for a singular system."""
-    x, residual = _dense_solve(system, _CHECK_SHOCKS)
-    elasticities = _dense_elasticities(x)
-    # A contiguous copy with the system axes last, so that the table check
-    # reduces each grid along contiguous rows of the stack.
-    axes = range(elasticities.ndim - 2)
-    return _signs(np.ascontiguousarray(elasticities.transpose(-2, -1, *axes))), residual
+    """Sign grids [4, 3, ...] of the systems system[5, 5, ...], rows as in
+    _dense_elasticities and the system axes last, as _system stacks them,
+    from one _eliminate of the whole stack for the columns of
+    _CHECK_SHOCKS, and each system's _residual: NaN for an all-zero
+    system, and failing for any exactly singular one."""
+    x = _eliminate(system, _CHECK_SHOCKS)
+    signs = _signs(_dense_elasticities(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.einsum("ij...,jk...->ik...", system, x)
+        gap -= _CHECK_SHOCKS.reshape(5, 4, *(1,) * (system.ndim - 2))
+        np.abs(gap, out=gap)
+        residual = _residual(
+            gap, lambda: np.einsum("ij...,jk...->ik...", np.abs(system), np.abs(x)), 0
+        )
+    return signs, residual
 
 
 def comparative_statics(table: ShareTable, g: EwsMatrix) -> ComparativeStatics:

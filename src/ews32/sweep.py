@@ -16,11 +16,12 @@ and a dense solve of every classified point's system whose signs must
 match the tabled patterns. Invalid points stay in the output with a
 rejection status instead of being dropped.
 
-Every stack keeps its tensor or point axis last, s[i, h, tensor] and
-g[i, h, point], so that a check's reduction over a matrix's entries
-runs along contiguous rows of the stack rather than as one short loop
-per point. Only the dense solve takes its systems point-first, as
-LAPACK's stacked solve does.
+Every stack keeps its tensor or point axis last, s[i, h, tensor],
+g[i, h, point] and the systems a[i, h, point], so that a check's
+reduction over a matrix's entries runs along contiguous rows of the
+stack rather than as one short loop per point. The dense check is one
+pivoted elimination of that stack, an elementwise operation per step;
+a report's one dense solve stays LAPACK's, whose bits it prints.
 
 The result keeps the engine's columns (SweepRows), each row's status as
 a code into one list of status labels; a row's dict is built only when
@@ -263,8 +264,7 @@ def sweep(scenario: Scenario, grid: dict[str, list[float]]) -> SweepRows:
     stage = _first_fault([~rowsum_ok, invariant, _degenerate(t), fault > 0])
 
     classified = np.flatnonzero(stage == _OK)
-    # LAPACK solves a (k, 5, 5) stack, filled from the points' g.
-    signs, residual = dense_signs(_system(table, g[..., classified].transpose(2, 0, 1)))
+    signs, residual = dense_signs(_system(table, g[..., classified]))
     disagree = _contradicts_tables(signs, region[classified])
     stage[classified[disagree | ~(residual <= RESIDUAL_TOL)]] = _DENSE
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -26,6 +28,7 @@ from ews32 import (
     parse_grid,
     render_figure,
     sample_valid_aes,
+    statics,
     sweep,
 )
 from ews32.cli import main
@@ -37,6 +40,7 @@ from conftest import (
     REFERENCE_SECTOR,
     REFERENCE_THETA,
     ROUNDED_SIGMAS,
+    _exact_reduce,
     patch_wrong_table,
     random_ranked_table,
     reference_csv,
@@ -389,8 +393,16 @@ def test_share_faults_are_reported_first(tmp_path, capsys, second_fault, message
             "land_capital_1=2.944402469:2.944402469:1",
             "P3",
         ),
+        # Under OpenBLAS's Haswell and Prescott kernels this document fails
+        # homogeneity in sector 1 (ROADMAP item 12).
+        pytest.param(
+            dict(REFERENCE_DOC, name="seed-252", sigma=ROUNDED_SIGMAS[252]),
+            "land_capital_1=0.3758869267:0.3758869267:1",
+            "P1",
+            marks=pytest.mark.blas_kernel_bits,
+        ),
     ],
-    ids=["reference", "seed-201"],
+    ids=["reference", "seed-201", "seed-252"],
 )
 def test_a_valid_document_passes_every_verb(tmp_path, capsys, doc, point, subregion):
     # validate and report accept the document, and a one-point sweep at
@@ -405,6 +417,47 @@ def test_a_valid_document_passes_every_verb(tmp_path, capsys, doc, point, subreg
     assert main(["sweep", path, "--grid", point, "-o", str(csv)]) == 0
     assert capsys.readouterr() == (f"wrote {csv}: 1 rows, 1 classified\n", "")
     assert csv.read_text(encoding="utf-8").endswith(f",+,{subregion},true,ok\n")
+
+
+def _exact_check_signs(system):
+    """The signs of the dense check's output and real-reward elasticities
+    [4][3] for one float system [5, 5], by exact elimination of its
+    entries for the columns of _CHECK_SHOCKS."""
+    m = [
+        [Fraction(v) for v in row + rhs]
+        for row, rhs in zip(system.tolist(), statics._CHECK_SHOCKS.tolist())
+    ]
+    _exact_reduce(m, 5)
+    x = [[m[r][5 + c] / m[r][r] for c in range(4)] for r in range(5)]
+    rewards = [x[f][statics._PRICE_COLUMN] for f in range(3)]
+    rows = [x[3][:3], x[4][:3], rewards, [w + 1 for w in rewards]]
+    return [[(v > 0) - (v < 0) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("value", ["1e40", "1e90"])
+def test_a_large_elasticity_sweeps_to_the_exact_signs(tmp_path, monkeypatch, value):
+    # Past about 1e40 cond(A) of the reference system grows with the
+    # elasticity, and LAPACK's solve of it lost signs at both values.
+    # The sweep's pivoted elimination gets the signs of an exact solve of
+    # the same float system, so the point is classified: exit 0. A report
+    # of such a document still exits 1 (ROADMAP item 3).
+    module = importlib.import_module("ews32.sweep")
+    real, seen = module.dense_signs, []
+
+    def recorded(system):
+        signs, residual = real(system)
+        seen.append((system[..., 0], signs[..., 0]))
+        return signs, residual
+
+    monkeypatch.setattr(module, "dense_signs", recorded)
+    path = str(write_scenario(tmp_path, REFERENCE_DOC))
+    csv = tmp_path / "point.csv"
+    grid = f"capital_labor_2={value}:{value}:1"
+    code, out, err = _run(["sweep", path, "--grid", grid, "-o", str(csv)])
+    assert (code, out, err) == (0, f"wrote {csv}: 1 rows, 1 classified\n", "")
+    assert csv.read_text(encoding="utf-8").endswith(",+,P1,true,ok\n")
+    ((system, signs),) = seen
+    assert signs.tolist() == _exact_check_signs(system)
 
 
 def _run(argv):

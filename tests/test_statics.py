@@ -101,17 +101,20 @@ def test_system_layout(reference_table):
     for row in range(3):
         assert np.array_equal(a[2 + row, :3], g.g[row])
         assert np.array_equal(a[2 + row, 3:], np.asarray(reference_table.lam)[row])
-    # The sweep's stack of matrices assembles each one as on its own.
-    stacked = statics._system(reference_table, np.stack([g.g, 2.0 * g.g]))
-    assert stacked.shape == (2, 5, 5)
-    assert np.array_equal(stacked[0], a)
-    assert np.array_equal(stacked[1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g)))
+    # The sweep's stack of matrices, the points last, assembles each one
+    # as on its own.
+    stacked = statics._system(reference_table, np.stack([g.g, 2.0 * g.g], axis=-1))
+    assert stacked.shape == (5, 5, 2)
+    assert np.array_equal(stacked[..., 0], a)
+    assert np.array_equal(
+        stacked[..., 1], assemble_system(reference_table, EwsMatrix(g=2.0 * g.g))
+    )
 
 
 def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
     g = reference_g()
     eps = epsilon_from_aes(sample_valid_aes(reference_table, 201), reference_table)
-    stacked = statics._system(reference_table, np.stack([g.g, g.g]))
+    stacked = statics._system(reference_table, np.stack([g.g, g.g], axis=-1))
     derived = comparative_statics(reference_table, g)
     report = run_report(reference_scenario())
     for arr in (
@@ -135,14 +138,14 @@ def test_epsilon_and_system_are_read_only_float_arrays(reference_table):
 
 def test_the_system_stack_is_frozen_without_a_copy(reference_table):
     # The sweep fills its stack of systems from a view of its points' g.
-    g = np.broadcast_to(reference_g().g, (10_000, 3, 3))
+    g = np.broadcast_to(reference_g().g[..., np.newaxis], (3, 3, 10_000))
     tracemalloc.start()
     try:
         system = statics._system(reference_table, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One (10000, 5, 5) stack of 2.0 MB; a copy to freeze it would double the peak.
+    # One (5, 5, 10000) stack of 2.0 MB; a copy to freeze it would double the peak.
     assert peak <= 1.25 * system.nbytes
 
 
@@ -558,13 +561,49 @@ def test_dense_signs_on_a_stack(reference_table):
     # sign grids, the second a NaN residual rather than an exception. The
     # grids hold the system axis last.
     good = assemble_system(reference_table, reference_g())
-    signs, residual = dense_signs(np.stack([good, np.zeros((5, 5))]))
+    signs, residual = dense_signs(np.stack([good, np.zeros((5, 5))], axis=-1))
     assert signs.shape == (4, 3, 2) and signs.flags.c_contiguous
     assert tuple(map(tuple, signs[:2, :, 0].tolist())) == RYBCZYNSKI_SIGNS[Subregion.P2]
     assert tuple(map(tuple, signs[2:, :, 0].tolist())) == STOLPER_SAMUELSON_SIGNS[Subregion.P2]
     assert dense_signs(good)[0].tolist() == signs[..., 0].tolist()
     assert residual[0] <= 1e-10
     assert np.isnan(residual[1])
+
+
+@st.composite
+def check_stacks(draw):
+    """A stack [5, 5, k] of 2-64 systems of one ranked table, the systems
+    last: random valid g, each scaled so that its largest |entry| is
+    1 to 1e6, and one all-zero system at a random place, whose index is
+    returned with the stack."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = random_ranked_table(rng)
+    g = []
+    for seed in rng.integers(0, 2**32, size=draw(st.integers(1, 63))).tolist():
+        one = random_valid_ews(table, seed).g
+        g.append(one * (10.0 ** rng.uniform(0.0, 6.0) / np.abs(one).max()))
+    zero = draw(st.integers(0, len(g)))
+    return np.insert(statics._system(table, np.stack(g, axis=-1)), zero, 0.0, axis=-1), zero
+
+
+@given(check_stacks())
+def test_the_dense_check_agrees_with_lapack_system_by_system(case):
+    # The sweep's elimination of a whole stack against LAPACK's solve of
+    # each system alone: the same signs, both residuals within the bound,
+    # and each system's solution with the bits of its own elimination, so
+    # the zero system's NaNs reach no other system.
+    stack, zero = case
+    signs, residual = dense_signs(stack)
+    x = statics._eliminate(stack, statics._CHECK_SHOCKS)
+    assert np.isnan(residual[zero]) and np.isnan(x[..., zero]).all()
+    for p in range(stack.shape[-1]):
+        alone = statics._eliminate(stack[..., p : p + 1], statics._CHECK_SHOCKS)
+        assert np.array_equal(alone[..., 0], x[..., p], equal_nan=True)
+        if p == zero:
+            continue
+        solved, solved_residual = statics._dense_solve(stack[..., p], statics._CHECK_SHOCKS)
+        assert signs[..., p].tolist() == statics._signs(statics._dense_elasticities(solved)).tolist()
+        assert residual[p] <= statics.RESIDUAL_TOL and solved_residual <= statics.RESIDUAL_TOL
 
 
 def _column_residuals(a, x, rhs):
@@ -1087,24 +1126,27 @@ def test_check_residual_is_bounded_per_column(monkeypatch, reference_table):
     # scales of about 1.44, 1.44, 1.00 and 4.45. A residual of 2e-10 in
     # column 2 is twice the bound of that column, whatever the other
     # columns' scales: the report and the sweep's dense check both refuse it.
-    real = np.linalg.solve
+    # a @ x - rhs gains 2e-10 in row 0 of check 2: system 2 of the report's
+    # stack, which LAPACK solves, and column 2 of the sweep's elimination.
+    real_solve, real_eliminate = np.linalg.solve, statics._eliminate
 
-    def corrupted(a, rhs):
-        x = real(a, rhs)
-        # a @ x - rhs gains 2e-10 in row 0 of check 2: column 2 of the
-        # sweep's solve, system 2 of the report's stack.
-        unit = 2e-10 * real(a, np.eye(5)[:, :1])[..., 0]
-        if rhs.shape[-1] == 4:
-            x[..., :, 2] += unit
-        elif is_report_stack(rhs):
-            x[2, :, 0] += unit
+    def corrupted_solve(a, rhs):
+        x = real_solve(a, rhs)
+        if is_report_stack(rhs):
+            x[2, :, 0] += 2e-10 * real_solve(a, np.eye(5)[:, 0])
         return x
 
-    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    def corrupted_eliminate(a, rhs):
+        x = real_eliminate(a, rhs)
+        x[:, 2] += 2e-10 * real_eliminate(a, np.eye(5)[:, :1])[:, 0]
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", corrupted_solve)
+    monkeypatch.setattr(statics, "_eliminate", corrupted_eliminate)
     with pytest.raises(SingularSystem, match=r"^solve residual \S+ exceeds") as report_error:
         run_report(reference_scenario())
     a = assemble_system(reference_table, reference_g())
-    _, residual = dense_signs(a[np.newaxis])
+    _, residual = dense_signs(a[..., np.newaxis])
     assert residual[0] == pytest.approx(2e-10, rel=1e-3)
     assert not residual[0] <= statics.RESIDUAL_TOL
     with pytest.raises(
