@@ -10,7 +10,6 @@ alone fixes is built once per figure, and for DEFAULT_WINDOW at import.
 
 from __future__ import annotations
 
-import html
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -29,6 +28,10 @@ MARGIN = 45.0
 BOUNDARY_SAMPLES = 400
 
 _FACTOR_COLORS = ("#1b7837", "#b2182b", "#2166ac")
+# The replacements html.escape(name, quote=False) makes, without importing
+# html, whose entity table would cost every ews32 process about 0.4 MB.
+# Scenario refuses the characters that XML cannot hold at all.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _points_text(xy: np.ndarray, ends) -> str | None:
@@ -239,7 +242,7 @@ def render_figure(scenario: Scenario, window=DEFAULT_WINDOW) -> str:
         rest += (px, py, px + dx, py + dy)
     if not all(map(math.isfinite, rest)):
         raise _out_of_range(window)
-    name = html.escape(scenario.name, quote=False)
+    name = scenario.name.translate(_XML_TEXT)
     return _TEMPLATE % (name, *head, boundary, *rest, name)
 
 

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -88,6 +91,38 @@ def test_name_is_escaped(reference_scenario):
     scenario = dataclasses.replace(reference_scenario, name="R&D <x>")
     root = ElementTree.fromstring(render_figure(scenario))
     assert root.find("{http://www.w3.org/2000/svg}title").text == "R&D <x>"
+
+
+# Every character XML 1.0 can hold, the markup characters drawn often.
+_NOT_XML = "".join(map(chr, [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]))
+xml_names = st.text(
+    st.one_of(
+        st.sampled_from("&<>\"'"),
+        st.characters(exclude_categories=("Cs",), exclude_characters=_NOT_XML),
+    ),
+    min_size=1,
+)
+
+
+@given(xml_names)
+@example("R&D <x>")
+@example("&amp; &lt;&gt; \"q\" 'a'")
+def test_the_name_is_escaped_as_html_escapes_text(name):
+    import html
+
+    svg = render_figure(scenario_from_mapping(dict(REFERENCE_DOC, name=name)))
+    escaped = html.escape(name, quote=False)
+    assert re.search("<title>([^<]*)</title>", svg)[1] == escaped
+    assert svg.endswith(f'font-family="sans-serif">{escaped}</text>\n</svg>\n')
+
+
+def test_no_verb_imports_html():
+    # The figure escapes the name itself: html's entity table would cost
+    # every ews32 process about 0.4 MB.
+    env = {"PYTHONPATH": str(Path(figure.__file__).parents[1])}
+    code = "import sys, ews32.cli; print('html' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_window_override_changes_geometry(reference_scenario):
