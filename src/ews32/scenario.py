@@ -25,6 +25,7 @@ from .statics import (
     ShockVector,
     SignPattern,
     _checked_statics,
+    _require_shocks,
     sign_pattern_lookup,
     strong_rybczynski,
 )
@@ -83,10 +84,7 @@ class Scenario:
             raise ParseError(f"scenario table must be a ShareTable, got {type(table).__name__}")
         if not isinstance(aes, AesTensor):
             raise ParseError(f"scenario aes must be an AesTensor, got {type(aes).__name__}")
-        if not isinstance(shocks, (tuple, list)) or not all(
-            isinstance(shock, ShockVector) for shock in shocks
-        ):
-            raise ParseError(f"scenario shocks must be a tuple or list of ShockVectors: {shocks!r}")
+        _require_shocks(shocks, "scenario shocks")
         keep(self, "shocks", tuple(shocks))
         keep(self, "lines", line_coefficients(table))
         keep(self, "ews", ews_from_epsilon(epsilon_from_aes(aes, table), table))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormMismatch, SingularSystem, ValidationError
+from .errors import ClosedFormMismatch, ParseError, SingularSystem, ValidationError
 from .geometry import REGIONS, SIGNATURES, LineCoeffs, Subregion, _locate, line_coefficients
 from .shares import CAPITAL, LABOR, LAND, ShareTable, _read, _readonly
 from .substitution import EwsMatrix, EwsRatioVector, _require_ews_invariants, ews_ratio_vector
@@ -149,10 +149,14 @@ def _system(table: ShareTable, g: np.ndarray) -> np.ndarray:
 
 
 def determinant_delta(system: np.ndarray, table: ShareTable, g: EwsMatrix) -> DeltaReport:
-    """Determinant of the system through three agreeing routes. As in
-    cofactors, g is first checked against the invariants of table's
-    economy-wide substitution (ValidationError)."""
+    """Determinant of the system through three agreeing routes. The
+    system is read first (ParseError); then, as in cofactors, g is checked
+    against the invariants of table's economy-wide substitution, and the
+    system must be assemble_system(table, g) (ValidationError)."""
+    system = _read(system, (5, 5), "system")
     _require_ews_invariants(g.g, table, ValidationError)
+    if not np.array_equal(system, assemble_system(table, g)):
+        raise ValidationError("system must be assemble_system(table, g)")
     return _determinant_delta(system, table, g)
 
 
@@ -300,23 +304,24 @@ def _residual(gap: np.ndarray, sums, rows: int) -> np.ndarray:
     return residual
 
 
-def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's pivoted solve of every system a[..., 5, 5] over leading
-    axes for each column of rhs[..., 5, k], with no warning on overflow:
-    the solutions x[..., 5, k], NaN for an exactly singular system, and
-    each system's _residual."""
+def _dense_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's pivoted solve of the one system a[5, 5] for each column of
+    rhs[..., 5, k], with no warning on overflow: the solutions x[..., 5, k],
+    all NaN for a singular system, and per leading entry of rhs, the
+    _residual and whether any solution or sum |a| @ |x| overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             x = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
-            singular = np.linalg.det(a) == 0.0
-            x = np.linalg.solve(np.where(singular[..., None, None], np.eye(5), a), rhs)
-            x[singular] = np.nan
+            x = np.full(rhs.shape, np.nan)
         gap = a @ x
         gap -= rhs
         np.abs(gap, out=gap)
-        residual = _residual(gap, lambda: np.abs(a) @ np.abs(x), gap.ndim - 2)
-    return x, residual
+        sums = np.abs(a) @ np.abs(x)
+        residual = _residual(gap, lambda: sums, gap.ndim - 2)
+    # A singular system's NaN solution is left to the residual bound.
+    overflow = (np.isinf(x) | np.isinf(sums)).any(axis=(-2, -1))
+    return x, residual, overflow
 
 
 def _eliminate(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -366,19 +371,14 @@ def _require_residual(residual) -> None:
 
 
 def _responses(
-    system: np.ndarray, shocks: Sequence[ShockVector], x: np.ndarray, residual: np.ndarray
+    shocks: Sequence[ShockVector], x: np.ndarray, residual: np.ndarray, overflow: np.ndarray
 ) -> tuple[ResponseVector, ...]:
-    """The responses to shocks from the _dense_solve solutions x[k, 5, 1]
-    and residuals[k] of one single-column system per shock. The response
-    is linear in the shock, so a finite shock whose response or residual
-    bound overflows is an input fault: ValidationError. The first shock
-    that fails, in order, names the error, an overflow before a residual
-    past its bound."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The bound's sums |a| @ |x| must be finite too; a singular
-        # system's NaN solution is left to the bound.
-        bound = np.abs(system) @ np.abs(x)
-        overflow = (np.isinf(x) | np.isinf(bound)).any(axis=(-2, -1))
+    """The responses to shocks from the _dense_solve solutions x[k, 5, 1],
+    residuals[k] and overflow flags[k] of one single-column system per
+    shock. The response is linear in the shock, so a finite shock whose
+    response or residual bound overflows is an input fault:
+    ValidationError. The first shock that fails, in order, names the
+    error, an overflow before a residual past its bound."""
     failed = overflow | ~(residual <= RESIDUAL_TOL)
     if failed.any():
         first = int(failed.argmax())
@@ -391,21 +391,32 @@ def _responses(
     )
 
 
+def _require_shocks(shocks, what: str) -> None:
+    """ParseError unless shocks is a tuple or list of ShockVectors."""
+    if not isinstance(shocks, (tuple, list)) or not all(
+        isinstance(shock, ShockVector) for shock in shocks
+    ):
+        raise ParseError(f"{what} must be a tuple or list of ShockVectors: {shocks!r}")
+
+
 def solve_shocks(system: np.ndarray, shocks: Sequence[ShockVector]) -> tuple[ResponseVector, ...]:
     """Dense pivoted solve of the system for each shock, in one call: the
     system broadcasts against one single-column right-hand side per
     shock, so each response has the bits of its own one-shock solve. A
     report makes the same call with its four check shocks ahead of its
-    scenario's shocks (see _checked_statics). A finite shock whose
-    response overflows is a ValidationError; the first shock that fails,
-    in order, names the error, an overflow before a residual past its
-    bound."""
+    scenario's shocks (see _checked_statics). The system is read first,
+    then the shocks, a tuple or list of ShockVectors (ParseError). A
+    finite shock whose response overflows is a ValidationError; the first
+    shock that fails, in order, names the error, an overflow before a
+    residual past its bound."""
+    system = _read(system, (5, 5), "system")
+    _require_shocks(shocks, "shocks")
     if not shocks:
         return ()
-    x, residual = _dense_solve(
+    x, residual, overflow = _dense_solve(
         system, np.array([shock.right_hand_side() for shock in shocks])[..., np.newaxis]
     )
-    return _responses(system, shocks, x, residual)
+    return _responses(shocks, x, residual, overflow)
 
 
 def solve_responses(system: np.ndarray, shock: ShockVector) -> ResponseVector:
@@ -503,7 +514,7 @@ def _checked_statics(
     ]
     checks = _CHECK_SHOCKS.shape[1]
     rows = [*_CHECK_SHOCKS.T, *(shock.right_hand_side() for shock in shocks)]
-    x, residual = _dense_solve(system, np.array(rows)[..., np.newaxis])
+    x, residual, overflow = _dense_solve(system, np.array(rows)[..., np.newaxis])
     # np.max propagates a NaN residual.
     _require_residual(residual[:checks].max())
     dense = _dense_elasticities(x[:checks, :, 0].T).tolist()
@@ -524,7 +535,7 @@ def _checked_statics(
     statics = ComparativeStatics(
         system=system, delta=delta, rybczynski=_readonly(ryb), stolper_samuelson=_readonly(ss)
     )
-    return statics, _responses(system, shocks, x[checks:], residual[checks:])
+    return statics, _responses(shocks, x[checks:], residual[checks:], overflow[checks:])
 
 
 # Sign tables, one pattern per subregion. Rows are sectors for the output

@@ -22,6 +22,7 @@ from .errors import (
     InconsistentLevels,
     InvalidAes,
     NonPositiveLevels,
+    ParseError,
     ValidationError,
 )
 from .shares import CAPITAL, FACTOR_NAMES, LABOR, LAND, ShareTable, _read
@@ -372,12 +373,17 @@ SAMPLE_SPREAD = 3.0
 def sample_valid_aes(table: ShareTable, seed: int, max_attempts: int = 10000) -> AesTensor:
     """Draw a random valid Allen tensor: off-diagonals uniform within
     +-SAMPLE_SPREAD, diagonals completed by homogeneity, rejected until
-    own-negativity and quasi-concavity hold. Deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    own-negativity and quasi-concavity hold. Deterministic per seed. A
+    seed numpy refuses, or a max_attempts that is not an integer, is a
+    ParseError."""
+    try:
+        rng, attempts = np.random.default_rng(seed), range(max_attempts)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"sample_valid_aes needs an integer seed and max_attempts: {exc}") from exc
     sigma = np.empty((2, 3, 3))
     for j in range(2):
         s, th = sigma[j], table.theta[:, j]
-        for _ in range(max_attempts):
+        for _ in attempts:
             s[_UPPER] = rng.uniform(-SAMPLE_SPREAD, SAMPLE_SPREAD, size=3)
             if _aes_flags(_complete(s, th), th).all():
                 break

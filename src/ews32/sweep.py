@@ -112,6 +112,8 @@ def _first_fault(failed) -> np.ndarray:
 def parse_grid(spec: str) -> dict[str, list[float]]:
     """Parse "key=lo:hi:count" clauses separated by commas."""
     grid: dict[str, list[float]] = {}
+    if not isinstance(spec, str):
+        raise ParseError(f"grid spec must be a string, got {type(spec).__name__}")
     if not spec.strip():
         raise ParseError("empty grid spec")
     for clause in spec.split(","):

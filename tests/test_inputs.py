@@ -23,15 +23,20 @@ from ews32 import (
     ConsistencyError,
     ParseError,
     ShockVector,
+    SingularSystem,
     ValidationError,
     aggregate_substitution,
+    assemble_system,
     build_share_table,
     boundary_value,
+    determinant_delta,
     ews_from_stu,
     format_report,
     render_figure,
     run_report,
     scenario_from_mapping,
+    solve_responses,
+    solve_shocks,
 )
 from ews32.shares import _finite_array
 from ews32.sweep import format_csv, sweep
@@ -43,6 +48,8 @@ THETA, THETA_SECTOR = REFERENCE_DOC["theta"], REFERENCE_DOC["theta_sector"]
 # Levels whose factor incomes are the reference factor shares.
 ENDOWMENTS, PRICES = REFERENCE.table.theta_factor.tolist(), [1.0, 1.0, 1.0]
 STU = (REFERENCE.vector.s, REFERENCE.vector.t, REFERENCE.vector.u)
+SYSTEM = assemble_system(REFERENCE.table, REFERENCE.ews).tolist()
+SHOCK = ShockVector(price_shock=1.0, endowment_shocks=(0.5, 0.0, -0.5))
 
 # The reference document's numeric fields; price and endowments are
 # read from its one shock.
@@ -147,6 +154,19 @@ def _sweep_axis(value):
     return format_csv(rows), list(rows)
 
 
+def _solved(solve):
+    """solve of a caller's system, or the text of the SingularSystem that
+    a singular one ends in."""
+
+    def call(system):
+        try:
+            return solve(system)
+        except SingularSystem as exc:
+            return str(exc)
+
+    return call
+
+
 # Every entry point that reads a caller's numbers, with a value it
 # accepts.
 TARGETS = {
@@ -182,6 +202,12 @@ TARGETS = {
     "boundary_value": (
         lambda v: np.asarray(boundary_value(v, REFERENCE.table)).tolist(),
         [-3.0, 0.5, 2.0],
+    ),
+    "solve_shocks system": (_solved(lambda v: solve_shocks(v, (SHOCK, SHOCK))), SYSTEM),
+    "solve_responses system": (_solved(lambda v: solve_responses(v, SHOCK)), SYSTEM),
+    "determinant_delta system": (
+        lambda v: determinant_delta(v, REFERENCE.table, REFERENCE.ews),
+        SYSTEM,
     ),
 }
 

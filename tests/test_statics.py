@@ -362,6 +362,52 @@ def test_solve_singular_system(reference_table):
         solve_responses(np.zeros((5, 5)), ShockVector(price_shock=1.0))
 
 
+_NAN_SYSTEM = np.eye(5)
+_NAN_SYSTEM[2, 3] = math.nan
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (np.eye(3), r"must have shape \(5, 5\), got \(3, 3\)"),
+        ("system", "must hold finite numbers"),
+        (np.eye(5, dtype=bool), "must hold finite numbers"),
+        (_NAN_SYSTEM, "must hold finite numbers"),
+        (np.full((5, 5), math.inf), "must hold finite numbers"),
+    ],
+    ids=["3x3", "string", "bool", "nan", "inf"],
+)
+def test_the_statics_entries_read_their_system(reference_table, system, message):
+    g = reference_g()
+    for call in (
+        lambda: solve_shocks(system, [ShockVector(price_shock=1.0)]),
+        lambda: solve_responses(system, ShockVector(price_shock=1.0)),
+        lambda: determinant_delta(system, reference_table, g),
+    ):
+        with pytest.raises(ParseError, match=f"^system {message}"):
+            call()
+
+
+def test_determinant_delta_refuses_a_system_not_its_own(reference_table):
+    # A caller's finite system that is not assemble_system(table, g),
+    # however close, is the caller's fault, never a ClosedFormMismatch.
+    g = reference_g()
+    near = assemble_system(reference_table, g).copy()
+    near[2, 2] = np.nextafter(near[2, 2], 0.0)
+    for system in (np.eye(5), near):
+        with pytest.raises(ValidationError) as caught:
+            determinant_delta(system, reference_table, g)
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == "system must be assemble_system(table, g)"
+
+
+def test_solve_shocks_needs_shock_vectors(reference_table):
+    system = assemble_system(reference_table, reference_g())
+    message = r"^shocks must be a tuple or list of ShockVectors: \[1\.0\]$"
+    with pytest.raises(ParseError, match=message):
+        solve_shocks(system, [1.0])
+
+
 @pytest.mark.parametrize(
     "shock",
     [
@@ -601,7 +647,7 @@ def test_the_dense_check_agrees_with_lapack_system_by_system(case):
         assert np.array_equal(alone[..., 0], x[..., p], equal_nan=True)
         if p == zero:
             continue
-        solved, solved_residual = statics._dense_solve(stack[..., p], statics._CHECK_SHOCKS)
+        solved, solved_residual, _ = statics._dense_solve(stack[..., p], statics._CHECK_SHOCKS)
         assert signs[..., p].tolist() == statics._signs(statics._dense_elasticities(solved)).tolist()
         assert residual[p] <= statics.RESIDUAL_TOL and solved_residual <= statics.RESIDUAL_TOL
 
@@ -623,6 +669,13 @@ def _column_residuals(a, x, rhs):
     return np.array(residuals)
 
 
+def _solve_each(a, rhs):
+    """The _dense_solve solutions and residuals of each system of the
+    stack a for the columns of rhs, one call per system, stacked."""
+    solved = [statics._dense_solve(system, rhs) for system in a]
+    return np.stack([x for x, _, _ in solved]), np.array([r for _, r, _ in solved])
+
+
 def test_dense_solve_residual_is_the_worst_scaled_column(reference_table):
     # Right-hand sides of 1 and 1e12 on well-scaled and large systems
     # leave some columns' roundoff under RESIDUAL_TOL and some past it,
@@ -631,7 +684,7 @@ def test_dense_solve_residual_is_the_worst_scaled_column(reference_table):
     good = assemble_system(reference_table, reference_g())
     a = np.stack([good, 1e6 * good, rng.normal(size=(5, 5)), np.zeros((5, 5)), good])
     rhs = rng.normal(size=(5, 4)) * np.array([1.0, 1e12, 1.0, 1e9])
-    x, residual = statics._dense_solve(a, rhs)
+    x, residual = _solve_each(a, rhs)
     columns = np.abs(a @ x - rhs).max(axis=-2)
     assert (columns <= statics.RESIDUAL_TOL).any() and (columns > statics.RESIDUAL_TOL).any()
     assert np.isnan(residual).tolist() == [False, False, False, True, False]
@@ -640,7 +693,7 @@ def test_dense_solve_residual_is_the_worst_scaled_column(reference_table):
     # with one column.
     cases = [(a[[0, 2]], rhs[:, [0, 2]]), (a[[0, 1]], rhs[:, [1, 3]]), (good[None], rhs[:, [0]])]
     for a, rhs in cases:
-        x, residual = statics._dense_solve(a, rhs)
+        x, residual = _solve_each(a, rhs)
         np.testing.assert_array_equal(residual, _column_residuals(a, x, rhs))
         assert (residual <= statics.RESIDUAL_TOL).all()
 
@@ -1079,10 +1132,10 @@ def corrupt_price_column(monkeypatch, bad):
     real = statics._dense_solve
 
     def corrupted(a, rhs):
-        x, residual = real(a, rhs)
+        x, residual, overflow = real(a, rhs)
         if is_report_stack(rhs):
             x[statics._PRICE_COLUMN, CAPITAL] *= bad
-        return x, residual
+        return x, residual, overflow
 
     monkeypatch.setattr(statics, "_dense_solve", corrupted)
 

@@ -252,6 +252,14 @@ def test_sampler_exhaustion(reference_table):
         sample_valid_aes(reference_table, 1, max_attempts=0)
 
 
+@pytest.mark.parametrize(
+    "seed, max_attempts", [("x", 10), (-1, 10), (1.5, 10), (1, "x"), (1, 2.5)]
+)
+def test_sampler_refuses_a_seed_or_cap_that_is_not_an_integer(reference_table, seed, max_attempts):
+    with pytest.raises(ParseError, match="^sample_valid_aes needs an integer seed and max_attempts: "):
+        sample_valid_aes(reference_table, seed, max_attempts)
+
+
 def test_sampled_ews_invariants():
     rng = np.random.default_rng(5)
     for trial in range(60):

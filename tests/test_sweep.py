@@ -156,6 +156,12 @@ def test_parse_grid_errors():
             parse_grid(bad)
 
 
+@pytest.mark.parametrize("spec", [None, 3, [b"land_capital_1=1:1:1"]])
+def test_parse_grid_needs_a_string(spec):
+    with pytest.raises(ParseError, match="^grid spec must be a string, got "):
+        parse_grid(spec)
+
+
 def test_sweep_reference_line(reference_scenario):
     rows = sweep(reference_scenario, parse_grid("land_capital_1=-3:3:7"))
     assert len(rows) == 7
